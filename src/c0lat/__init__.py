@@ -38,7 +38,6 @@ from .jordan import (
     brute_force_lat,
     check_lattice_isomorphism,
     find_quasiaffinity,
-    has_property_P,
     intertwiner_space,
     jordan_model,
     lattice_map,

@@ -2,8 +2,9 @@
 deterministic reports.
 
 Exit codes: 0 success / suite passed, 1 a property violation was found,
-2 input or usage error.  JSON output is byte-stable for fixed inputs and
-seed; reports embed the full suite configuration.
+2 input or usage error, 3 a result could not be certified.  JSON output is
+byte-stable for fixed inputs and seed; reports embed the full suite
+configuration.
 """
 
 import argparse
@@ -12,7 +13,13 @@ import sys
 import numpy as np
 
 from . import blaschke
-from .calculus import apply_blaschke, apply_polynomial, classify_c0, minimal_function
+from .calculus import (
+    VerificationError,
+    apply_blaschke,
+    apply_polynomial,
+    classify_c0,
+    minimal_function,
+)
 from .jordan import VerificationReport, are_quasisimilar, intertwiner_space, jordan_model
 from .modelspace import compressed_shift, divisor_subspace, enumerate_lattice
 from .serialize import (
@@ -374,6 +381,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError, KeyError) as exc:
         print(f"c0lat: error: {exc}", file=sys.stderr)
         return 2
+    except VerificationError as exc:
+        print(f"c0lat: error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint():

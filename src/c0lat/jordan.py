@@ -64,7 +64,6 @@ __all__ = [
     "brute_force_lat",
     "check_lattice_isomorphism",
     "find_quasiaffinity",
-    "has_property_P",
     "intertwiner_space",
     "jordan_model",
     "lattice_map",
@@ -388,19 +387,6 @@ def jordan_model(t, seed: int = 0, verify: bool = True) -> JordanModel:
     return model
 
 
-def has_property_P(model: JordanModel) -> bool:
-    """Always True for finite models.
-
-    The defining criterion asks whether the gcd of the full model-function
-    sequence is trivial; a finite chain is padded with constants, whose
-    gcd with anything is the constant 1, so every finite Jordan model
-    qualifies.  The operation exists so callers can exercise the criterion
-    through the same API that an infinite-model implementation would use.
-    """
-    del model
-    return True
-
-
 @dataclass(frozen=True)
 class Violation:
     trial: int
@@ -451,12 +437,17 @@ class VerificationReport:
         )
 
 
-def _direct_sum_basis(m2: Subspace, m3: Subspace):
-    """Sum map machinery for the external direct sum M2 (+) M3."""
-    j = join(m2, m3)
-    b2, b3, bj = m2.basis, m3.basis, j.basis
-    x_mat = bj.conj().T @ np.hstack([b2, b3])
-    return j, x_mat
+def _pool_meets(pool):
+    """``meet(pool[i], pool[j])`` by ordered pool indices, each pair computed
+    once: the verifiers draw many triples from a small pool."""
+    cache = {}
+
+    def pool_meet(i: int, j: int) -> Subspace:
+        if (i, j) not in cache:
+            cache[i, j] = meet(pool[i], pool[j])
+        return cache[i, j]
+
+    return pool_meet
 
 
 def _restriction(t, s: Subspace) -> np.ndarray:
@@ -487,28 +478,38 @@ def theorem97_verifier(
     if not classify_c0(t).is_c0:
         raise NotC0Error("theorem97_verifier requires a C0 matrix")
     pool = sample_invariant_subspaces(t, max(12, n + 4), np.random.default_rng(seed))
+    pool_meet = _pool_meets(pool)
     violations = []
     max_residual = 0.0
     for trial in range(triples):
         rng = np.random.default_rng(seed + 1 + trial)
-        m1, m2, r = (pool[int(rng.integers(len(pool)))] for _ in range(3))
-        m3 = meet(m1, r)
+        i1, i2, ir = (int(rng.integers(len(pool))) for _ in range(3))
+        m1, m2 = pool[i1], pool[i2]
+        m3 = pool_meet(i1, ir)
+        if not contains(m1, m3):
+            raise ValueError("modular-triple precondition violated: M3 is not contained in M1")
 
-        verdict = check_modular_triple(m1, m2, m3)
-        max_residual = max(max_residual, verdict.residual)
-        if verdict.residual > tol_modular:
+        # both sides of M1 ∩ (M2 ∨ M3) = (M1 ∩ M2) ∨ M3; the proof objects
+        # below reuse the join, the left side and M1 ∩ M2
+        joined = join(m2, m3)
+        inter = meet(m1, joined)
+        m1m2 = pool_meet(i1, i2)
+        modular = distance(inter, join(m1m2, m3))
+        max_residual = max(max_residual, modular)
+        if modular > tol_modular:
             violations.append(
                 Violation(
                     trial,
                     "modular-identity",
-                    verdict.residual,
+                    modular,
                     {"dims": [m1.dim, m2.dim, m3.dim]},
                 )
             )
 
         if m2.dim + m3.dim == 0:
             continue
-        joined, x_mat = _direct_sum_basis(m2, m3)
+        # the sum map X(a2, a3) = a2 + a3 in the orthonormal basis of M2 ∨ M3
+        x_mat = joined.basis.conj().T @ np.hstack([m2.basis, m3.basis])
         t23 = scipy.linalg.block_diag(_restriction(t, m2), _restriction(t, m3))
         tj = _restriction(t, joined)
         resid_int = op_norm(x_mat @ t23 - tj @ x_mat)
@@ -532,10 +533,8 @@ def theorem97_verifier(
                 )
             )
 
-        inter = meet(m1, joined)
         embedded = Subspace.from_span(joined.basis.conj().T @ inter.basis, joined.dim)
         preimage = lattice_preimage(x_mat, embedded)
-        m1m2 = meet(m1, m2)
         top = m2.basis.conj().T @ m1m2.basis
         expected_cols = np.zeros((m2.dim + m3.dim, m1m2.dim + m3.dim), dtype=complex)
         expected_cols[: m2.dim, : m1m2.dim] = top
@@ -583,6 +582,7 @@ def theorem_x3_verifier(
     if y.shape[0] != y.shape[1] or _rank(y) != y.shape[0]:
         raise RankDeficientError("theorem_x3_verifier requires a full-rank square Y")
     pool = sample_invariant_subspaces(t2, max(12, t2.shape[0] + 4), np.random.default_rng(seed))
+    pool_meet = _pool_meets(pool)
     t1_scale = max(1.0, op_norm(t1))
     violations = []
     max_residual = 0.0
@@ -595,9 +595,8 @@ def theorem_x3_verifier(
 
     for trial in range(samples):
         rng = np.random.default_rng(seed + 1 + trial)
-        n1, n2, r = (pool[int(rng.integers(len(pool)))] for _ in range(3))
-        n3 = meet(n1, r)
-        ns = (n1, n2, n3)
+        i1, i2, ir = (int(rng.integers(len(pool))) for _ in range(3))
+        ns = (pool[i1], pool[i2], pool_meet(i1, ir))
         ms = tuple(lattice_preimage(y, n_i) for n_i in ns)
         for i, m_i in enumerate(ms):
             inv = is_invariant(t1, m_i)
@@ -615,7 +614,7 @@ def theorem_x3_verifier(
         record(
             trial,
             "product-identity",
-            distance(lattice_map(y, meet(ms[0], ms[1])), meet(ns[0], ns[1])),
+            distance(lattice_map(y, meet(ms[0], ms[1])), pool_meet(i1, i2)),
         )
         source = check_modular_triple(ms[0], ms[1], ms[2])
         target = check_modular_triple(ns[0], ns[1], ns[2])

@@ -56,7 +56,7 @@ def op_norm(m) -> float:
     m = np.asarray(m)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def _complex_matrix(m) -> np.ndarray:

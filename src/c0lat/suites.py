@@ -3,10 +3,15 @@ command line and the acceptance tests.
 
 Each suite returns a :class:`~c0lat.jordan.VerificationReport`.  Trials are
 independent given the seed (trial i derives its generator from seed + i),
-so they may run in parallel; the C0LAT_THREADS environment variable caps
-the worker count (default: the number of logical processors) and the
-merge order is fixed by trial index, keeping reports byte-identical
-regardless of parallelism.
+so they may run in parallel; the C0LAT_THREADS environment variable sets
+the worker count and the merge order is fixed by trial index, keeping
+reports byte-identical regardless of parallelism.
+
+The default is one worker.  Trials are chains of small numpy calls that
+hold the interpreter lock for much of their time, so threads contend
+rather than overlap: on a 2-CPU machine six modular-thm97 plus x3-transfer
+suite pairs (2 trials each) took a median 2.4 s with one worker against
+4.2 s with two, over six runs each.
 """
 
 import os
@@ -68,14 +73,12 @@ __all__ = [
 
 
 def thread_count() -> int:
-    raw = os.environ.get("C0LAT_THREADS", "")
+    """Worker count from C0LAT_THREADS; 1 when unset or not a positive integer."""
     try:
-        n = int(raw)
+        n = int(os.environ.get("C0LAT_THREADS", ""))
     except ValueError:
-        n = 0
-    if n < 1:
-        n = os.cpu_count() or 1
-    return n
+        return 1
+    return max(n, 1)
 
 
 def _run_trials(trial_fn, trials: int):

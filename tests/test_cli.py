@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from c0lat import suites
 from c0lat.blaschke import elementary, monomial, multiply
 from c0lat.cli import main
 from c0lat.serialize import encode_matrix, stable_json_bytes
@@ -28,6 +29,8 @@ def files(tmp_path):
     paths["zb"] = blaschke_file("zb.json", multiply(monomial(1), elementary(0.5)))
     paths["diag"] = matrix_file("diag.json", np.diag([0.5, 0.0]).astype(complex))
     paths["unitary"] = matrix_file("unitary.json", np.eye(2))
+    # eigenvalues too close for the clustering ladder to certify
+    paths["close"] = matrix_file("close.json", np.diag([0.5, 0.5001]).astype(complex))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     paths["bad"] = str(bad)
@@ -123,6 +126,14 @@ def test_jordan_model_and_quasisim(capsys, files):
     assert json.loads(out) == {"dimension": 2, "max_rank": 2}
 
 
+@pytest.mark.parametrize("command", [("jordan", "model"), ("calc", "minfun")])
+def test_uncertifiable_matrix_exits_three_with_one_line(capsys, files, command):
+    code, out, err = run(capsys, *command, files["close"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("c0lat: error: ") and err.count("\n") == 1
+
+
 # --- verify ----------------------------------------------------------------------------
 
 def test_verify_passing_suite_exit_zero(capsys, files):
@@ -163,6 +174,11 @@ def test_thread_count_does_not_change_report(files, monkeypatch):
     monkeypatch.setenv("C0LAT_THREADS", "4")
     assert main(argv + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_thread_count_defaults_to_one_worker(monkeypatch):
+    monkeypatch.delenv("C0LAT_THREADS", raising=False)
+    assert suites.thread_count() == 1
 
 
 def test_verify_seed_changes_report(files):

@@ -17,7 +17,6 @@ from c0lat.jordan import (
     brute_force_lat,
     check_lattice_isomorphism,
     find_quasiaffinity,
-    has_property_P,
     intertwiner_space,
     jordan_model,
     lattice_map,
@@ -234,11 +233,6 @@ def test_model_chain_validation():
         JordanModel((monomial(1), monomial(2)))
     trimmed = JordanModel((monomial(2), monomial(1), BlaschkeProduct(())))
     assert len(trimmed.thetas) == 2
-
-
-def test_property_p_constant_true():
-    assert has_property_P(JordanModel((monomial(2), monomial(1))))
-    assert has_property_P(JordanModel(()))
 
 
 def test_model_operator_head_is_minimal_function():

@@ -18,6 +18,7 @@ from c0lat.subspace import (
     lattice_is_distributive,
     lattice_is_modular,
     meet,
+    op_norm,
 )
 
 
@@ -121,6 +122,16 @@ def test_contains_examples():
 def test_distance():
     assert distance(line(2, 0), line(2, 0)) < 1e-15
     assert distance(line(2, 0), line(2, 1)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 5), (5, 1), (0, 4), (4, 0), (3, 3), (4, 7), (9, 2), (16, 16)]
+)
+def test_op_norm_is_the_numpy_spectral_norm_bit_for_bit(shape):
+    rng = np.random.default_rng(list(shape))
+    for _ in range(20):
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert op_norm(m) == float(np.linalg.norm(m, 2))
 
 
 # --- invariance / cyclic -------------------------------------------------------
