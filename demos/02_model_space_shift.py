@@ -3,10 +3,11 @@ Model spaces and the compressed shift
 =====================================
 
 For a finite Blaschke product theta of degree d, the model space
-H^2 (-) theta H^2 is d-dimensional.  Its Takenaka-Malmquist basis makes
-the compressed shift a lower-triangular matrix with theta's zeros on the
-diagonal, and uniform quadrature on the circle computes every inner
-product we need.
+H^2 (-) theta H^2 is d-dimensional.  In its Takenaka-Malmquist basis the
+compressed shift is an exact, closed-form lower-triangular matrix with
+theta's zeros on the diagonal.  Uniform quadrature on the circle is used
+only for inner products of functions given by their values, such as the
+Gram matrix check below.
 """
 
 import numpy as np

@@ -49,11 +49,9 @@ from .jordan import (
 from .modelspace import (
     ModelOperator,
     ModelSpace,
-    basis_eval,
     compressed_shift,
     divisor_subspace,
     enumerate_lattice,
-    inner_product,
 )
 from .subspace import (
     FiniteLattice,

@@ -143,14 +143,15 @@ def test_verify_passing_suite_exit_zero(capsys, files):
 
 
 def test_verify_violation_exit_one(capsys, files):
-    # an unreachable tolerance forces honest violations and the exit-1 path
+    # an unreachable floor forces honest violations and the exit-1 path:
+    # every ||phi(S)|| is at most 1 < 2
     code, out, _ = run(
         capsys,
         "verify", "prop14", files["zb"],
-        "--seed", "1", "--trials", "2", "--tol", "annihilate=1e-22",
+        "--seed", "1", "--trials", "2", "--tol", "floor=2",
     )
     assert code == 1
-    assert "FAILED" in out and "annihilation" in out
+    assert "FAILED" in out and "maximality" in out
 
 
 def test_verify_json_reports_are_byte_stable(files):

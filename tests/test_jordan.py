@@ -35,6 +35,7 @@ from c0lat.sampling import (
     sample_invariant_subspaces,
 )
 from c0lat.subspace import Subspace, equals, is_invariant, op_norm
+from c0lat.suites import jordan_model_suite
 
 NILPOTENT = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -358,6 +359,12 @@ def test_brute_force_matches_enumeration():
 
 
 # --- report plumbing ----------------------------------------------------------------------
+
+def test_jordan_model_suite_redraws_an_uncertifiable_spectrum():
+    # trial 0's first draw has an eigenstructure the clustering ladder rejects
+    report = jordan_model_suite(trials=3, seed=13297595)
+    assert report.passed
+
 
 def test_report_json_shape():
     report = VerificationReport(

@@ -1,15 +1,16 @@
 """Model spaces, the rational basis, and the compressed shift.
 
-The independent oracle for the uniform-grid inner product is adaptive
-quadrature (scipy.integrate.quad) of f(e^it) conj(g(e^it)) / 2pi on
-[0, 2pi]; it shares no code with the grid path.
+The independent oracle for the uniform-grid inner product, the closed-form
+shift matrix and the divisor subspaces is adaptive quadrature
+(scipy.integrate.quad) of f(e^it) conj(g(e^it)) / 2pi on [0, 2pi]; it
+shares no code with any of them.
 """
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from c0lat import blaschke
+from c0lat import blaschke, suites
 from c0lat.blaschke import BlaschkeProduct, NotADivisorError, elementary, monomial, multiply
 from c0lat.calculus import apply_blaschke
 from c0lat.modelspace import (
@@ -118,6 +119,25 @@ def test_shift_degree_one_cases():
     assert oracle == pytest.approx(a, abs=1e-9)
 
 
+def test_shift_matrix_against_quad_oracle():
+    op = compressed_shift(THETA_MIXED)
+    space = ModelSpace(THETA_MIXED)
+    d = space.dim
+    oracle = np.array(
+        [
+            [
+                quad_inner(
+                    lambda z, k=k: z * space.basis_eval(k, z),
+                    lambda z, j=j: space.basis_eval(j, z),
+                )
+                for k in range(1, d + 1)
+            ]
+            for j in range(1, d + 1)
+        ]
+    )
+    assert np.max(np.abs(op.matrix - oracle)) < 1e-9
+
+
 def test_shift_is_lower_triangular_with_zero_diagonal_order():
     op = compressed_shift(THETA_MIXED)
     space = ModelSpace(THETA_MIXED)
@@ -169,9 +189,50 @@ def test_divisor_subspace_dimension():
     assert s.dim == theta.degree - phi.degree
 
 
+def test_divisor_subspaces_against_quad_oracle():
+    # phi times each basis function of H(theta/phi) lies in H(theta) with
+    # norm 1, so its e-coordinates have norm 1 and lie in divisor_subspace(phi)
+    space = ModelSpace(THETA_MIXED)
+    for phi in blaschke.divisors(THETA_MIXED):
+        s = space.divisor_subspace(phi)
+        quotient = blaschke.divide(THETA_MIXED, phi)
+        assert s.dim == quotient.degree
+        if quotient.degree == 0:
+            continue
+        inner = ModelSpace(quotient)
+        for m in range(1, inner.dim + 1):
+            coords = np.array(
+                [
+                    quad_inner(
+                        lambda z, m=m: blaschke.evaluate(phi, z) * inner.basis_eval(m, z),
+                        lambda z, j=j: space.basis_eval(j, z),
+                    )
+                    for j in range(1, space.dim + 1)
+                ]
+            )
+            assert np.linalg.norm(coords) == pytest.approx(1.0, abs=1e-7)
+            assert np.linalg.norm(coords - s.project(coords)) <= 1e-7
+
+
 def test_divisor_subspace_requires_divisor():
     with pytest.raises(NotADivisorError):
         divisor_subspace(monomial(2), elementary(0.5))
+
+
+# --- zeros near the boundary and of high multiplicity ---------------------------------------
+
+@pytest.mark.parametrize("r", [0.9999, 0.99999, 1 - 1e-7])
+def test_near_boundary_double_zero(r):
+    theta = BlaschkeProduct(((r * np.exp(0.7j), 2), (0.3 - 0.2j, 1), (-0.5 + 0.1j, 1)))
+    assert op_norm(compressed_shift(theta).matrix) <= 1.0 + 1e-9
+    assert suites.prop14_suite(trials=2, seed=0, inputs=(theta,)).passed
+    assert suites.meetjoin_suite(trials=8, seed=0, inputs=(theta,)).passed
+
+
+def test_two_fourfold_zeros_accepted():
+    # the zeros of a Jordan structure with two 4-blocks
+    a, b = 0.16315617427631196 + 0.06201259116827713j, -0.5600446443392839 - 0.03902363760481331j
+    assert op_norm(compressed_shift(BlaschkeProduct(((a, 4), (b, 4)))).matrix) <= 1.0 + 1e-9
 
 
 # --- lattice enumeration ----------------------------------------------------------------
