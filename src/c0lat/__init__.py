@@ -24,6 +24,7 @@ from .calculus import (
     apply_polynomial,
     classify_c0,
     eigenstructure,
+    is_c0,
     minimal_function,
     radial_validate,
     spectral_radius,

@@ -61,15 +61,16 @@ class NotADivisorError(ValueError):
 class UnitDiskPoint:
     """A point strictly inside the open unit disk.
 
-    Rejected at construction when ``|value| >= 1 - 1e-12``; zeros that close
-    to the boundary are numerically indistinguishable from boundary points.
+    Rejected at construction unless ``|value| < 1 - 1e-12`` (so NaN is
+    rejected); zeros that close to the boundary are numerically
+    indistinguishable from boundary points.
     """
 
     value: complex
 
     def __post_init__(self):
         v = complex(self.value)
-        if abs(v) >= 1.0 - _UNIT_TOL:
+        if not abs(v) < 1.0 - _UNIT_TOL:
             raise ValueError(
                 f"unit-disk point must satisfy |z| < 1 - {_UNIT_TOL:g}; got |z| = {abs(v):.17g}"
             )
@@ -112,7 +113,7 @@ class BlaschkeProduct:
     def __post_init__(self):
         merged = _coerce_zeros(self.zeros)
         c = complex(self.constant)
-        if abs(abs(c) - 1.0) > _UNIT_TOL:
+        if not abs(abs(c) - 1.0) <= _UNIT_TOL:
             raise ValueError(f"constant must be unimodular; got |c| = {abs(c):.17g}")
         degree = sum(m for _, m in merged)
         if degree > DEGREE_CAP:
@@ -185,12 +186,12 @@ def monomial(n: int, constant=1.0 + 0.0j) -> BlaschkeProduct:
 def evaluate(b: BlaschkeProduct, z):
     """Evaluate ``b`` at a point (or ndarray of points) of the closed disk.
 
-    Raises a domain error when ``|z| > 1 + 1e-12``.  The result satisfies
-    ``|evaluate(b, z)| <= 1`` on the closed disk and ``= 1`` on the circle,
-    up to roundoff.
+    Raises a domain error unless ``|z| <= 1 + 1e-12`` (so NaN is rejected).
+    The result satisfies ``|evaluate(b, z)| <= 1`` on the closed disk and
+    ``= 1`` on the circle, up to roundoff.
     """
     za = np.asarray(z, dtype=complex)
-    if np.any(np.abs(za) > 1.0 + _BOUNDARY_TOL):
+    if not np.all(np.abs(za) <= 1.0 + _BOUNDARY_TOL):
         worst = float(np.max(np.abs(za)))
         raise ValueError(f"evaluation point outside the closed disk: |z| = {worst:.17g}")
     out = np.full_like(za, b.constant)

@@ -7,9 +7,12 @@ in closed form,
     b_a(T) = (|a|/a) (aI - T)(I - conj(a) T)^{-1},      b_0(T) = T,
 
 and the factors commute, so products are order-independent.  A square
-contraction is classified C0 exactly when its spectral radius is strictly
-below 1; the minimal function is then the Blaschke product over eigenvalue
-clusters with the largest Jordan block size as multiplicity.
+matrix is C0 exactly when it is a contraction with spectral radius
+strictly below 1 (:func:`is_c0`, a norm-and-spectrum test that needs no
+certification).  The minimal function of a C0 matrix is the Blaschke
+product over eigenvalue clusters with the largest Jordan block size as
+multiplicity; only minimal functions and Jordan models need the certified
+:func:`eigenstructure` below.
 
 Eigenvalue clustering is single-linkage over a short ladder of radii,
 walked coarse to fine: a backward-stable eigensolver splits a defective
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, divide, evaluate
+from .blaschke import BlaschkeProduct, divide
 from .subspace import op_norm
 
 __all__ = [
@@ -37,6 +40,7 @@ __all__ = [
     "apply_polynomial",
     "classify_c0",
     "eigenstructure",
+    "is_c0",
     "minimal_function",
     "radial_validate",
     "spectral_radius",
@@ -114,6 +118,13 @@ def spectral_radius(t) -> float:
     if t.shape[0] == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(t))))
+
+
+def is_c0(t) -> bool:
+    """Contraction (norm <= 1 + 1e-9) with spectral radius < 1 - 1e-9; the
+    0x0 matrix is C0."""
+    t = _as_matrix(t)
+    return t.shape[0] == 0 or (op_norm(t) <= 1.0 + 1e-9 and spectral_radius(t) < 1.0 - 1e-9)
 
 
 def apply_polynomial(t, coefficients) -> np.ndarray:
@@ -286,13 +297,10 @@ def minimal_function(t) -> BlaschkeProduct:
     happens inside :func:`eigenstructure`.
     """
     t = _as_matrix(t)
-    cert_radius = spectral_radius(t)
-    if t.shape[0] == 0:
-        return BlaschkeProduct()
-    if op_norm(t) > 1.0 + 1e-9 or cert_radius >= 1.0 - 1e-9:
+    if not is_c0(t):
         raise NotC0Error(
             f"minimal_function requires a C0 matrix (norm <= 1, spectral radius < 1); "
-            f"got norm {op_norm(t):.6g}, radius {cert_radius:.6g}"
+            f"got norm {op_norm(t):.6g}, radius {spectral_radius(t):.6g}"
         )
     structure = eigenstructure(t)
     return BlaschkeProduct(tuple((mean, sizes[0]) for mean, sizes in structure))
@@ -302,12 +310,7 @@ def classify_c0(t) -> C0Certificate:
     """Contraction with spectrum inside the disk?  If so, attach the minimal
     function and its annihilation residual."""
     t = _as_matrix(t)
-    if t.shape[0] == 0:
-        return C0Certificate(True, 0.0, BlaschkeProduct(), 0.0)
-    radius = spectral_radius(t)
-    is_c0 = op_norm(t) <= 1.0 + 1e-9 and radius < 1.0 - 1e-9
-    if not is_c0:
-        return C0Certificate(False, radius, None, float("inf"))
+    if not is_c0(t):
+        return C0Certificate(False, spectral_radius(t), None, float("inf"))
     mf = minimal_function(t)
-    residual = float(op_norm(apply_blaschke(t, mf)))
-    return C0Certificate(True, radius, mf, residual)
+    return C0Certificate(True, spectral_radius(t), mf, float(op_norm(apply_blaschke(t, mf))))

@@ -8,6 +8,7 @@ configuration.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -45,9 +46,12 @@ def _parse_tolerances(pairs) -> dict:
             raise UsageError(f"--tol expects NAME=VALUE, got {pair!r}")
         name, _, value = pair.partition("=")
         try:
-            out[name.strip()] = float(value)
+            tol = float(value)
         except ValueError as exc:
             raise UsageError(f"--tol {pair!r}: {exc}") from exc
+        if not math.isfinite(tol):
+            raise UsageError(f"--tol {pair!r}: tolerance must be finite")
+        out[name.strip()] = tol
     return out
 
 
@@ -187,8 +191,11 @@ def _emit(payload_bytes: bytes, out_path):
         sys.stdout.write(payload_bytes.decode("utf-8"))
 
 
-def _blaschke_text(b) -> str:
-    return str(b)
+def _output(args, payload, text: str) -> int:
+    """Emit ``payload`` as byte-stable JSON under ``--json``, else ``text``
+    and a newline; returns the success exit code."""
+    _emit(stable_json_bytes(payload) if args.json else (text + "\n").encode(), args.out)
+    return 0
 
 
 def _matrix_text(matrix) -> str:
@@ -205,85 +212,53 @@ def _cmd_inner(args) -> int:
         b2 = decode_blaschke_file(args.second)
         if args.action == "divides":
             result = blaschke.divides(b1, b2)
-            payload = stable_json_bytes({"divides": result}) if args.json else (
-                ("true" if result else "false") + "\n"
-            ).encode()
-            _emit(payload, args.out)
-            return 0
+            return _output(args, {"divides": result}, "true" if result else "false")
         out = blaschke.gcd(b1, b2) if args.action == "gcd" else blaschke.lcm(b1, b2)
-        payload = stable_json_bytes(out.to_json_dict()) if args.json else (
-            _blaschke_text(out) + "\n"
-        ).encode()
-        _emit(payload, args.out)
-        return 0
+        return _output(args, out.to_json_dict(), str(out))
     b = decode_blaschke_file(args.product)
     try:
         z = complex(args.point)
     except ValueError as exc:
         raise UsageError(f"cannot parse complex point {args.point!r}") from exc
     value = blaschke.evaluate(b, z)
-    payload = stable_json_bytes({"re": value.real, "im": value.imag}) if args.json else (
-        f"{value:.12g}\n"
-    ).encode()
-    _emit(payload, args.out)
-    return 0
+    return _output(args, {"re": value.real, "im": value.imag}, f"{value:.12g}")
 
 
 def _cmd_model(args) -> int:
     theta = decode_blaschke_file(args.theta)
     if args.action == "shift":
         op = compressed_shift(theta)
-        payload = stable_json_bytes(op.to_json_dict()) if args.json else (
-            _matrix_text(op.matrix) + "\n"
-        ).encode()
-        _emit(payload, args.out)
-        return 0
+        return _output(args, op.to_json_dict(), _matrix_text(op.matrix))
     if args.action == "lat-enum":
         entries = enumerate_lattice(theta)
-        if args.json:
-            payload = stable_json_bytes(
-                [
-                    {"divisor": phi.to_json_dict(), "subspace": s.to_json_dict()}
-                    for phi, s in entries
-                ]
-            )
-        else:
-            lines = [
-                f"{str(phi):40s} dim {s.dim}" for phi, s in entries
-            ]
-            payload = ("\n".join(lines) + "\n").encode()
-        _emit(payload, args.out)
-        return 0
+        return _output(
+            args,
+            [{"divisor": phi.to_json_dict(), "subspace": s.to_json_dict()} for phi, s in entries],
+            "\n".join(f"{str(phi):40s} dim {s.dim}" for phi, s in entries),
+        )
     phi = decode_blaschke_file(args.phi)
     s = divisor_subspace(theta, phi)
-    payload = stable_json_bytes(s.to_json_dict()) if args.json else (
-        f"dim {s.dim} in ambient {s.ambient_dim}\n" + _matrix_text(s.basis) + "\n"
-    ).encode()
-    _emit(payload, args.out)
-    return 0
+    return _output(
+        args,
+        s.to_json_dict(),
+        f"dim {s.dim} in ambient {s.ambient_dim}\n" + _matrix_text(s.basis),
+    )
 
 
 def _cmd_calc(args) -> int:
     t = decode_matrix_file(args.matrix)
     if args.action == "minfun":
         mf = minimal_function(t)
-        payload = stable_json_bytes(mf.to_json_dict()) if args.json else (
-            _blaschke_text(mf) + "\n"
-        ).encode()
-        _emit(payload, args.out)
-        return 0
+        return _output(args, mf.to_json_dict(), str(mf))
     if args.action == "classify":
         cert = classify_c0(t)
-        if args.json:
-            payload = stable_json_bytes(cert.to_json_dict())
-        else:
-            mf = _blaschke_text(cert.minimal_function) if cert.minimal_function else "-"
-            payload = (
-                f"is_c0 {str(cert.is_c0).lower()}  spectral_radius {cert.spectral_radius:.12g}  "
-                f"minimal_function {mf}  annihilation_residual {cert.annihilation_residual:.6g}\n"
-            ).encode()
-        _emit(payload, args.out)
-        return 0
+        mf = str(cert.minimal_function) if cert.minimal_function else "-"
+        return _output(
+            args,
+            cert.to_json_dict(),
+            f"is_c0 {str(cert.is_c0).lower()}  spectral_radius {cert.spectral_radius:.12g}  "
+            f"minimal_function {mf}  annihilation_residual {cert.annihilation_residual:.6g}",
+        )
     if (args.blaschke is None) == (args.poly is None):
         raise UsageError("calc apply needs exactly one of --blaschke or --poly")
     if args.blaschke:
@@ -295,43 +270,28 @@ def _cmd_calc(args) -> int:
         except ValueError as exc:
             raise UsageError(f"cannot parse --poly {args.poly!r}") from exc
         result = apply_polynomial(t, coeffs)
-    payload = stable_json_bytes(encode_matrix(result)) if args.json else (
-        _matrix_text(result) + "\n"
-    ).encode()
-    _emit(payload, args.out)
-    return 0
+    return _output(args, encode_matrix(result), _matrix_text(result))
 
 
 def _cmd_jordan(args) -> int:
     if args.action == "model":
         t = decode_matrix_file(args.matrix)
         model = jordan_model(t, seed=args.seed)
-        payload = stable_json_bytes(model.to_json_dict()) if args.json else (
-            "\n".join(_blaschke_text(th) for th in model.thetas) + "\n"
-        ).encode()
-        _emit(payload, args.out)
-        return 0
+        return _output(args, model.to_json_dict(), "\n".join(str(th) for th in model.thetas))
     t1 = decode_matrix_file(args.first)
     t2 = decode_matrix_file(args.second)
     if args.action == "quasisim":
         result = are_quasisimilar(t1, t2, seed=args.seed)
-        payload = stable_json_bytes({"quasisimilar": result}) if args.json else (
-            ("true" if result else "false") + "\n"
-        ).encode()
-        _emit(payload, args.out)
-        return 0
+        return _output(args, {"quasisimilar": result}, "true" if result else "false")
     space = intertwiner_space(t1, t2, seed=args.seed)
-    if args.json:
-        payload = stable_json_bytes(
-            {"dimension": space.dimension, "max_rank": space.max_rank}
-        )
-    else:
-        payload = (f"dimension {space.dimension}  max_rank {space.max_rank}\n").encode()
-    _emit(payload, args.out)
-    return 0
+    return _output(
+        args,
+        {"dimension": space.dimension, "max_rank": space.max_rank},
+        f"dimension {space.dimension}  max_rank {space.max_rank}",
+    )
 
 
-def _decode_suite_inputs(suite: str, paths):
+def _decode_suite_inputs(paths):
     decoded = []
     for path in paths:
         data = load_json(path)
@@ -353,7 +313,7 @@ def _cmd_verify(args) -> int:
         output="json" if args.json else "text",
         input_paths=tuple(args.inputs),
     )
-    inputs = _decode_suite_inputs(args.suite, args.inputs)
+    inputs = _decode_suite_inputs(args.inputs)
     report = run_suite(config, inputs=inputs)
     _emit(report_render(report, config.output, config), args.out)
     return 0 if report.passed else 1

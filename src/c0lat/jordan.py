@@ -32,11 +32,10 @@ import scipy.linalg
 
 from . import blaschke
 from .blaschke import BlaschkeProduct
-from .calculus import NotC0Error, classify_c0, eigenstructure
+from .calculus import NotC0Error, VerificationError, eigenstructure, is_c0
 from .modelspace import compressed_shift
 from .sampling import complex_gaussian, sample_invariant_subspaces
 from .subspace import (
-    TOL_EQUALS,
     TOL_INTERTWINE,
     TOL_INVARIANT,
     TOL_RANK,
@@ -243,15 +242,6 @@ class LatticeMapReport:
         }
 
 
-def _kernel_subspace(x, ambient: int) -> Subspace:
-    x = np.asarray(x, dtype=complex)
-    _, sv, vh = np.linalg.svd(x)
-    scale = max(1.0, sv[0]) if sv.size else 1.0
-    mask = np.ones(ambient, dtype=bool)
-    mask[: sv.size] = sv <= TOL_RANK * scale
-    return Subspace.from_span(vh.conj().T[:, mask], ambient)
-
-
 def _surjectivity_evidence(x, t_target, samples, rng):
     """Fraction of sampled N in Lat(T_target) with X_*(X^{-1} N) = N."""
     pool = sample_invariant_subspaces(t_target, samples, rng)
@@ -272,7 +262,7 @@ def _injectivity_evidence(x, t_source, samples, rng):
     kernel is nontrivial; random pool pairs fill the remaining samples.
     """
     pool = sample_invariant_subspaces(t_source, samples, rng)
-    kernel = _kernel_subspace(x, np.asarray(x).shape[1])
+    kernel = lattice_preimage(x, Subspace.zero(np.asarray(x).shape[0]))
     pool.append(kernel)
     queued = []
     if kernel.dim > 0:
@@ -356,17 +346,19 @@ def jordan_model(t, seed: int = 0, verify: bool = True) -> JordanModel:
 
     Per eigenvalue cluster with block sizes s_1 >= s_2 >= ..., the j-th
     model function is the product of b_lambda^{s_j(lambda)}.  The
-    divisibility chain holds by construction; with ``verify`` the result
-    is certified by a two-sided quasiaffinity search against the model
-    operator, and theta_1 reproduces the minimal function exactly (both
-    come from the same eigenstructure call).
+    divisibility chain holds by construction, and theta_1 is the minimal
+    function by construction (both come from one certified
+    :func:`~c0lat.calculus.eigenstructure` call, which raises
+    :class:`~c0lat.calculus.VerificationError` when it cannot certify).
+    With ``verify`` the model is also certified by a two-sided
+    quasiaffinity search against the model operator; a failed search
+    raises :class:`~c0lat.calculus.VerificationError` too.
     """
     t = _square(t)
     n = t.shape[0]
     if n > 12:
         raise ValueError("jordan_model is capped at size 12")
-    cert = classify_c0(t)
-    if not cert.is_c0:
+    if not is_c0(t):
         raise NotC0Error("jordan_model requires a C0 matrix")
     structure = eigenstructure(t)
     depth = max((len(sizes) for _, sizes in structure), default=0)
@@ -377,13 +369,10 @@ def jordan_model(t, seed: int = 0, verify: bool = True) -> JordanModel:
         )
         thetas.append(BlaschkeProduct(zeros))
     model = JordanModel(tuple(thetas))
-    if verify:
-        if model.thetas and not blaschke.equiv(model.thetas[0], cert.minimal_function):
-            raise RuntimeError("model head does not match the minimal function")
-        if not are_quasisimilar(t, model.operator(), seed=seed):
-            raise RuntimeError(
-                "could not certify quasisimilarity between the matrix and its model"
-            )
+    if verify and not are_quasisimilar(t, model.operator(), seed=seed):
+        raise VerificationError(
+            "could not certify quasisimilarity between the matrix and its model"
+        )
     return model
 
 
@@ -475,7 +464,7 @@ def theorem97_verifier(
     n = t.shape[0]
     if n > 10:
         raise ValueError("theorem97_verifier is capped at size 10")
-    if not classify_c0(t).is_c0:
+    if not is_c0(t):
         raise NotC0Error("theorem97_verifier requires a C0 matrix")
     pool = sample_invariant_subspaces(t, max(12, n + 4), np.random.default_rng(seed))
     pool_meet = _pool_meets(pool)
@@ -663,16 +652,13 @@ def triangularization_check(t, m: Subspace) -> TriangularizationReport:
     u = np.hstack([basis, complement])
     tt = u.conj().T @ t @ u
     k = m.dim
-    lower = op_norm(tt[k:, :k])
-    c1 = classify_c0(tt[:k, :k])
-    c2 = classify_c0(tt[k:, k:])
-    whole = classify_c0(t)
+    c1, c2, whole = is_c0(tt[:k, :k]), is_c0(tt[k:, k:]), is_c0(t)
     return TriangularizationReport(
-        restriction_is_c0=c1.is_c0,
-        compression_is_c0=c2.is_c0,
-        whole_is_c0=whole.is_c0,
-        consistent=whole.is_c0 == (c1.is_c0 and c2.is_c0),
-        lower_left_residual=lower,
+        restriction_is_c0=c1,
+        compression_is_c0=c2,
+        whole_is_c0=whole,
+        consistent=whole == (c1 and c2),
+        lower_left_residual=op_norm(tt[k:, :k]),
     )
 
 

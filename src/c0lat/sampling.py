@@ -246,25 +246,22 @@ def _schur_prefixes(t: np.ndarray) -> list[np.ndarray]:
     return [z[:, :k] for k in range(1, t.shape[0])]
 
 
-def sample_invariant_subspaces(t, count, rng, include_trivial=True) -> list[Subspace]:
-    """A pool of invariant subspaces for ``t``.
+def sample_invariant_subspaces(t, count, rng) -> list[Subspace]:
+    """A pool of invariant subspaces for ``t``: the zero and full subspaces,
+    then ``count`` more.
 
     Mix of: cyclic subspaces of Gaussian vectors, meets/joins of earlier
     pool members (composition depth capped at 3), and Schur leading-column
-    spans.  With ``include_trivial`` the zero and full subspaces lead the
-    pool.
+    spans.
     """
     t = np.asarray(t, dtype=complex)
     n = t.shape[0]
     prefixes = _schur_prefixes(t) if n > 1 else []
-    pool: list[Subspace] = []
-    depth: list[int] = []
-    if include_trivial:
-        pool += [Subspace.zero(n), Subspace.full(n)]
-        depth += [0, 0]
-    while len(pool) < count + (2 if include_trivial else 0):
+    pool = [Subspace.zero(n), Subspace.full(n)]
+    depth = [0, 0]
+    while len(pool) < count + 2:
         kind = rng.random()
-        if kind < 0.5 or len(pool) < 2:
+        if kind < 0.5:
             s = cyclic_subspace(t, complex_gaussian(rng, n))
             d = 0
         elif kind < 0.65 and prefixes:

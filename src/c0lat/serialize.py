@@ -36,9 +36,12 @@ def decode_matrix_file(path) -> np.ndarray:
     entries = data["entries"]
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError(f"matrix payload does not match shape {rows}x{cols}")
-    return np.array(
+    matrix = np.array(
         [[complex(re, im) for re, im in row] for row in entries], dtype=complex
     )
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("matrix payload has a non-finite entry")
+    return matrix
 
 
 def encode_matrix(matrix) -> dict:

@@ -25,7 +25,6 @@ from .blaschke import BlaschkeProduct
 from .calculus import (
     VerificationError,
     apply_blaschke,
-    classify_c0,
     minimal_function,
     radial_validate,
 )

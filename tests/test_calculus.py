@@ -20,6 +20,7 @@ from c0lat.calculus import (
     apply_polynomial,
     classify_c0,
     eigenstructure,
+    is_c0,
     minimal_function,
     radial_validate,
     spectral_radius,
@@ -155,6 +156,23 @@ def test_contraction_matrix_validation():
     ContractionMatrix(np.diag([0.5, -0.5]))
     with pytest.raises(ValueError):
         ContractionMatrix(np.diag([1.5, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "matrix, expected",
+    [
+        (np.zeros((0, 0)), True),
+        (np.zeros((3, 3)), True),
+        (np.eye(2), False),
+        # nilpotent, so spectral radius 0, but norm 1 + 1e-6
+        (np.array([[0.0, 1.0 + 1e-6], [0.0, 0.0]]), False),
+        # C0 although its eigenstructure cannot be certified
+        (np.diag([0.5, 0.5001]), True),
+    ],
+    ids=["empty", "zeros", "identity", "norm-above-one", "uncertifiable"],
+)
+def test_is_c0_table(matrix, expected):
+    assert is_c0(matrix.astype(complex)) is expected
 
 
 def test_classify_zero_matrix():

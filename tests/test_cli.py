@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from c0lat import suites
+from c0lat import jordan, suites
 from c0lat.blaschke import elementary, monomial, multiply
 from c0lat.cli import main
 from c0lat.serialize import encode_matrix, stable_json_bytes
@@ -130,6 +130,41 @@ def test_jordan_model_and_quasisim(capsys, files):
 def test_uncertifiable_matrix_exits_three_with_one_line(capsys, files, command):
     code, out, err = run(capsys, *command, files["close"])
     assert code == 3
+    assert out == ""
+    assert err.startswith("c0lat: error: ") and err.count("\n") == 1
+
+
+def test_failed_quasisimilarity_certificate_exits_three(capsys, files, monkeypatch):
+    monkeypatch.setattr(jordan, "are_quasisimilar", lambda *args, **kwargs: False)
+    code, out, err = run(capsys, "jordan", "model", files["diag"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("c0lat: error: ") and err.count("\n") == 1
+
+
+GCD = ["inner", "gcd", "FILE", "FILE"]
+APPLY = ["calc", "apply", "--poly", "1", "FILE"]
+NAN_TOLS = ["--tol", "annihilate=nan", "--tol", "floor=nan"]
+
+
+@pytest.mark.parametrize(
+    "payload, argv",
+    [
+        ('{"zeros": [{"re": NaN, "im": 0.0, "mult": 1}]}', GCD),
+        ('{"zeros": [], "constant": {"re": NaN, "im": 0.0}}', GCD),
+        ('{"zeros": [{"re": 0.5, "im": 0.0, "mult": 1}]}', ["inner", "eval", "FILE", "nan"]),
+        ('{"rows": 1, "cols": 1, "entries": [[[NaN, 0.0]]]}', APPLY),
+        ('{"rows": 1, "cols": 1, "entries": [[[Infinity, 0.0]]]}', APPLY),
+        (None, ["verify", "prop14", "--trials", "2", *NAN_TOLS]),
+    ],
+    ids=["nan-zero", "nan-constant", "nan-point", "nan-matrix", "infinite-matrix", "nan-tolerance"],
+)
+def test_non_finite_input_is_input_error(capsys, tmp_path, payload, argv):
+    path = tmp_path / "input.json"
+    if payload is not None:
+        path.write_text(payload)
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 2
     assert out == ""
     assert err.startswith("c0lat: error: ") and err.count("\n") == 1
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from c0lat import blaschke
+from c0lat import blaschke, calculus, jordan
 from c0lat.blaschke import BlaschkeProduct, almost_equiv, elementary, equiv, monomial, multiply
 from c0lat.calculus import NotC0Error, minimal_function
 from c0lat.jordan import (
@@ -35,7 +35,7 @@ from c0lat.sampling import (
     sample_invariant_subspaces,
 )
 from c0lat.subspace import Subspace, equals, is_invariant, op_norm
-from c0lat.suites import jordan_model_suite
+from c0lat.suites import jordan_model_suite, thm97_suite
 
 NILPOTENT = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -224,6 +224,22 @@ def test_model_chain_and_head():
     assert model.dimension == 6
 
 
+def test_model_certifies_the_eigenstructure_once(monkeypatch):
+    calls = []
+    original = calculus.eigenstructure
+
+    def counted(t):
+        calls.append(1)
+        return original(t)
+
+    # jordan imports eigenstructure by name; classify_c0 reaches it through calculus
+    monkeypatch.setattr(calculus, "eigenstructure", counted)
+    monkeypatch.setattr(jordan, "eigenstructure", counted)
+    t = certifiable_c0(np.random.default_rng(10), 6, structured=True)
+    jordan_model(t)
+    assert len(calls) == 1
+
+
 def test_model_requires_c0():
     with pytest.raises(NotC0Error):
         jordan_model(np.eye(2))
@@ -264,6 +280,13 @@ def test_thm97_on_shift():
 
 def test_thm97_on_zero_matrix():
     report = theorem97_verifier(np.zeros((3, 3)), triples=30, seed=1)
+    assert report.passed
+
+
+def test_thm97_suite_passes_on_an_uncertifiable_c0_draw():
+    # trial 1 draws a C0 matrix whose eigenstructure cannot be certified;
+    # the modular law does not need it
+    report = thm97_suite(trials=2, seed=641838304)
     assert report.passed
 
 
@@ -316,6 +339,14 @@ def test_triangularization_random_invariant():
         report = triangularization_check(t, m)
         assert report.consistent
         assert report.restriction_is_c0 and report.compression_is_c0
+
+
+def test_triangularization_uncertifiable_c0():
+    # C0, but too close a pair of eigenvalues for a certified eigenstructure
+    t = np.diag([0.5, 0.5001]).astype(complex)
+    report = triangularization_check(t, Subspace(2, np.array([[1.0], [0.0]], dtype=complex)))
+    assert report.consistent
+    assert report.restriction_is_c0 and report.compression_is_c0 and report.whole_is_c0
 
 
 def test_triangularization_rejects_non_invariant():
