@@ -121,12 +121,6 @@ class BlaschkeProduct:
         object.__setattr__(self, "zeros", merged)
         object.__setattr__(self, "constant", c)
 
-    @classmethod
-    def from_zeros(cls, zeros, constant=1.0 + 0.0j):
-        """Build a product from an iterable of zeros, ``(zero, mult)`` pairs,
-        or :class:`UnitDiskPoint` instances."""
-        return cls(tuple(zeros) if not isinstance(zeros, tuple) else zeros, constant)
-
     @property
     def degree(self) -> int:
         return sum(m for _, m in self.zeros)

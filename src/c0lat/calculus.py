@@ -109,7 +109,8 @@ class C0Certificate:
             "minimal_function": (
                 None if self.minimal_function is None else self.minimal_function.to_json_dict()
             ),
-            "annihilation_residual": self.annihilation_residual,
+            # the residual of a matrix that is not C0 is inf, which JSON lacks
+            "annihilation_residual": self.annihilation_residual if self.is_c0 else None,
         }
 
 

@@ -322,7 +322,13 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        # some Python releases give ``verify``'s optional inputs an empty list
+        # before the options, so input files after an option come back as extras
+        args, extra = parser.parse_known_args(argv)
+        if args.command == "verify" and not any(w.startswith("-") for w in extra):
+            args.inputs += extra
+        elif extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

@@ -662,13 +662,13 @@ def triangularization_check(t, m: Subspace) -> TriangularizationReport:
     )
 
 
-def brute_force_lat(t, separation: float = 1e-6) -> list[Subspace]:
+def brute_force_lat(t) -> list[Subspace]:
     """All invariant subspaces of a matrix with distinct eigenvalues: the
     2^n spans of eigenvector subsets.
 
     This is the independent oracle for the divisor-lattice enumeration;
-    it refuses matrices with (numerically) repeated eigenvalues, where
-    the eigenvector-subset description is wrong.
+    it refuses matrices with (numerically) repeated eigenvalues, closer
+    than 1e-6, where the eigenvector-subset description is wrong.
     """
     t = _square(t)
     n = t.shape[0]
@@ -677,9 +677,9 @@ def brute_force_lat(t, separation: float = 1e-6) -> list[Subspace]:
     values, vectors = np.linalg.eig(t)
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(values[i] - values[j]) < separation:
+            if abs(values[i] - values[j]) < 1e-6:
                 raise ValueError(
-                    f"eigenvalues {values[i]:.8g} and {values[j]:.8g} are closer than {separation:g}"
+                    f"eigenvalues {values[i]:.8g} and {values[j]:.8g} are closer than 1e-06"
                 )
     out = []
     for mask in range(1 << n):

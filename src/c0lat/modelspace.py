@@ -33,7 +33,7 @@ import numpy as np
 from . import blaschke
 from .blaschke import BlaschkeProduct, NotADivisorError
 from .calculus import apply_blaschke
-from .subspace import Subspace
+from .subspace import FiniteLattice, Subspace
 
 __all__ = [
     "LatticeCapError",
@@ -227,14 +227,16 @@ def divisor_subspace(theta: BlaschkeProduct, phi: BlaschkeProduct) -> Subspace:
     return ModelSpace(theta).divisor_subspace(phi)
 
 
-def enumerate_lattice(theta: BlaschkeProduct, cap: int = 4096):
+def enumerate_lattice(theta: BlaschkeProduct):
     """One ``(divisor, Subspace)`` entry per inner divisor of theta.
 
     Entries are sorted by divisor degree (so by *reverse* inclusion of the
     subspaces: larger divisors give smaller subspaces).  Raises
-    :class:`LatticeCapError` when the divisor count exceeds ``cap``.
+    :class:`LatticeCapError` when the divisor count exceeds
+    ``FiniteLattice.MAX_ELEMENTS`` (4096).
     """
     count = blaschke.divisor_count(theta)
+    cap = FiniteLattice.MAX_ELEMENTS
     if count > cap:
         raise LatticeCapError(f"theta has {count} divisors, exceeding cap {cap}")
     space = ModelSpace(theta)

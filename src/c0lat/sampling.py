@@ -46,11 +46,11 @@ def random_unit_disk_points(rng, count, radius=0.9, min_separation=0.1):
     return points
 
 
-def random_blaschke(rng, max_degree=6, radius=0.9, multiplicities=True, pool=None):
-    """A random product of degree 1..max_degree.
+def random_blaschke(rng, max_degree=6, radius=0.9, pool=None):
+    """A random product of degree 1..max_degree in which zeros may repeat.
 
-    With ``multiplicities`` some zeros repeat; ``pool`` (a list of points)
-    makes several draws share zeros, which keeps gcd/lcm interesting.
+    ``pool`` (a list of points) makes several draws share zeros, which keeps
+    gcd/lcm interesting.
     """
     degree = int(rng.integers(1, max_degree + 1))
     counts: dict[complex, int] = {}
@@ -61,7 +61,7 @@ def random_blaschke(rng, max_degree=6, radius=0.9, multiplicities=True, pool=Non
         else:
             z = random_unit_disk_points(rng, 1, radius=radius, min_separation=0.0)[0]
         m = 1
-        if multiplicities and remaining > 1 and rng.random() < 0.3:
+        if remaining > 1 and rng.random() < 0.3:
             m = int(rng.integers(2, remaining + 1))
         counts[z] = counts.get(z, 0) + m
         remaining -= m
@@ -69,12 +69,16 @@ def random_blaschke(rng, max_degree=6, radius=0.9, multiplicities=True, pool=Non
     return BlaschkeProduct(tuple(counts.items()), constant)
 
 
-def random_blaschke_with_divisor_cap(rng, divisor_cap=12, radius=0.85):
-    """A random product whose divisor count stays at or below the cap."""
-    # admissible multiplicity profiles for prod(m_i + 1) <= 12
+def random_blaschke_with_divisor_cap(rng):
+    """A random product with at most 12 divisors and zeros of modulus at
+    most 0.85.
+
+    The cap comes from the hard-coded multiplicity profiles, a selection of
+    those with prod(m_i + 1) <= 12; it is not a parameter.
+    """
     profiles = [(1,), (2,), (3,), (1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1), (5, 1)]
     profile = profiles[int(rng.integers(len(profiles)))]
-    points = random_unit_disk_points(rng, len(profile), radius=radius)
+    points = random_unit_disk_points(rng, len(profile), radius=0.85)
     return BlaschkeProduct(tuple(zip(points, profile)))
 
 
@@ -139,16 +143,15 @@ def random_structured_c0(
     n,
     spectral_radius=0.8,
     max_block=3,
-    cond_cap=3.0,
     distinct_cap=3,
-    min_separation=0.45,
     derogatory=True,
     return_structure=False,
 ):
     """C0 matrix with nontrivial Jordan structure: random blocks conjugated
     by a mildly non-normal similarity, then scaled into the disk.
 
-    Distinct eigenvalues are few and widely separated so the
+    Distinct eigenvalues are few and at least 0.45 apart, and the
+    similarity has condition number at most 3, so the
     annihilation/maximality certificate stays comfortably above its floor.
 
     With ``derogatory=False`` every block gets its own eigenvalue, so the
@@ -174,7 +177,7 @@ def random_structured_c0(
     else:
         distinct = len(sizes)
     points = random_unit_disk_points(
-        rng, distinct, radius=0.75 * spectral_radius, min_separation=min_separation
+        rng, distinct, radius=0.75 * spectral_radius, min_separation=0.45
     )
     j = np.zeros((n, n), dtype=complex)
     blocks_at: dict[complex, list[int]] = {}
@@ -187,7 +190,7 @@ def random_structured_c0(
             if k + 1 < size:
                 j[pos + k + 1, pos + k] = 0.3
         pos += size
-    q = random_well_conditioned(rng, n, cond_cap)
+    q = random_well_conditioned(rng, n, cond_cap=3.0)
     t = q @ j @ np.linalg.inv(q)
     rho = np.max(np.abs(np.linalg.eigvals(t)))
     sigma = np.linalg.norm(t, 2)
@@ -206,20 +209,18 @@ def certifiable_c0(
     structured=False,
     spectral_radius=0.8,
     norm_cap=0.9,
-    floor=3e-3,
     max_block=3,
     distinct_cap=3,
     derogatory=True,
-    tries=500,
 ):
     """A random C0 matrix whose spectrum keeps the maximality certificate
-    above ``floor`` (resampling until it does).
+    at or above 3e-3, resampling up to 500 times until it does.
 
-    The floor shrinks with the norm cap (pseudo-hyperbolic distances scale
-    roughly linearly); callers that need hard scaling should also tighten
-    ``distinct_cap``/``max_block``.
+    The certificate shrinks with the norm cap (pseudo-hyperbolic distances
+    scale roughly linearly); callers that need hard scaling should also
+    tighten ``distinct_cap``/``max_block``.
     """
-    for _ in range(tries):
+    for _ in range(500):
         if structured:
             t, structure = random_structured_c0(
                 rng,
@@ -236,7 +237,7 @@ def certifiable_c0(
         else:
             t = random_contraction(rng, n, spectral_radius=spectral_radius, norm_cap=norm_cap)
             points = [(complex(lam), 1) for lam in np.linalg.eigvals(t)]
-        if maximality_floor(points) >= floor:
+        if maximality_floor(points) >= 3e-3:
             return t
     raise RuntimeError("could not draw a certifiable C0 spectrum")
 

@@ -39,6 +39,7 @@ __all__ = [
     "join",
     "lattice_is_distributive",
     "lattice_is_modular",
+    "law_failures",
     "meet",
     "op_norm",
 ]
@@ -264,14 +265,13 @@ def cyclic_subspace(t, x) -> Subspace:
     return Subspace(n, np.column_stack(cols))
 
 
-def cyclic_multiplicity(t, seed: int = 0, trials: int = 20) -> int:
+def cyclic_multiplicity(t) -> int:
     """Smallest number of vectors whose joint orbit spans the space.
 
-    Scans m = 1, 2, ... and returns the first m for which some seeded draw
-    of m Gaussian vectors has cyclic subspaces joining to the full space (a
-    spanning draw is a constructive witness; the failed trials at m - 1
-    support minimality).  A greedy deflation pass provides the witness
-    vectors for the returned m.
+    Scans m = 1, 2, ... and returns the first m for which one of 20 seeded
+    draws of m Gaussian vectors has cyclic subspaces joining to the full
+    space (a spanning draw is a constructive witness; the failed draws at
+    m - 1 support minimality).
     """
     t = _complex_matrix(t)
     n = t.shape[0]
@@ -280,8 +280,8 @@ def cyclic_multiplicity(t, seed: int = 0, trials: int = 20) -> int:
     if n == 0:
         return 0
     for m in range(1, n + 1):
-        for trial in range(trials):
-            rng = np.random.default_rng(seed + 1000 * m + trial)
+        for draw in range(20):
+            rng = np.random.default_rng(1000 * m + draw)
             space = Subspace.zero(n)
             for _ in range(m):
                 v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -393,7 +393,7 @@ class FiniteLattice:
         return cls(labels, leq)
 
     @classmethod
-    def from_subspaces(cls, subspaces, cap: int = 4096):
+    def from_subspaces(cls, subspaces):
         """Close a list of subspaces under meet and join, then build the lattice.
 
         Returns ``(lattice, elements)`` where ``elements[i]`` is the
@@ -425,8 +425,8 @@ class FiniteLattice:
             for i, j in pairs:
                 for combo in (meet(elements[i], elements[j]), join(elements[i], elements[j])):
                     if locate(combo) is None:
-                        if len(elements) >= cap:
-                            raise ValueError(f"lattice closure exceeds cap {cap}")
+                        if len(elements) >= cls.MAX_ELEMENTS:
+                            raise ValueError(f"lattice closure exceeds cap {cls.MAX_ELEMENTS}")
                         elements.append(combo)
                         new_frontier.append(len(elements) - 1)
             frontier = new_frontier
@@ -438,46 +438,49 @@ class FiniteLattice:
         return cls(tuple(range(n)), leq), elements
 
 
+def law_failures(meet_idx, join_idx, leq=None):
+    """Every failing triple ``(l, m, n, lhs, rhs)`` of a lattice law, in
+    row-major order, from meet and join index tables.
+
+    With ``leq`` the law is the modular one, ``L ∧ (M ∨ N) = (L ∧ M) ∨ N``
+    for ``N ≤ L``; without it the distributive one,
+    ``L ∧ (M ∨ N) = (L ∧ M) ∨ (L ∧ N)``.  ``lhs`` and ``rhs`` are the
+    indices of the two sides.
+    """
+    for l in range(len(meet_idx)):
+        lhs = meet_idx[l, join_idx]                 # lhs[m, n] = L ∧ (M ∨ N)
+        below = meet_idx[l, :]                      # below[m] = L ∧ M
+        if leq is None:
+            rhs = join_idx[below[:, None], below[None, :]]
+            bad = lhs != rhs
+        else:
+            rhs = join_idx[below, :]
+            bad = (lhs != rhs) & leq[:, l][None, :]
+        for m, n in np.argwhere(bad):
+            yield l, int(m), int(n), int(lhs[m, n]), int(rhs[m, n])
+
+
+def _first_failure(lat: FiniteLattice, failures) -> LatticeVerdict:
+    failure = next(failures, None)
+    if failure is None:
+        return LatticeVerdict(True, None)
+    i, j, k, lhs, rhs = failure
+    return LatticeVerdict(
+        False,
+        {
+            "triple": (i, j, k),
+            "labels": (lat.labels[i], lat.labels[j], lat.labels[k]),
+            "lhs": lat.labels[lhs],
+            "rhs": lat.labels[rhs],
+        },
+    )
+
+
 def lattice_is_modular(lat: FiniteLattice) -> LatticeVerdict:
     """Exhaustive modular-law check; returns the first violating triple as witness."""
-    n = lat.n
-    mt, jt, leq = lat._meet, lat._join, lat.leq
-    for i in range(n):  # i plays L
-        lhs = mt[i, jt]                 # lhs[j, k] = L ∧ (M_j ∨ N_k)
-        rhs = jt[mt[i, :], :]           # rhs[j, k] = (L ∧ M_j) ∨ N_k
-        mask = leq[:, i][None, :]       # N_k ⊆ L
-        bad = (lhs != rhs) & mask
-        if np.any(bad):
-            j, k = map(int, np.argwhere(bad)[0])
-            return LatticeVerdict(
-                False,
-                {
-                    "triple": (i, j, k),
-                    "labels": (lat.labels[i], lat.labels[j], lat.labels[k]),
-                    "lhs": lat.labels[int(lhs[j, k])],
-                    "rhs": lat.labels[int(rhs[j, k])],
-                },
-            )
-    return LatticeVerdict(True, None)
+    return _first_failure(lat, law_failures(lat._meet, lat._join, lat.leq))
 
 
 def lattice_is_distributive(lat: FiniteLattice) -> LatticeVerdict:
     """Exhaustive distributive-law check; returns the first violating triple."""
-    n = lat.n
-    mt, jt = lat._meet, lat._join
-    for i in range(n):
-        lhs = mt[i, jt]                     # L ∧ (M_j ∨ N_k)
-        rhs = jt[mt[i, :][:, None], mt[i, :][None, :]]  # (L∧M_j) ∨ (L∧N_k)
-        bad = lhs != rhs
-        if np.any(bad):
-            j, k = map(int, np.argwhere(bad)[0])
-            return LatticeVerdict(
-                False,
-                {
-                    "triple": (i, j, k),
-                    "labels": (lat.labels[i], lat.labels[j], lat.labels[k]),
-                    "lhs": lat.labels[int(lhs[j, k])],
-                    "rhs": lat.labels[int(rhs[j, k])],
-                },
-            )
-    return LatticeVerdict(True, None)
+    return _first_failure(lat, law_failures(lat._meet, lat._join))

@@ -1,11 +1,13 @@
 """Named verification suites: seeded, reproducible, and shared between the
 command line and the acceptance tests.
 
-Each suite returns a :class:`~c0lat.jordan.VerificationReport`.  Trials are
-independent given the seed (trial i derives its generator from seed + i),
-so they may run in parallel; the C0LAT_THREADS environment variable sets
-the worker count and the merge order is fixed by trial index, keeping
-reports byte-identical regardless of parallelism.
+Each suite hands a trial function ``trial(i, rng)`` to ``_run_trials``,
+which owns the seed policy (trial i draws from the generator seeded with
+seed + i), runs the trials and builds the
+:class:`~c0lat.jordan.VerificationReport`.  Trials are independent given
+the seed, so they may run in parallel; the C0LAT_THREADS environment
+variable sets the worker count and the merge order is fixed by trial index,
+keeping reports byte-identical regardless of parallelism.
 
 The default is one worker.  Trials are chains of small numpy calls that
 hold the interpreter lock for much of their time, so threads contend
@@ -51,11 +53,11 @@ from .sampling import (
     random_well_conditioned,
 )
 from .subspace import (
-    Subspace,
     contains,
     distance,
     equals,
     join,
+    law_failures,
     meet,
     op_norm,
 )
@@ -86,31 +88,43 @@ def thread_count() -> int:
     return max(n, 1)
 
 
-def _run_trials(trial_fn, trials: int):
-    """Evaluate trial_fn(0..trials-1), possibly in parallel, merging results
-    deterministically by index.  trial_fn returns (violations, max_residual)."""
+def _run_trials(suite, seed, trials, trial_fn, counted=None) -> VerificationReport:
+    """Evaluate trial_fn(i, rng), rng seeded with seed + i, for i below
+    ``trials``, possibly in parallel, and merge the (violations,
+    max_residual) results by index into a report of ``counted`` trials
+    (default ``trials``)."""
+
+    def run(i):
+        return trial_fn(i, np.random.default_rng(seed + i))
+
     workers = min(thread_count(), max(1, trials))
     if workers <= 1 or trials <= 1:
-        results = [trial_fn(i) for i in range(trials)]
+        results = [run(i) for i in range(trials)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(trial_fn, range(trials)))
+            results = list(pool.map(run, range(trials)))
     violations = []
     max_residual = 0.0
     for vs, resid in results:
         violations.extend(vs)
         max_residual = max(max_residual, resid)
-    return tuple(violations), max_residual
-
-
-def _report(suite, seed, trials, violations, max_residual) -> VerificationReport:
     return VerificationReport(
         suite=suite,
         seed=seed,
-        trials=trials,
-        violations=violations,
+        trials=trials if counted is None else counted,
+        violations=tuple(violations),
         max_residual=max_residual,
     )
+
+
+def _tagged(i, part):
+    """An inner verifier's report as the result of trial i; each violation
+    keeps the inner trial it came from as ``inner_trial``."""
+    violations = [
+        Violation(i, v.kind, v.residual, {**v.witness, "inner_trial": v.trial})
+        for v in part.violations
+    ]
+    return violations, part.max_residual
 
 
 # --------------------------------------------------------------------------
@@ -123,8 +137,7 @@ def lattice_laws_suite(trials: int = 100, seed: int = 0, inputs=(), **tols) -> V
     extra = tuple(inputs)
     circle = np.exp(2j * np.pi * np.arange(64) / 64)
 
-    def trial(i):
-        rng = np.random.default_rng(seed + i)
+    def trial(i, rng):
         pool = random_unit_disk_points(rng, 4, radius=0.85, min_separation=0.1)
         b1 = extra[i % len(extra)] if extra else random_blaschke(rng, 6, pool=pool)
         b2 = random_blaschke(rng, 6, pool=pool)
@@ -165,8 +178,7 @@ def lattice_laws_suite(trials: int = 100, seed: int = 0, inputs=(), **tols) -> V
             violations.append(Violation(i, "unimodular-boundary", resid, {}))
         return violations, resid
 
-    violations, max_resid = _run_trials(trial, trials)
-    return _report("lattice-laws", seed, trials, violations, max_resid)
+    return _run_trials("lattice-laws", seed, trials, trial)
 
 
 # --------------------------------------------------------------------------
@@ -179,8 +191,7 @@ def prop14_suite(trials: int = 100, seed: int = 0, inputs=(), **tols) -> Verific
     floor = tols.get("floor", 1e-3)
     thetas = tuple(inputs)
 
-    def trial(i):
-        rng = np.random.default_rng(seed + i)
+    def trial(i, rng):
         theta = thetas[i % len(thetas)] if thetas else random_blaschke(rng, 6, radius=0.85)
         s = compressed_shift(theta).matrix
         violations = []
@@ -196,8 +207,7 @@ def prop14_suite(trials: int = 100, seed: int = 0, inputs=(), **tols) -> Verific
                 )
         return violations, resid
 
-    violations, max_resid = _run_trials(trial, trials)
-    return _report("prop14", seed, trials, violations, max_resid)
+    return _run_trials("prop14", seed, trials, trial)
 
 
 # --------------------------------------------------------------------------
@@ -209,8 +219,7 @@ def meetjoin_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> Verif
     tol = tols.get("distance", 1e-7)
     thetas = tuple(inputs)
 
-    def trial(i):
-        rng = np.random.default_rng(seed + i)
+    def trial(i, rng):
         theta = thetas[i % len(thetas)] if thetas else random_blaschke(rng, 5, radius=0.85)
         space = ModelSpace(theta)
         phi1, phi2 = random_divisor(rng, theta), random_divisor(rng, theta)
@@ -226,8 +235,7 @@ def meetjoin_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> Verif
             violations.append(Violation(i, "inclusion-reversal", 1.0, {}))
         return violations, max(d_meet, d_join)
 
-    violations, max_resid = _run_trials(trial, trials)
-    return _report("propq-meetjoin", seed, trials, violations, max_resid)
+    return _run_trials("propq-meetjoin", seed, trials, trial)
 
 
 # --------------------------------------------------------------------------
@@ -235,52 +243,39 @@ def meetjoin_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> Verif
 
 def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> VerificationReport:
     """Exhaustive distributive-identity check over the enumerated invariant
-    lattice of each theta, through meet/join index tables built with the
-    subspace equality tolerance."""
+    lattice of each theta, through meet/join index tables read from lcm/gcd
+    of the divisor labels; every numerical meet and join must equal its
+    predicted member within the subspace equality tolerance."""
     del tols
     thetas = tuple(inputs)
 
-    def trial(i):
-        rng = np.random.default_rng(seed + i)
-        theta = (
-            thetas[i % len(thetas)]
-            if thetas
-            else random_blaschke_with_divisor_cap(rng, divisor_cap=12)
-        )
+    def trial(i, rng):
+        theta = thetas[i % len(thetas)] if thetas else random_blaschke_with_divisor_cap(rng)
         entries = enumerate_lattice(theta)
-        subs = [s for _, s in entries]
-        count = len(subs)
-        violations = []
-
-        def locate(s: Subspace):
-            for idx, e in enumerate(subs):
-                if s.dim == e.dim and equals(s, e):
-                    return idx
-            return None
-
+        # Lat(S(theta)) is the divisor lattice upside down: meet is lcm, join gcd
+        index = {phi.zeros: k for k, (phi, _) in enumerate(entries)}
+        count = len(entries)
         meet_idx = np.empty((count, count), dtype=int)
         join_idx = np.empty((count, count), dtype=int)
-        for a in range(count):
+        for a, (phi_a, s_a) in enumerate(entries):
             for b in range(a, count):
-                lo = locate(meet(subs[a], subs[b]))
-                hi = locate(join(subs[a], subs[b]))
-                if lo is None or hi is None:
-                    violations.append(Violation(i, "closure", 1.0, {"pair": [a, b]}))
-                    return violations, 1.0
+                phi_b, s_b = entries[b]
+                lo = index[blaschke.lcm(phi_a, phi_b).zeros]
+                hi = index[blaschke.gcd(phi_a, phi_b).zeros]
+                if not (
+                    equals(meet(s_a, s_b), entries[lo][1])
+                    and equals(join(s_a, s_b), entries[hi][1])
+                ):
+                    return [Violation(i, "closure", 1.0, {"pair": [a, b]})], 1.0
                 meet_idx[a, b] = meet_idx[b, a] = lo
                 join_idx[a, b] = join_idx[b, a] = hi
-        for l in range(count):
-            lhs = meet_idx[l, join_idx]
-            rhs = join_idx[meet_idx[l, :][:, None], meet_idx[l, :][None, :]]
-            bad = np.argwhere(lhs != rhs)
-            for m, n in bad:
-                violations.append(
-                    Violation(i, "distributive-identity", 1.0, {"triple": [l, int(m), int(n)]})
-                )
+        violations = [
+            Violation(i, "distributive-identity", 1.0, {"triple": [l, m, n]})
+            for l, m, n, _, _ in law_failures(meet_idx, join_idx)
+        ]
         return violations, 0.0
 
-    violations, max_resid = _run_trials(trial, trials)
-    return _report("distributive", seed, trials, violations, max_resid)
+    return _run_trials("distributive", seed, trials, trial)
 
 
 # --------------------------------------------------------------------------
@@ -292,8 +287,7 @@ def oracle_latmatch_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) ->
     del tols
     thetas = tuple(inputs)
 
-    def trial(i):
-        rng = np.random.default_rng(seed + i)
+    def trial(i, rng):
         if thetas:
             theta = thetas[i % len(thetas)]
         else:
@@ -322,8 +316,7 @@ def oracle_latmatch_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) ->
                 worst = max(worst, distance(s, oracle[best]))
         return violations, worst
 
-    violations, max_resid = _run_trials(trial, trials)
-    return _report("oracle-latmatch", seed, trials, violations, max_resid)
+    return _run_trials("oracle-latmatch", seed, trials, trial)
 
 
 # --------------------------------------------------------------------------
@@ -371,8 +364,7 @@ def thm97_suite(
             report = part if report is None else report.merged_with(part)
         return report
 
-    def trial(i):
-        rng = np.random.default_rng(seed + i)
+    def trial(i, rng):
         t = _random_c0_instance(rng, i)
         part = theorem97_verifier(
             t,
@@ -382,14 +374,9 @@ def thm97_suite(
             tol_intertwine=tol_intertwine,
             tol_preimage=tol_preimage,
         )
-        tagged = tuple(
-            Violation(i, v.kind, v.residual, {**v.witness, "inner_trial": v.trial})
-            for v in part.violations
-        )
-        return list(tagged), part.max_residual
+        return _tagged(i, part)
 
-    violations, max_resid = _run_trials(trial, trials)
-    return _report("modular-thm97", seed, trials * triples, violations, max_resid)
+    return _run_trials("modular-thm97", seed, trials, trial, counted=trials * triples)
 
 
 # --------------------------------------------------------------------------
@@ -407,27 +394,20 @@ def x3_suite(
     tol = tols.get("transfer", 1e-6)
     matrices = tuple(inputs)
 
-    def trial(i):
-        rng = np.random.default_rng(seed + i)
+    def trial(i, rng):
         if matrices:
             t1 = matrices[i % len(matrices)]
-            n = t1.shape[0]
         else:
-            n = int(rng.integers(3, 9))
+            rng.integers(3, 9)  # an unused size draw, kept so the stream is unchanged
             t1 = _random_c0_instance(rng, i, n_max=8, spectral_radius=0.8)
-            n = t1.shape[0]
+        n = t1.shape[0]
         q = random_well_conditioned(rng, n, cond_cap=10.0)
         t2 = q @ t1 @ np.linalg.inv(q)
         y = q / op_norm(q)
         part = theorem_x3_verifier(t1, t2, y, samples=triples, seed=seed + 1000 * (i + 1), tol=tol)
-        tagged = tuple(
-            Violation(i, v.kind, v.residual, {**v.witness, "inner_trial": v.trial})
-            for v in part.violations
-        )
-        return list(tagged), part.max_residual
+        return _tagged(i, part)
 
-    violations, max_resid = _run_trials(trial, trials)
-    return _report("x3-transfer", seed, trials * triples, violations, max_resid)
+    return _run_trials("x3-transfer", seed, trials, trial, counted=trials * triples)
 
 
 # --------------------------------------------------------------------------
@@ -441,8 +421,7 @@ def calculus_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> Verif
     tol_radial = tols.get("radial", 1e-2)
     matrices = tuple(inputs)
 
-    def trial(i):
-        rng = np.random.default_rng(seed + i)
+    def trial(i, rng):
         if matrices:
             t = matrices[i % len(matrices)]
         else:
@@ -468,8 +447,7 @@ def calculus_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> Verif
                     violations.append(Violation(i, "radial-monotone", b, {"previous": a}))
         return violations, r_mult
 
-    violations, max_resid = _run_trials(trial, trials)
-    return _report("calculus", seed, trials, violations, max_resid)
+    return _run_trials("calculus", seed, trials, trial)
 
 
 # --------------------------------------------------------------------------
@@ -499,8 +477,7 @@ def duality_suite(trials: int = 20, seed: int = 0, inputs=(), samples: int = 15,
     1.0 on deliberately rank-deficient ones."""
     del tols, inputs
 
-    def trial(i):
-        rng = np.random.default_rng(seed + i)
+    def trial(i, rng):
         deficient = i % 2 == 1
         t1, t2, x = _duality_instance(rng, deficient)
         report = check_lattice_isomorphism(x, t1, t2, samples=samples, seed=seed + 500 + i)
@@ -538,8 +515,7 @@ def duality_suite(trials: int = 20, seed: int = 0, inputs=(), samples: int = 15,
             )
         return violations, report.max_residual
 
-    violations, max_resid = _run_trials(trial, trials)
-    return _report("duality", seed, trials, violations, max_resid)
+    return _run_trials("duality", seed, trials, trial)
 
 
 # --------------------------------------------------------------------------
@@ -552,8 +528,7 @@ _MODEL_DRAWS = 10
 def jordan_model_suite(trials: int = 50, seed: int = 0, **tols) -> VerificationReport:
     tol_resid = tols.get("certificate", 1e-7)
 
-    def trial(i):
-        rng = np.random.default_rng(seed + i)
+    def trial(i, rng):
         # even trials: any certifiable spectrum, unitary conjugate;
         # odd trials: non-unitary similarity (cond <= 2), which forces the
         # norm cap down, so the spectrum is kept small and wide
@@ -613,8 +588,7 @@ def jordan_model_suite(trials: int = 50, seed: int = 0, **tols) -> VerificationR
             )
         return violations, worst
 
-    violations, max_resid = _run_trials(trial, trials)
-    return _report("jordan-model", seed, trials, violations, max_resid)
+    return _run_trials("jordan-model", seed, trials, trial)
 
 
 # --------------------------------------------------------------------------

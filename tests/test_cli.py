@@ -104,6 +104,15 @@ def test_calc_minfun_non_c0_is_input_error(capsys, files):
     assert code == 2 and "error" in err
 
 
+def test_calc_classify_json_of_a_non_c0_matrix(capsys, files):
+    code, out, _ = run(capsys, "calc", "classify", files["unitary"], "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["is_c0"] is False and data["annihilation_residual"] is None
+    code, out, _ = run(capsys, "calc", "classify", files["unitary"])
+    assert code == 0 and out.rstrip().endswith("annihilation_residual inf")
+
+
 def test_calc_apply_poly(capsys, files):
     code, out, _ = run(capsys, "calc", "apply", files["diag"], "--poly", "0,1", "--json")
     assert code == 0
@@ -175,6 +184,20 @@ def test_verify_passing_suite_exit_zero(capsys, files):
     code, out, _ = run(capsys, "verify", "lattice-laws", "--seed", "5", "--trials", "10")
     assert code == 0
     assert "PASSED (10 trials" in out
+
+
+def test_verify_inputs_may_follow_options(capsys, files):
+    before = files["tmp"] / "before.json"
+    after = files["tmp"] / "after.json"
+    head = ["verify", "prop14"]
+    opts = ["--trials", "2", "--json"]
+    assert main(head + [files["zb"]] + opts + ["--out", str(before)]) == 0
+    assert main(head + opts + [files["zb"], "--out", str(after)]) == 0
+    assert before.read_bytes() == after.read_bytes()
+    code, _, err = run(capsys, *head, *opts, "--flag", files["zb"])
+    assert code == 2 and "unrecognized arguments: --flag" in err
+    code, _, err = run(capsys, "inner", "gcd", files["z2"], files["zb"], files["zb"])
+    assert code == 2 and "unrecognized arguments" in err
 
 
 def test_verify_violation_exit_one(capsys, files):

@@ -1,0 +1,45 @@
+"""Suite machinery: the divisor-indexed distributive suite and the shared
+lattice-law checker."""
+
+from itertools import permutations
+
+from c0lat import blaschke, subspace, suites
+from c0lat.blaschke import BlaschkeProduct
+from c0lat.subspace import FiniteLattice, law_failures
+
+# 3 * 2 * 2 = 12 divisors
+THETA_12 = BlaschkeProduct(((0.3 + 0j, 2), (-0.2 + 0.4j, 1), (0.1 - 0.5j, 1)))
+
+
+def test_distributive_meet_must_land_on_its_lcm_member(monkeypatch):
+    # join for meet still lands on members of the lattice (the gcd ones), and
+    # the resulting tables are distributive, so only the lcm check catches it
+    monkeypatch.setattr(suites, "meet", suites.join)
+    report = suites.distributive_suite(trials=1, inputs=(THETA_12,))
+    assert [v.kind for v in report.violations] == ["closure"]
+
+
+def test_distributive_checks_each_meet_and_join_once(monkeypatch):
+    calls = []
+
+    def counting_equals(a, b):
+        calls.append((a, b))
+        return subspace.equals(a, b)
+
+    monkeypatch.setattr(suites, "equals", counting_equals)
+    report = suites.distributive_suite(trials=1, inputs=(THETA_12,))
+    count = blaschke.divisor_count(THETA_12)
+    assert report.passed and count == 12
+    # one meet and one join for each of the count * (count + 1) / 2 pairs a <= b
+    assert len(calls) == count * (count + 1)
+
+
+def test_law_failures_lists_every_failing_triple_in_row_major_order():
+    m3 = FiniteLattice.diamond()  # 0, three atoms 1..3, top 4
+    failures = list(law_failures(m3._meet, m3._join))
+    # a ∧ (b ∨ c) = a but (a ∧ b) ∨ (a ∧ c) = 0 for distinct atoms
+    assert failures == [(l, m, n, l, 0) for l, m, n in permutations((1, 2, 3))]
+    assert list(law_failures(m3._meet, m3._join, m3.leq)) == []
+    pentagon = FiniteLattice.pentagon()
+    first = next(law_failures(pentagon._meet, pentagon._join, pentagon.leq))
+    assert subspace.lattice_is_modular(pentagon).witness["triple"] == first[:3]
