@@ -174,7 +174,7 @@ class ModelSpace:
         if phi.degree == 0:
             return Subspace.full(self.dim)
         u, _, _ = np.linalg.svd(apply_blaschke(self.shift_matrix(), phi))
-        return Subspace(self.dim, u[:, :rank])
+        return Subspace._trusted(self.dim, u[:, :rank])
 
 
 @dataclass(frozen=True)

@@ -266,7 +266,7 @@ def sample_invariant_subspaces(t, count, rng) -> list[Subspace]:
             s = cyclic_subspace(t, complex_gaussian(rng, n))
             d = 0
         elif kind < 0.65 and prefixes:
-            s = Subspace(n, prefixes[int(rng.integers(len(prefixes)))])
+            s = Subspace._trusted(n, prefixes[int(rng.integers(len(prefixes)))])
             d = 0
         else:
             i, j = rng.integers(len(pool)), rng.integers(len(pool))

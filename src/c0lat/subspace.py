@@ -10,6 +10,14 @@ by every other module, so there is one place to tune:
 * ``TOL_EQUALS``  containment / equality of subspaces
 * ``TOL_INVARIANT`` invariance residual scale
 * ``TOL_INTERTWINE`` intertwining residual scale
+
+The public constructor ``Subspace(n, basis)`` checks that the basis is
+orthonormal to ``TOL_ORTHO``.  Internal builders whose bases are
+orthonormal by construction (``from_span``, ``zero``, ``full``, and through
+them ``meet`` and ``join``, ``cyclic_subspace``, the Schur prefixes of
+:func:`~c0lat.sampling.sample_invariant_subspaces` and
+:meth:`~c0lat.modelspace.ModelSpace.divisor_subspace`) skip that Gram check;
+the test suite holds them to ``TOL_ORTHO`` instead.
 """
 
 from typing import NamedTuple
@@ -90,10 +98,22 @@ class Subspace:
             gram = basis.conj().T @ basis
             if np.max(np.abs(gram - np.eye(k))) > TOL_ORTHO:
                 raise ValueError("basis columns are not orthonormal")
+        self._store(ambient_dim, basis)
+
+    def _store(self, ambient_dim: int, basis: np.ndarray):
         basis = basis.copy()
         basis.flags.writeable = False
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
+
+    @classmethod
+    def _trusted(cls, ambient_dim: int, basis) -> "Subspace":
+        """A subspace on a basis that is ``ambient_dim`` rows tall with
+        orthonormal columns by construction: the same read-only copy as the
+        public constructor, without its shape and Gram checks."""
+        s = object.__new__(cls)
+        s._store(ambient_dim, np.asarray(basis, dtype=complex))
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -112,15 +132,15 @@ class Subspace:
         if s.size == 0 or s[0] <= 0:
             return cls.zero(n)
         r = int(np.sum(s > TOL_RANK * s[0]))
-        return cls(n, u[:, :r])
+        return cls._trusted(n, u[:, :r])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
+        return cls._trusted(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim, dtype=complex))
+        return cls._trusted(ambient_dim, np.eye(ambient_dim, dtype=complex))
 
     @property
     def dim(self) -> int:
@@ -262,7 +282,7 @@ def cyclic_subspace(t, x) -> Subspace:
         w = w / nw
         cols.append(w)
         v = w
-    return Subspace(n, np.column_stack(cols))
+    return Subspace._trusted(n, np.column_stack(cols))
 
 
 def cyclic_multiplicity(t) -> int:

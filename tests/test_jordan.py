@@ -34,8 +34,9 @@ from c0lat.sampling import (
     random_well_conditioned,
     sample_invariant_subspaces,
 )
+from c0lat.serialize import stable_json_bytes
 from c0lat.subspace import Subspace, equals, is_invariant, op_norm
-from c0lat.suites import jordan_model_suite, thm97_suite
+from c0lat.suites import jordan_model_suite, thm97_suite, x3_suite
 
 NILPOTENT = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -306,6 +307,34 @@ def test_x3_similarity_transfer():
     report = theorem_x3_verifier(t1, t2, q / op_norm(q), samples=25, seed=1)
     assert report.passed, report.violations
     assert report.max_residual <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verifier_memo_never_changes_report_bytes(monkeypatch, seed):
+    def reports():
+        return (
+            stable_json_bytes(thm97_suite(trials=2, seed=seed, triples=100).to_json_dict()),
+            stable_json_bytes(x3_suite(trials=2, seed=seed, triples=50).to_json_dict()),
+        )
+
+    cached = reports()
+    monkeypatch.setattr(jordan, "_memo", lambda: lambda fn, *args: fn(*args))
+    assert reports() == cached
+
+
+def test_x3_pulls_each_subspace_back_once(monkeypatch):
+    pulled = []
+
+    def recording(x, n):
+        pulled.append((n.basis.shape, n.basis.tobytes()))
+        return lattice_preimage(x, n)
+
+    monkeypatch.setattr(jordan, "lattice_preimage", recording)
+    t1, t2, q = similarity_pair(11, n=5)
+    samples = 50
+    theorem_x3_verifier(t1, t2, q / op_norm(q), samples=samples, seed=1)
+    assert len(set(pulled)) == len(pulled)
+    assert len(pulled) < 3 * samples
 
 
 def test_x3_rejects_rank_deficient():

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
+from c0lat.blaschke import BlaschkeProduct
+from c0lat.jordan import lattice_preimage
+from c0lat.modelspace import enumerate_lattice
+from c0lat.sampling import certifiable_c0, sample_invariant_subspaces
 from c0lat.subspace import (
+    TOL_ORTHO,
     FiniteLattice,
     Subspace,
     check_distributive_triple,
@@ -53,6 +58,56 @@ def test_orthonormality_enforced():
 def test_from_span_drops_dependent_columns():
     s = span_of([1, 0, 0], [2, 0, 0], [0, 1, 0])
     assert s.dim == 2
+
+
+def column_sweep(rng, n):
+    """n-row column sets: full rank, rank-deficient, zero, empty, nearly
+    dependent and wide (more columns than rows)."""
+    for k in range(n + 3):
+        g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        yield g
+        yield np.zeros((n, k), dtype=complex)
+        if min(n, k) >= 2:
+            r = int(rng.integers(1, min(n, k)))
+            yield g[:, :r] @ (rng.standard_normal((r, k)) + 1j * rng.standard_normal((r, k)))
+        if k >= 2:
+            near = g.copy()
+            near[:, -1] = near[:, 0] + 1e-12 * near[:, -1]
+            yield near
+
+
+def assert_orthonormal(s):
+    gram = s.basis.conj().T @ s.basis
+    assert np.max(np.abs(gram - np.eye(s.dim)), initial=0.0) <= TOL_ORTHO
+
+
+def test_internal_builders_return_orthonormal_bases():
+    # these builders skip the public constructor's Gram check, so their
+    # bases are held to TOL_ORTHO here instead
+    rng = np.random.default_rng(20)
+    theta = BlaschkeProduct(((0.3, 2), (-0.4j, 1), (0.5 + 0.2j, 1)))
+    for s in (Subspace.zero(0), Subspace.full(0)):
+        assert_orthonormal(s)
+    for n in range(1, 7):
+        spans = [Subspace.from_span(cols, n) for cols in column_sweep(rng, n)]
+        spans += [Subspace.zero(n), Subspace.full(n)]
+        for _ in range(60):
+            a, b = (spans[i] for i in rng.integers(len(spans), size=2))
+            spans += [meet(a, b), join(a, b)]
+        spans += [  # X: C^k -> C^n of any rank and width
+            lattice_preimage(cols, spans[int(rng.integers(len(spans)))])
+            for cols in column_sweep(rng, n)
+        ]
+        t = certifiable_c0(rng, n, structured=n > 1)
+        operators = (t, np.zeros((n, n)), np.eye(n), np.eye(n, k=-1))
+        for op in operators:
+            for v in (np.zeros(n), np.eye(n)[0], np.eye(n)[-1], rng.standard_normal(n)):
+                spans.append(cyclic_subspace(op, v))
+        spans += sample_invariant_subspaces(t, 12, rng)  # Schur prefixes among them
+        for s in spans:
+            assert_orthonormal(s)
+    for _, s in enumerate_lattice(theta):
+        assert_orthonormal(s)
 
 
 def test_zero_and_full():
