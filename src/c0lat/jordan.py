@@ -24,11 +24,23 @@ The two theorem verifiers replay proofs on concrete samples:
   quasiaffinity Y, checks Y_*(Y^{-1} N) = N on each, the product identity
   Y_*(M1 ∩ M2) = Y_*(M1) ∩ Y_*(M2), and that modularity transfers.
 
-Both verifiers draw many triples from a small pool, so the same meets,
-joins, preimages and distances recur.  Within one verifier call each
-lattice operation is computed once per distinct input (subspaces are
-compared by the bytes of their bases) and the result is reused; equal input
-bits give equal output bits, so reports are unchanged by the reuse.
+Both verifiers run one sampled-triple loop (``_triples``): a pool of
+invariant subspaces, triples (L, M, N) with N = L ∧ R ⊆ L, the modular
+residual ``_modular`` and one tally of violations and the largest residual
+(``_Tally``); each verifier adds only its own checks.  The same meets,
+joins, preimages and distances recur across triples, so within one
+verifier call each lattice operation is computed once per distinct input
+(subspaces are compared by the bytes of their bases) and the result is
+reused; equal input bits give equal output bits, so reports are unchanged
+by the reuse.
+
+In finite dimensions Lat(T) is a sublattice of the lattice of all
+subspaces of C^n, which is modular, so neither verifier can find a
+counterexample to modularity at matrix scale.  What they test is the
+numerics and the proof objects: the sum map and the preimage identity,
+and the onto instances and product identity of the transfer.  The
+paper's infinite-dimensional content, where a join is the closure of a
+sum, is out of their reach.
 """
 
 from dataclasses import dataclass, field
@@ -421,15 +433,6 @@ class VerificationReport:
             "passed": self.passed,
         }
 
-    def merged_with(self, other: "VerificationReport") -> "VerificationReport":
-        return VerificationReport(
-            suite=self.suite,
-            seed=self.seed,
-            trials=self.trials + other.trials,
-            violations=self.violations + other.violations,
-            max_residual=max(self.max_residual, other.max_residual),
-        )
-
 
 def _memo():
     """``memo(fn, *args)``: ``fn(*args)``, computed once per distinct input.
@@ -456,6 +459,46 @@ def _restriction(t, s: Subspace) -> np.ndarray:
     return s.basis.conj().T @ t @ s.basis
 
 
+def _triples(t, count, seed, memo):
+    """``(trial, L, M, N)`` for ``count`` sampled invariant triples of T with
+    N = L ∧ R ⊆ L: L, M and R come from one pool of ``max(12, n + 4)``
+    members drawn from ``default_rng(seed)``, and trial i picks its three
+    indices from ``default_rng(seed + 1 + i)``."""
+    pool = sample_invariant_subspaces(t, max(12, t.shape[0] + 4), np.random.default_rng(seed))
+    for trial in range(count):
+        rng = np.random.default_rng(seed + 1 + trial)
+        i1, i2, ir = (int(rng.integers(len(pool))) for _ in range(3))
+        yield trial, pool[i1], pool[i2], memo(meet, pool[i1], pool[ir])
+
+
+def _modular(memo, l, m, n) -> float:
+    """The residual of ``L ∧ (M ∨ N) = (L ∧ M) ∨ N``; requires ``N ⊆ L``.
+
+    Every step goes through ``memo``, so a caller can read ``M ∨ N``,
+    ``L ∧ (M ∨ N)`` and ``L ∧ M`` back from it without recomputing them.
+    """
+    if not memo(contains, l, n):
+        raise ValueError("modular-triple precondition violated: N is not contained in L")
+    return memo(distance, memo(meet, l, memo(join, m, n)), memo(join, memo(meet, l, m), n))
+
+
+class _Tally:
+    """The violations and the largest residual of one verifier call."""
+
+    def __init__(self):
+        self.violations = []
+        self.max_residual = 0.0
+
+    def check(self, trial, kind, residual, tol, witness=None):
+        """Fold ``residual`` into the maximum; above ``tol`` it is a violation."""
+        self.max_residual = max(self.max_residual, residual)
+        if residual > tol:
+            self.violations.append(Violation(trial, kind, residual, witness or {}))
+
+    def report(self, suite, seed, trials) -> VerificationReport:
+        return VerificationReport(suite, seed, trials, tuple(self.violations), self.max_residual)
+
+
 def theorem97_verifier(
     t,
     triples: int = 100,
@@ -479,37 +522,16 @@ def theorem97_verifier(
         raise ValueError("theorem97_verifier is capped at size 10")
     if not is_c0(t):
         raise NotC0Error("theorem97_verifier requires a C0 matrix")
-    pool = sample_invariant_subspaces(t, max(12, n + 4), np.random.default_rng(seed))
     memo = _memo()
-    violations = []
-    max_residual = 0.0
-    for trial in range(triples):
-        rng = np.random.default_rng(seed + 1 + trial)
-        i1, i2, ir = (int(rng.integers(len(pool))) for _ in range(3))
-        m1, m2 = pool[i1], pool[i2]
-        m3 = memo(meet, m1, pool[ir])
-        if not memo(contains, m1, m3):
-            raise ValueError("modular-triple precondition violated: M3 is not contained in M1")
-
-        # both sides of M1 ∩ (M2 ∨ M3) = (M1 ∩ M2) ∨ M3; the proof objects
-        # below reuse the join, the left side and M1 ∩ M2
-        joined = memo(join, m2, m3)
-        inter = memo(meet, m1, joined)
-        m1m2 = memo(meet, m1, m2)
-        modular = memo(distance, inter, memo(join, m1m2, m3))
-        max_residual = max(max_residual, modular)
-        if modular > tol_modular:
-            violations.append(
-                Violation(
-                    trial,
-                    "modular-identity",
-                    modular,
-                    {"dims": [m1.dim, m2.dim, m3.dim]},
-                )
-            )
-
+    tally = _Tally()
+    for trial, m1, m2, m3 in _triples(t, triples, seed, memo):
+        dims = {"dims": [m1.dim, m2.dim, m3.dim]}
+        tally.check(trial, "modular-identity", _modular(memo, m1, m2, m3), tol_modular, dims)
         if m2.dim + m3.dim == 0:
             continue
+        # the proof objects reuse the join, the left side and M1 ∩ M2 from the memo
+        joined, m1m2 = memo(join, m2, m3), memo(meet, m1, m2)
+        inter = memo(meet, m1, joined)
         # the sum map X(a2, a3) = a2 + a3 in the orthonormal basis of M2 ∨ M3
         x_mat = joined.basis.conj().T @ np.hstack([m2.basis, m3.basis])
         t23 = np.zeros((m2.dim + m3.dim, m2.dim + m3.dim), dtype=complex)
@@ -517,25 +539,13 @@ def theorem97_verifier(
         t23[m2.dim :, m2.dim :] = memo(_restriction, t, m3)
         tj = memo(_restriction, t, joined)
         resid_int = op_norm(x_mat @ t23 - tj @ x_mat)
-        max_residual = max(max_residual, resid_int)
-        if resid_int > tol_intertwine:
-            violations.append(
-                Violation(
-                    trial,
-                    "sum-map-intertwine",
-                    resid_int,
-                    {"dims": [m2.dim, m3.dim, joined.dim]},
-                )
-            )
+        dims = {"dims": [m2.dim, m3.dim, joined.dim]}
+        tally.check(trial, "sum-map-intertwine", resid_int, tol_intertwine, dims)
         rank = _rank(x_mat)
         if rank != joined.dim:
-            violations.append(
-                Violation(
-                    trial,
-                    "sum-map-range",
-                    float(joined.dim - rank),
-                    {"rank": rank, "target": joined.dim},
-                )
+            witness = {"rank": rank, "target": joined.dim}
+            tally.violations.append(
+                Violation(trial, "sum-map-range", float(joined.dim - rank), witness)
             )
 
         embedded = Subspace.from_span(joined.basis.conj().T @ inter.basis, joined.dim)
@@ -546,23 +556,9 @@ def theorem97_verifier(
         expected_cols[m2.dim :, m1m2.dim :] = np.eye(m3.dim)
         expected = Subspace.from_span(expected_cols, m2.dim + m3.dim)
         resid_pre = distance(preimage, expected)
-        max_residual = max(max_residual, resid_pre)
-        if resid_pre > tol_preimage:
-            violations.append(
-                Violation(
-                    trial,
-                    "preimage-identity",
-                    resid_pre,
-                    {"dims": [preimage.dim, expected.dim]},
-                )
-            )
-    return VerificationReport(
-        suite="modular-thm97",
-        seed=seed,
-        trials=triples,
-        violations=tuple(violations),
-        max_residual=max_residual,
-    )
+        dims = {"dims": [preimage.dim, expected.dim]}
+        tally.check(trial, "preimage-identity", resid_pre, tol_preimage, dims)
+    return tally.report("modular-thm97", seed, triples)
 
 
 def theorem_x3_verifier(
@@ -586,58 +582,25 @@ def theorem_x3_verifier(
     _require_intertwiner(y, t1, t2)
     if y.shape[0] != y.shape[1] or _rank(y) != y.shape[0]:
         raise RankDeficientError("theorem_x3_verifier requires a full-rank square Y")
-    pool = sample_invariant_subspaces(t2, max(12, t2.shape[0] + 4), np.random.default_rng(seed))
     memo = _memo()
-    t1_scale = max(1.0, op_norm(t1))
-    violations = []
-    max_residual = 0.0
-
-    def record(trial, kind, residual, witness=None):
-        nonlocal max_residual
-        max_residual = max(max_residual, residual)
-        if residual > tol:
-            violations.append(Violation(trial, kind, residual, witness or {}))
-
-    def modular(l, m, n):
-        """The residual of ``L ∩ (M ∨ N) = (L ∩ M) ∨ N``; requires ``N ⊆ L``."""
-        if not memo(contains, l, n):
-            raise ValueError("modular-triple precondition violated: N is not contained in L")
-        return memo(distance, memo(meet, l, memo(join, m, n)), memo(join, memo(meet, l, m), n))
-
-    for trial in range(samples):
-        rng = np.random.default_rng(seed + 1 + trial)
-        i1, i2, ir = (int(rng.integers(len(pool))) for _ in range(3))
-        ns = (pool[i1], pool[i2], memo(meet, pool[i1], pool[ir]))
-        ms = tuple(memo(lattice_preimage, y, n_i) for n_i in ns)
+    tol_invariant = TOL_INVARIANT * max(1.0, op_norm(t1))
+    tally = _Tally()
+    for trial, *ns in _triples(t2, samples, seed, memo):
+        ms = [memo(lattice_preimage, y, n_i) for n_i in ns]
         for i, m_i in enumerate(ms):
-            inv = memo(is_invariant, t1, m_i)
-            max_residual = max(max_residual, inv.residual)
-            if inv.residual > TOL_INVARIANT * t1_scale:
-                violations.append(
-                    Violation(trial, "preimage-invariance", inv.residual, {"index": i + 1})
-                )
-            record(
-                trial,
-                "onto-instance",
-                memo(distance, memo(lattice_map, y, m_i), ns[i]),
-                {"index": i + 1},
-            )
+            invariance = memo(is_invariant, t1, m_i).residual
+            tally.check(trial, "preimage-invariance", invariance, tol_invariant, {"index": i + 1})
+            onto = memo(distance, memo(lattice_map, y, m_i), ns[i])
+            tally.check(trial, "onto-instance", onto, tol, {"index": i + 1})
         image = memo(lattice_map, y, memo(meet, ms[0], ms[1]))
-        record(trial, "product-identity", memo(distance, image, memo(meet, ns[0], ns[1])))
-        source = modular(*ms)
-        target = modular(*ns)
-        max_residual = max(max_residual, source, target)
+        tally.check(trial, "product-identity", memo(distance, image, memo(meet, ns[0], ns[1])), tol)
+        source = _modular(memo, *ms)
+        target = _modular(memo, *ns)
+        tally.max_residual = max(tally.max_residual, source, target)
         if source <= tol < target:
-            violations.append(
-                Violation(trial, "transfer", target, {"source_residual": source})
-            )
-    return VerificationReport(
-        suite="x3-transfer",
-        seed=seed,
-        trials=samples,
-        violations=tuple(violations),
-        max_residual=max_residual,
-    )
+            witness = {"source_residual": source}
+            tally.violations.append(Violation(trial, "transfer", target, witness))
+    return tally.report("x3-transfer", seed, samples)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,24 @@ hold the interpreter lock for much of their time, so threads contend
 rather than overlap: on a 2-CPU machine six modular-thm97 plus x3-transfer
 suite pairs (2 trials each) took a median 2.4 s with one worker against
 4.2 s with two, over six runs each.
+
+Each suite checks its arguments before the first trial.  A tolerance name
+the suite does not define (``_tolerances``) and an input payload of the
+wrong kind (``_inputs``: a matrix where the suite takes Blaschke products,
+a Blaschke product where it takes matrices, any input to ``duality``)
+raise ValueError, which the command line reports with exit code 2.
+
+``modular-thm97`` and ``x3-transfer`` can never find a counterexample to
+modularity: in finite dimensions Lat(T) is a sublattice of the lattice of
+all subspaces of C^n, which is modular (Brickman and Fillmore, Canad. J.
+Math. 1967; Bercovici, Operator Theory and Arithmetic in H-infinity,
+1988).  They test the numerics and the proof objects: the sum map, the
+preimage identity and the onto instances.  The paper's
+infinite-dimensional content, where a join is the closure of a sum, is
+out of their reach.
 """
 
+import inspect
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -127,14 +143,39 @@ def _tagged(i, part):
     return violations, part.max_residual
 
 
+def _tolerances(suite, tols, **defaults) -> tuple:
+    """The suite's tolerances in the order of ``defaults``, each overridden
+    by ``tols``; a name that is not among ``defaults`` is a ValueError."""
+    unknown = sorted(set(tols) - set(defaults))
+    if unknown:
+        accepted = ", ".join(sorted(defaults)) or "none"
+        raise ValueError(f"{suite} has no tolerance {', '.join(unknown)} (accepted: {accepted})")
+    return tuple({**defaults, **tols}.values())
+
+
+_KINDS = {BlaschkeProduct: "Blaschke product", np.ndarray: "matrix"}
+
+
+def _inputs(suite, inputs, kind=None) -> tuple:
+    """The suite's input payloads, each checked to be a ``kind``
+    (BlaschkeProduct or np.ndarray; None for a suite that takes none)."""
+    inputs = tuple(inputs)
+    for k, x in enumerate(inputs):
+        if not (kind and isinstance(x, kind)):
+            wanted = f"{_KINDS[kind]} inputs" if kind else "no inputs"
+            got = _KINDS.get(type(x), type(x).__name__)
+            raise ValueError(f"{suite} takes {wanted}; input {k + 1} is a {got}")
+    return inputs
+
+
 # --------------------------------------------------------------------------
 # inner-function arithmetic laws
 
 def lattice_laws_suite(trials: int = 100, seed: int = 0, inputs=(), **tols) -> VerificationReport:
     """gcd/lcm lattice laws, the degree formula, the divisibility/equivalence
     biconditional, quotient consistency, and unimodularity on the circle."""
-    tol_circle = tols.get("circle", 1e-9)
-    extra = tuple(inputs)
+    (tol_circle,) = _tolerances("lattice-laws", tols, circle=1e-9)
+    extra = _inputs("lattice-laws", inputs, BlaschkeProduct)
     circle = np.exp(2j * np.pi * np.arange(64) / 64)
 
     def trial(i, rng):
@@ -187,9 +228,8 @@ def lattice_laws_suite(trials: int = 100, seed: int = 0, inputs=(), **tols) -> V
 def prop14_suite(trials: int = 100, seed: int = 0, inputs=(), **tols) -> VerificationReport:
     """||theta(S(theta))|| below tolerance and ||phi(S(theta))|| above the
     floor for every maximal proper divisor phi."""
-    tol_annihilate = tols.get("annihilate", 1e-7)
-    floor = tols.get("floor", 1e-3)
-    thetas = tuple(inputs)
+    tol_annihilate, floor = _tolerances("prop14", tols, annihilate=1e-7, floor=1e-3)
+    thetas = _inputs("prop14", inputs, BlaschkeProduct)
 
     def trial(i, rng):
         theta = thetas[i % len(thetas)] if thetas else random_blaschke(rng, 6, radius=0.85)
@@ -216,8 +256,8 @@ def prop14_suite(trials: int = 100, seed: int = 0, inputs=(), **tols) -> Verific
 def meetjoin_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> VerificationReport:
     """Numerical meet/join of two divisor subspaces equals the lcm/gcd
     divisor subspaces; inclusion between them reverses divisibility."""
-    tol = tols.get("distance", 1e-7)
-    thetas = tuple(inputs)
+    (tol,) = _tolerances("propq-meetjoin", tols, distance=1e-7)
+    thetas = _inputs("propq-meetjoin", inputs, BlaschkeProduct)
 
     def trial(i, rng):
         theta = thetas[i % len(thetas)] if thetas else random_blaschke(rng, 5, radius=0.85)
@@ -246,8 +286,8 @@ def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> Ve
     lattice of each theta, through meet/join index tables read from lcm/gcd
     of the divisor labels; every numerical meet and join must equal its
     predicted member within the subspace equality tolerance."""
-    del tols
-    thetas = tuple(inputs)
+    _tolerances("distributive", tols)
+    thetas = _inputs("distributive", inputs, BlaschkeProduct)
 
     def trial(i, rng):
         theta = thetas[i % len(thetas)] if thetas else random_blaschke_with_divisor_cap(rng)
@@ -284,8 +324,8 @@ def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> Ve
 def oracle_latmatch_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> VerificationReport:
     """For theta with 3 distinct zeros, enumerate_lattice must match the
     brute-force invariant-subspace oracle bijectively."""
-    del tols
-    thetas = tuple(inputs)
+    _tolerances("oracle-latmatch", tols)
+    thetas = _inputs("oracle-latmatch", inputs, BlaschkeProduct)
 
     def trial(i, rng):
         if thetas:
@@ -345,36 +385,26 @@ def thm97_suite(
 ) -> VerificationReport:
     """theorem97_verifier over random C0 matrices (or the given ones):
     modular law on sampled triples plus the sum-map proof objects."""
-    tol_modular = tols.get("modular", 1e-6)
-    tol_intertwine = tols.get("intertwine", 1e-8)
-    tol_preimage = tols.get("preimage", 1e-7)
-    matrices = tuple(inputs)
+    tol_modular, tol_intertwine, tol_preimage = _tolerances(
+        "modular-thm97", tols, modular=1e-6, intertwine=1e-8, preimage=1e-7
+    )
+    matrices = _inputs("modular-thm97", inputs, np.ndarray)
+
+    def verify(t, count, inner_seed):
+        return theorem97_verifier(t, count, inner_seed, tol_modular, tol_intertwine, tol_preimage)
+
     if matrices:
-        # each input matrix gets `trials` sampled triples
-        report = None
-        for k, t in enumerate(matrices):
-            part = theorem97_verifier(
-                t,
-                triples=trials,
-                seed=seed + k,
-                tol_modular=tol_modular,
-                tol_intertwine=tol_intertwine,
-                tol_preimage=tol_preimage,
-            )
-            report = part if report is None else report.merged_with(part)
-        return report
+        # input k gets `trials` sampled triples seeded seed + k; its
+        # violations keep their own triple indices
+        def given(k, rng):
+            part = verify(matrices[k], trials, seed + k)
+            return part.violations, part.max_residual
+
+        count = len(matrices)
+        return _run_trials("modular-thm97", seed, count, given, counted=count * trials)
 
     def trial(i, rng):
-        t = _random_c0_instance(rng, i)
-        part = theorem97_verifier(
-            t,
-            triples=triples,
-            seed=seed + 1000 * (i + 1),
-            tol_modular=tol_modular,
-            tol_intertwine=tol_intertwine,
-            tol_preimage=tol_preimage,
-        )
-        return _tagged(i, part)
+        return _tagged(i, verify(_random_c0_instance(rng, i), triples, seed + 1000 * (i + 1)))
 
     return _run_trials("modular-thm97", seed, trials, trial, counted=trials * triples)
 
@@ -391,8 +421,8 @@ def x3_suite(
 ) -> VerificationReport:
     """theorem_x3_verifier on similarity-built instances T2 = Q T1 Q^{-1}
     with Y = Q (condition number at most 10)."""
-    tol = tols.get("transfer", 1e-6)
-    matrices = tuple(inputs)
+    (tol,) = _tolerances("x3-transfer", tols, transfer=1e-6)
+    matrices = _inputs("x3-transfer", inputs, np.ndarray)
 
     def trial(i, rng):
         if matrices:
@@ -416,10 +446,10 @@ def x3_suite(
 def calculus_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> VerificationReport:
     """Multiplicativity and contractivity of the Blaschke calculus, with a
     radial-limit validation every tenth trial."""
-    tol_mult = tols.get("multiplicative", 1e-8)
-    tol_contract = tols.get("contractive", 1e-8)
-    tol_radial = tols.get("radial", 1e-2)
-    matrices = tuple(inputs)
+    tol_mult, tol_contract, tol_radial = _tolerances(
+        "calculus", tols, multiplicative=1e-8, contractive=1e-8, radial=1e-2
+    )
+    matrices = _inputs("calculus", inputs, np.ndarray)
 
     def trial(i, rng):
         if matrices:
@@ -475,7 +505,8 @@ def duality_suite(trials: int = 20, seed: int = 0, inputs=(), samples: int = 15,
     """Sampled surjectivity of X_* against sampled injectivity of (X*)_*:
     the two must agree — both 1.0 on full-rank intertwiners, both below
     1.0 on deliberately rank-deficient ones."""
-    del tols, inputs
+    _tolerances("duality", tols)
+    _inputs("duality", inputs)
 
     def trial(i, rng):
         deficient = i % 2 == 1
@@ -526,7 +557,7 @@ _MODEL_DRAWS = 10
 
 
 def jordan_model_suite(trials: int = 50, seed: int = 0, **tols) -> VerificationReport:
-    tol_resid = tols.get("certificate", 1e-7)
+    (tol_resid,) = _tolerances("jordan-model", tols, certificate=1e-7)
 
     def trial(i, rng):
         # even trials: any certifiable spectrum, unitary conjugate;
@@ -655,6 +686,10 @@ def run_suite(config: SuiteConfig, inputs=()) -> VerificationReport:
     """Dispatch a configured suite; ``inputs`` are decoded file payloads
     (Blaschke products or matrices, depending on the suite)."""
     fn = SUITES[config.suite]
+    # a suite parameter such as seed or triples is not a tolerance either
+    clash = sorted(set(config.tolerances) & set(inspect.signature(fn).parameters))
+    if clash:
+        raise ValueError(f"{config.suite} has no tolerance {', '.join(clash)}")
     return fn(
         trials=config.trials,
         seed=config.seed,

@@ -261,6 +261,44 @@ def test_verify_bad_tol_is_usage_error(capsys, files):
     assert code == 2
 
 
+def _one_error_line(err):
+    return err.startswith("c0lat: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", sorted(suites.SUITES))
+def test_verify_rejects_an_unknown_tolerance_name(capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "--trials", "1", "--tol", "nosuch=1e-30")
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "no tolerance nosuch" in err
+
+
+def test_unknown_tolerance_message_lists_the_accepted_names(capsys):
+    # a misspelt name used to run with the default and list itself in the config
+    argv = ["verify", "modular-thm97", "--trials", "3", "--tol", "modulr=1e-30"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "(accepted: intertwine, modular, preimage)" in err
+    # suite parameters are not tolerances either
+    code, _, err = run(capsys, "verify", "modular-thm97", "--trials", "1", "--tol", "triples=5")
+    assert code == 2 and _one_error_line(err)
+    with pytest.raises(ValueError, match="accepted: certificate"):
+        suites.jordan_model_suite(trials=1, certifcate=1e-7)
+
+
+BLASCHKE_INPUT_SUITES = (
+    "distributive", "lattice-laws", "oracle-latmatch", "prop14", "propq-meetjoin"
+)
+
+
+@pytest.mark.parametrize("suite", sorted(suites.SUITES))
+def test_verify_rejects_input_files_of_the_wrong_kind(capsys, files, suite):
+    # duality takes no inputs, so any file is the wrong kind for it
+    wrong = files["diag"] if suite in BLASCHKE_INPUT_SUITES else files["zb"]
+    code, out, err = run(capsys, "verify", suite, wrong, "--trials", "1")
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "input 1 is a" in err
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     assert main(["verify", "nosuch"]) == 2
 

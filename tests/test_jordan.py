@@ -35,7 +35,7 @@ from c0lat.sampling import (
     sample_invariant_subspaces,
 )
 from c0lat.serialize import stable_json_bytes
-from c0lat.subspace import Subspace, equals, is_invariant, op_norm
+from c0lat.subspace import Subspace, cyclic_multiplicity, equals, is_invariant, op_norm
 from c0lat.suites import jordan_model_suite, thm97_suite, x3_suite
 
 NILPOTENT = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -418,6 +418,20 @@ def test_brute_force_matches_enumeration():
     assert all(used)
 
 
+def test_multiplicity_counts_the_nonconstant_jordan_model_functions():
+    # the multiplicity of a C0 operator is the number of nonconstant
+    # functions in its Jordan model (Bercovici, Operator Theory and
+    # Arithmetic in H-infinity, 1988), an oracle independent of the
+    # cyclic-vector search behind cyclic_multiplicity
+    rng = np.random.default_rng(2026)
+    seen = []
+    for _ in range(20):
+        t = certifiable_c0(rng, int(rng.integers(2, 8)), structured=True)
+        seen.append(cyclic_multiplicity(t))
+        assert seen[-1] == len(jordan_model(t, verify=False).thetas)
+    assert len(set(seen)) > 1
+
+
 # --- report plumbing ----------------------------------------------------------------------
 
 def test_jordan_model_suite_redraws_an_uncertifiable_spectrum():
@@ -437,5 +451,3 @@ def test_report_json_shape():
     data = report.to_json_dict()
     assert data["passed"] is False
     assert data["violations"][0]["witness"] == {"a": 1}
-    merged = report.merged_with(report)
-    assert merged.trials == 6 and len(merged.violations) == 2

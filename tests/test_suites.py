@@ -1,10 +1,15 @@
-"""Suite machinery: the divisor-indexed distributive suite and the shared
-lattice-law checker."""
+"""Suite machinery: the divisor-indexed distributive suite, the shared
+lattice-law checker and thm97's input-file path."""
 
 from itertools import permutations
 
+import numpy as np
+import pytest
+
 from c0lat import blaschke, subspace, suites
 from c0lat.blaschke import BlaschkeProduct
+from c0lat.jordan import theorem97_verifier
+from c0lat.sampling import certifiable_c0
 from c0lat.subspace import FiniteLattice, law_failures
 
 # 3 * 2 * 2 = 12 divisors
@@ -43,3 +48,18 @@ def test_law_failures_lists_every_failing_triple_in_row_major_order():
     pentagon = FiniteLattice.pentagon()
     first = next(law_failures(pentagon._meet, pentagon._join, pentagon.leq))
     assert subspace.lattice_is_modular(pentagon).witness["triple"] == first[:3]
+
+
+@pytest.mark.parametrize("tols", [{}, {"modular": 1e-16}])
+def test_thm97_inputs_run_one_verifier_call_per_matrix(tols):
+    rng = np.random.default_rng(11)
+    a, b = certifiable_c0(rng, 4, derogatory=False), certifiable_c0(rng, 5, derogatory=False)
+    report = suites.thm97_suite(inputs=(a, b), trials=6, seed=7, **tols)
+    inner = {f"tol_{name}": value for name, value in tols.items()}
+    parts = [theorem97_verifier(a, 6, 7, **inner), theorem97_verifier(b, 6, 8, **inner)]
+    assert (report.suite, report.seed, report.trials) == ("modular-thm97", 7, 12)
+    # in input order and untagged: each violation keeps its own triple index
+    assert report.violations == parts[0].violations + parts[1].violations
+    assert report.max_residual == max(p.max_residual for p in parts)
+    if tols:
+        assert all(p.violations for p in parts)
