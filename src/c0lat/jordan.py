@@ -27,7 +27,8 @@ The two theorem verifiers replay proofs on concrete samples:
 Both verifiers run one sampled-triple loop (``_triples``): a pool of
 invariant subspaces, triples (L, M, N) with N = L ∧ R ⊆ L, the modular
 residual ``_modular`` and one tally of violations and the largest residual
-(``_Tally``); each verifier adds only its own checks.  The same meets,
+(``_Tally``, the recorder every suite trial in :mod:`c0lat.suites` uses
+too); each verifier adds only its own checks.  The same meets,
 joins, preimages and distances recur across triples, so within one
 verifier call each lattice operation is computed once per distinct input
 (subspaces are compared by the bytes of their bases) and the result is
@@ -483,7 +484,8 @@ def _modular(memo, l, m, n) -> float:
 
 
 class _Tally:
-    """The violations and the largest residual of one verifier call."""
+    """The violations and the largest residual of one suite trial, one suite
+    run or one verifier call."""
 
     def __init__(self):
         self.violations = []
@@ -491,9 +493,26 @@ class _Tally:
 
     def check(self, trial, kind, residual, tol, witness=None):
         """Fold ``residual`` into the maximum; above ``tol`` it is a violation."""
-        self.max_residual = max(self.max_residual, residual)
+        self.fold(residual)
         if residual > tol:
-            self.violations.append(Violation(trial, kind, residual, witness or {}))
+            self.flag(trial, kind, residual, witness)
+
+    def flag(self, trial, kind, residual, witness=None):
+        """Record a violation without folding its residual into the maximum."""
+        self.violations.append(Violation(trial, kind, residual, witness or {}))
+
+    def fold(self, residual):
+        self.max_residual = max(self.max_residual, residual)
+
+    def absorb(self, part, trial=None):
+        """Merge another tally or a report.  Given ``trial``, each violation
+        is recorded as that trial's and keeps its own index as
+        ``inner_trial``."""
+        for v in part.violations:
+            if trial is not None:
+                v = Violation(trial, v.kind, v.residual, {**v.witness, "inner_trial": v.trial})
+            self.violations.append(v)
+        self.fold(part.max_residual)
 
     def report(self, suite, seed, trials) -> VerificationReport:
         return VerificationReport(suite, seed, trials, tuple(self.violations), self.max_residual)
@@ -544,9 +563,7 @@ def theorem97_verifier(
         rank = _rank(x_mat)
         if rank != joined.dim:
             witness = {"rank": rank, "target": joined.dim}
-            tally.violations.append(
-                Violation(trial, "sum-map-range", float(joined.dim - rank), witness)
-            )
+            tally.flag(trial, "sum-map-range", float(joined.dim - rank), witness)
 
         embedded = Subspace.from_span(joined.basis.conj().T @ inter.basis, joined.dim)
         preimage = lattice_preimage(x_mat, embedded)
@@ -576,9 +593,12 @@ def theorem_x3_verifier(
     Y_*(M_i) = N_i and the product identity
     Y_*(M1 ∩ M2) = Y_*(M1) ∩ Y_*(M2) are verified; finally the modular
     law is checked on both triples and must transfer from the T1 side to
-    the T2 side.
+    the T2 side.  T1 must be C0; T2, similar to T1, need not be a
+    contraction.
     """
     t1, t2, y = _square(t1), _square(t2), np.asarray(y, dtype=complex)
+    if not is_c0(t1):
+        raise NotC0Error("theorem_x3_verifier requires a C0 matrix T1")
     _require_intertwiner(y, t1, t2)
     if y.shape[0] != y.shape[1] or _rank(y) != y.shape[0]:
         raise RankDeficientError("theorem_x3_verifier requires a full-rank square Y")
@@ -596,10 +616,10 @@ def theorem_x3_verifier(
         tally.check(trial, "product-identity", memo(distance, image, memo(meet, ns[0], ns[1])), tol)
         source = _modular(memo, *ms)
         target = _modular(memo, *ns)
-        tally.max_residual = max(tally.max_residual, source, target)
+        tally.fold(source)
+        tally.fold(target)
         if source <= tol < target:
-            witness = {"source_residual": source}
-            tally.violations.append(Violation(trial, "transfer", target, witness))
+            tally.flag(trial, "transfer", target, {"source_residual": source})
     return tally.report("x3-transfer", seed, samples)
 
 

@@ -1,13 +1,18 @@
 """Named verification suites: seeded, reproducible, and shared between the
 command line and the acceptance tests.
 
-Each suite hands a trial function ``trial(i, rng)`` to ``_run_trials``,
-which owns the seed policy (trial i draws from the generator seeded with
-seed + i), runs the trials and builds the
-:class:`~c0lat.jordan.VerificationReport`.  Trials are independent given
-the seed, so they may run in parallel; the C0LAT_THREADS environment
-variable sets the worker count and the merge order is fixed by trial index,
-keeping reports byte-identical regardless of parallelism.
+Each suite hands a trial function ``trial(i, rng, tally)`` to
+``_run_trials``, which owns the seed policy (trial i draws from the
+generator seeded with seed + i), gives each trial its own tally
+(``jordan._Tally``, the recorder the theorem verifiers use too), runs the
+trials and builds the :class:`~c0lat.jordan.VerificationReport`.  A trial
+records into its tally and returns nothing: ``check`` folds a residual
+into the maximum and flags it above its tolerance, ``flag`` records a
+violation alone, ``fold`` a residual alone, and ``absorb`` merges an inner
+verifier's report.  Trials are independent given the seed, so they may
+run in parallel; the C0LAT_THREADS environment variable sets the worker
+count and the tallies merge in trial order, keeping reports
+byte-identical regardless of parallelism.
 
 The default is one worker.  Trials are chains of small numpy calls that
 hold the interpreter lock for much of their time, so threads contend
@@ -18,8 +23,9 @@ suite pairs (2 trials each) took a median 2.4 s with one worker against
 Each suite checks its arguments before the first trial.  A tolerance name
 the suite does not define (``_tolerances``) and an input payload of the
 wrong kind (``_inputs``: a matrix where the suite takes Blaschke products,
-a Blaschke product where it takes matrices, any input to ``duality``)
-raise ValueError, which the command line reports with exit code 2.
+a Blaschke product where it takes matrices, a matrix that is not square,
+any input to ``duality``) raise ValueError, which the command line
+reports with exit code 2.
 
 ``modular-thm97`` and ``x3-transfer`` can never find a counterexample to
 modularity: in finite dimensions Lat(T) is a sublattice of the lattice of
@@ -48,7 +54,7 @@ from .calculus import (
 )
 from .jordan import (
     VerificationReport,
-    Violation,
+    _Tally,
     brute_force_lat,
     check_lattice_isomorphism,
     find_quasiaffinity,
@@ -105,42 +111,26 @@ def thread_count() -> int:
 
 
 def _run_trials(suite, seed, trials, trial_fn, counted=None) -> VerificationReport:
-    """Evaluate trial_fn(i, rng), rng seeded with seed + i, for i below
-    ``trials``, possibly in parallel, and merge the (violations,
-    max_residual) results by index into a report of ``counted`` trials
-    (default ``trials``)."""
+    """Run trial_fn(i, rng, tally), rng seeded with seed + i and a tally of
+    its own, for i below ``trials``, possibly in parallel, and merge the
+    tallies in index order into a report of ``counted`` trials (default
+    ``trials``)."""
 
     def run(i):
-        return trial_fn(i, np.random.default_rng(seed + i))
+        tally = _Tally()
+        trial_fn(i, np.random.default_rng(seed + i), tally)
+        return tally
 
     workers = min(thread_count(), max(1, trials))
     if workers <= 1 or trials <= 1:
-        results = [run(i) for i in range(trials)]
+        parts = [run(i) for i in range(trials)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(trials)))
-    violations = []
-    max_residual = 0.0
-    for vs, resid in results:
-        violations.extend(vs)
-        max_residual = max(max_residual, resid)
-    return VerificationReport(
-        suite=suite,
-        seed=seed,
-        trials=trials if counted is None else counted,
-        violations=tuple(violations),
-        max_residual=max_residual,
-    )
-
-
-def _tagged(i, part):
-    """An inner verifier's report as the result of trial i; each violation
-    keeps the inner trial it came from as ``inner_trial``."""
-    violations = [
-        Violation(i, v.kind, v.residual, {**v.witness, "inner_trial": v.trial})
-        for v in part.violations
-    ]
-    return violations, part.max_residual
+            parts = list(pool.map(run, range(trials)))
+    total = _Tally()
+    for part in parts:
+        total.absorb(part)
+    return total.report(suite, seed, trials if counted is None else counted)
 
 
 def _tolerances(suite, tols, **defaults) -> tuple:
@@ -158,13 +148,16 @@ _KINDS = {BlaschkeProduct: "Blaschke product", np.ndarray: "matrix"}
 
 def _inputs(suite, inputs, kind=None) -> tuple:
     """The suite's input payloads, each checked to be a ``kind``
-    (BlaschkeProduct or np.ndarray; None for a suite that takes none)."""
+    (BlaschkeProduct or np.ndarray, which must be square; None for a suite
+    that takes none)."""
     inputs = tuple(inputs)
     for k, x in enumerate(inputs):
         if not (kind and isinstance(x, kind)):
             wanted = f"{_KINDS[kind]} inputs" if kind else "no inputs"
             got = _KINDS.get(type(x), type(x).__name__)
             raise ValueError(f"{suite} takes {wanted}; input {k + 1} is a {got}")
+        if kind is np.ndarray and (x.ndim != 2 or x.shape[0] != x.shape[1]):
+            raise ValueError(f"{suite} takes square matrices; input {k + 1} has shape {x.shape}")
     return inputs
 
 
@@ -178,16 +171,15 @@ def lattice_laws_suite(trials: int = 100, seed: int = 0, inputs=(), **tols) -> V
     extra = _inputs("lattice-laws", inputs, BlaschkeProduct)
     circle = np.exp(2j * np.pi * np.arange(64) / 64)
 
-    def trial(i, rng):
+    def trial(i, rng, tally):
         pool = random_unit_disk_points(rng, 4, radius=0.85, min_separation=0.1)
         b1 = extra[i % len(extra)] if extra else random_blaschke(rng, 6, pool=pool)
         b2 = random_blaschke(rng, 6, pool=pool)
         b3 = random_blaschke(rng, 6, pool=pool)
-        violations = []
 
         def law(kind, ok):
             if not ok:
-                violations.append(Violation(i, kind, 1.0, {}))
+                tally.flag(i, kind, 1.0)
 
         law("gcd-commutative", blaschke.equiv(blaschke.gcd(b1, b2), blaschke.gcd(b2, b1)))
         law("lcm-commutative", blaschke.equiv(blaschke.lcm(b1, b2), blaschke.lcm(b2, b1)))
@@ -215,9 +207,7 @@ def lattice_laws_suite(trials: int = 100, seed: int = 0, inputs=(), **tols) -> V
         mutual = blaschke.divides(b1, b2) and blaschke.divides(b2, b1)
         law("divides-equiv", mutual == blaschke.equiv(b1, b2))
         resid = float(np.max(np.abs(np.abs(blaschke.evaluate(b1, circle)) - 1.0)))
-        if resid > tol_circle:
-            violations.append(Violation(i, "unimodular-boundary", resid, {}))
-        return violations, resid
+        tally.check(i, "unimodular-boundary", resid, tol_circle)
 
     return _run_trials("lattice-laws", seed, trials, trial)
 
@@ -231,21 +221,16 @@ def prop14_suite(trials: int = 100, seed: int = 0, inputs=(), **tols) -> Verific
     tol_annihilate, floor = _tolerances("prop14", tols, annihilate=1e-7, floor=1e-3)
     thetas = _inputs("prop14", inputs, BlaschkeProduct)
 
-    def trial(i, rng):
+    def trial(i, rng, tally):
         theta = thetas[i % len(thetas)] if thetas else random_blaschke(rng, 6, radius=0.85)
         s = compressed_shift(theta).matrix
-        violations = []
         resid = float(op_norm(apply_blaschke(s, theta)))
-        if resid > tol_annihilate:
-            violations.append(Violation(i, "annihilation", resid, {"degree": theta.degree}))
+        tally.check(i, "annihilation", resid, tol_annihilate, {"degree": theta.degree})
         for z, _ in theta.zeros:
             phi = blaschke.divide(theta, BlaschkeProduct(((z, 1),)))
             low = float(op_norm(apply_blaschke(s, phi)))
             if low <= floor:
-                violations.append(
-                    Violation(i, "maximality", low, {"dropped": [z.real, z.imag]})
-                )
-        return violations, resid
+                tally.flag(i, "maximality", low, {"dropped": [z.real, z.imag]})
 
     return _run_trials("prop14", seed, trials, trial)
 
@@ -259,21 +244,17 @@ def meetjoin_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> Verif
     (tol,) = _tolerances("propq-meetjoin", tols, distance=1e-7)
     thetas = _inputs("propq-meetjoin", inputs, BlaschkeProduct)
 
-    def trial(i, rng):
+    def trial(i, rng, tally):
         theta = thetas[i % len(thetas)] if thetas else random_blaschke(rng, 5, radius=0.85)
         space = ModelSpace(theta)
         phi1, phi2 = random_divisor(rng, theta), random_divisor(rng, theta)
         m1, m2 = space.divisor_subspace(phi1), space.divisor_subspace(phi2)
-        violations = []
         d_meet = distance(meet(m1, m2), space.divisor_subspace(blaschke.lcm(phi1, phi2)))
+        tally.check(i, "meet-lcm", d_meet, tol)
         d_join = distance(join(m1, m2), space.divisor_subspace(blaschke.gcd(phi1, phi2)))
-        if d_meet > tol:
-            violations.append(Violation(i, "meet-lcm", d_meet, {}))
-        if d_join > tol:
-            violations.append(Violation(i, "join-gcd", d_join, {}))
+        tally.check(i, "join-gcd", d_join, tol)
         if contains(m2, m1) != blaschke.divides(phi2, phi1):
-            violations.append(Violation(i, "inclusion-reversal", 1.0, {}))
-        return violations, max(d_meet, d_join)
+            tally.flag(i, "inclusion-reversal", 1.0)
 
     return _run_trials("propq-meetjoin", seed, trials, trial)
 
@@ -289,7 +270,7 @@ def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> Ve
     _tolerances("distributive", tols)
     thetas = _inputs("distributive", inputs, BlaschkeProduct)
 
-    def trial(i, rng):
+    def trial(i, rng, tally):
         theta = thetas[i % len(thetas)] if thetas else random_blaschke_with_divisor_cap(rng)
         entries = enumerate_lattice(theta)
         # Lat(S(theta)) is the divisor lattice upside down: meet is lcm, join gcd
@@ -306,14 +287,13 @@ def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> Ve
                     equals(meet(s_a, s_b), entries[lo][1])
                     and equals(join(s_a, s_b), entries[hi][1])
                 ):
-                    return [Violation(i, "closure", 1.0, {"pair": [a, b]})], 1.0
+                    tally.flag(i, "closure", 1.0, {"pair": [a, b]})
+                    tally.fold(1.0)
+                    return
                 meet_idx[a, b] = meet_idx[b, a] = lo
                 join_idx[a, b] = join_idx[b, a] = hi
-        violations = [
-            Violation(i, "distributive-identity", 1.0, {"triple": [l, m, n]})
-            for l, m, n, _, _ in law_failures(meet_idx, join_idx)
-        ]
-        return violations, 0.0
+        for l, m, n, _, _ in law_failures(meet_idx, join_idx):
+            tally.flag(i, "distributive-identity", 1.0, {"triple": [l, m, n]})
 
     return _run_trials("distributive", seed, trials, trial)
 
@@ -327,7 +307,7 @@ def oracle_latmatch_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) ->
     _tolerances("oracle-latmatch", tols)
     thetas = _inputs("oracle-latmatch", inputs, BlaschkeProduct)
 
-    def trial(i, rng):
+    def trial(i, rng, tally):
         if thetas:
             theta = thetas[i % len(thetas)]
         else:
@@ -335,14 +315,11 @@ def oracle_latmatch_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) ->
             theta = BlaschkeProduct(tuple((z, 1) for z in points))
         enumerated = enumerate_lattice(theta)
         oracle = brute_force_lat(compressed_shift(theta).matrix)
-        violations = []
         if len(enumerated) != len(oracle):
-            violations.append(
-                Violation(i, "count-mismatch", float(abs(len(enumerated) - len(oracle))), {})
-            )
-            return violations, 1.0
+            tally.flag(i, "count-mismatch", float(abs(len(enumerated) - len(oracle))))
+            tally.fold(1.0)
+            return
         used = [False] * len(oracle)
-        worst = 0.0
         for _, s in enumerated:
             best = None
             for k, candidate in enumerate(oracle):
@@ -350,11 +327,10 @@ def oracle_latmatch_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) ->
                     best = k
                     break
             if best is None:
-                violations.append(Violation(i, "unmatched-subspace", 1.0, {"dim": s.dim}))
+                tally.flag(i, "unmatched-subspace", 1.0, {"dim": s.dim})
             else:
                 used[best] = True
-                worst = max(worst, distance(s, oracle[best]))
-        return violations, worst
+                tally.fold(distance(s, oracle[best]))
 
     return _run_trials("oracle-latmatch", seed, trials, trial)
 
@@ -396,15 +372,15 @@ def thm97_suite(
     if matrices:
         # input k gets `trials` sampled triples seeded seed + k; its
         # violations keep their own triple indices
-        def given(k, rng):
-            part = verify(matrices[k], trials, seed + k)
-            return part.violations, part.max_residual
+        def given(k, rng, tally):
+            tally.absorb(verify(matrices[k], trials, seed + k))
 
         count = len(matrices)
         return _run_trials("modular-thm97", seed, count, given, counted=count * trials)
 
-    def trial(i, rng):
-        return _tagged(i, verify(_random_c0_instance(rng, i), triples, seed + 1000 * (i + 1)))
+    def trial(i, rng, tally):
+        part = verify(_random_c0_instance(rng, i), triples, seed + 1000 * (i + 1))
+        tally.absorb(part, trial=i)
 
     return _run_trials("modular-thm97", seed, trials, trial, counted=trials * triples)
 
@@ -424,7 +400,7 @@ def x3_suite(
     (tol,) = _tolerances("x3-transfer", tols, transfer=1e-6)
     matrices = _inputs("x3-transfer", inputs, np.ndarray)
 
-    def trial(i, rng):
+    def trial(i, rng, tally):
         if matrices:
             t1 = matrices[i % len(matrices)]
         else:
@@ -435,7 +411,7 @@ def x3_suite(
         t2 = q @ t1 @ np.linalg.inv(q)
         y = q / op_norm(q)
         part = theorem_x3_verifier(t1, t2, y, samples=triples, seed=seed + 1000 * (i + 1), tol=tol)
-        return _tagged(i, part)
+        tally.absorb(part, trial=i)
 
     return _run_trials("x3-transfer", seed, trials, trial, counted=trials * triples)
 
@@ -451,7 +427,7 @@ def calculus_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> Verif
     )
     matrices = _inputs("calculus", inputs, np.ndarray)
 
-    def trial(i, rng):
+    def trial(i, rng, tally):
         if matrices:
             t = matrices[i % len(matrices)]
         else:
@@ -459,23 +435,19 @@ def calculus_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> Verif
             t = random_contraction(rng, n, spectral_radius=0.8, norm_cap=0.85)
         b1 = random_blaschke(rng, 4, radius=0.6)
         b2 = random_blaschke(rng, 4, radius=0.6)
-        violations = []
         product = apply_blaschke(t, blaschke.multiply(b1, b2))
         split = apply_blaschke(t, b1) @ apply_blaschke(t, b2)
-        r_mult = float(op_norm(product - split))
-        if r_mult > tol_mult:
-            violations.append(Violation(i, "multiplicativity", r_mult, {}))
+        tally.check(i, "multiplicativity", float(op_norm(product - split)), tol_mult)
         r_norm = float(op_norm(apply_blaschke(t, b1)))
         if r_norm > 1.0 + tol_contract:
-            violations.append(Violation(i, "contractivity", r_norm, {}))
+            tally.flag(i, "contractivity", r_norm)
         if i % 10 == 0:
             resids = radial_validate(t, b1, (0.9, 0.99, 0.999))
             if resids[-1] > tol_radial:
-                violations.append(Violation(i, "radial-limit", resids[-1], {}))
+                tally.flag(i, "radial-limit", resids[-1])
             for a, b in zip(resids, resids[1:]):
                 if b > 1.1 * a:
-                    violations.append(Violation(i, "radial-monotone", b, {"previous": a}))
-        return violations, r_mult
+                    tally.flag(i, "radial-monotone", b, {"previous": a})
 
     return _run_trials("calculus", seed, trials, trial)
 
@@ -508,43 +480,20 @@ def duality_suite(trials: int = 20, seed: int = 0, inputs=(), samples: int = 15,
     _tolerances("duality", tols)
     _inputs("duality", inputs)
 
-    def trial(i, rng):
+    def trial(i, rng, tally):
         deficient = i % 2 == 1
         t1, t2, x = _duality_instance(rng, deficient)
         report = check_lattice_isomorphism(x, t1, t2, samples=samples, seed=seed + 500 + i)
-        violations = []
+        tally.fold(report.max_residual)
         surj, adj_inj = report.surjective_evidence, report.adjoint_injective_evidence
+        evidence = {"surjective": surj, "adjoint_injective": adj_inj}
         if deficient:
             if surj >= 1.0 or adj_inj >= 1.0:
-                violations.append(
-                    Violation(
-                        i,
-                        "deficient-evidence",
-                        max(surj, adj_inj),
-                        {"surjective": surj, "adjoint_injective": adj_inj},
-                    )
-                )
-        else:
-            if surj < 1.0 or adj_inj < 1.0:
-                violations.append(
-                    Violation(
-                        i,
-                        "full-rank-evidence",
-                        1.0 - min(surj, adj_inj),
-                        {"surjective": surj, "adjoint_injective": adj_inj},
-                    )
-                )
-        agree = (surj == 1.0) == (adj_inj == 1.0)
-        if not agree:
-            violations.append(
-                Violation(
-                    i,
-                    "duality-agreement",
-                    abs(surj - adj_inj),
-                    {"surjective": surj, "adjoint_injective": adj_inj},
-                )
-            )
-        return violations, report.max_residual
+                tally.flag(i, "deficient-evidence", max(surj, adj_inj), evidence)
+        elif surj < 1.0 or adj_inj < 1.0:
+            tally.flag(i, "full-rank-evidence", 1.0 - min(surj, adj_inj), evidence)
+        if (surj == 1.0) != (adj_inj == 1.0):
+            tally.flag(i, "duality-agreement", abs(surj - adj_inj), evidence)
 
     return _run_trials("duality", seed, trials, trial)
 
@@ -559,7 +508,7 @@ _MODEL_DRAWS = 10
 def jordan_model_suite(trials: int = 50, seed: int = 0, **tols) -> VerificationReport:
     (tol_resid,) = _tolerances("jordan-model", tols, certificate=1e-7)
 
-    def trial(i, rng):
+    def trial(i, rng, tally):
         # even trials: any certifiable spectrum, unitary conjugate;
         # odd trials: non-unitary similarity (cond <= 2), which forces the
         # norm cap down, so the spectrum is kept small and wide
@@ -581,23 +530,19 @@ def jordan_model_suite(trials: int = 50, seed: int = 0, **tols) -> VerificationR
             except VerificationError:
                 if draw == _MODEL_DRAWS - 1:
                     raise
-        violations = []
         for cur, nxt in zip(model.thetas, model.thetas[1:]):
             if not blaschke.divides(nxt, cur):
-                violations.append(Violation(i, "divisibility-chain", 1.0, {}))
+                tally.flag(i, "divisibility-chain", 1.0)
         if not model.thetas or not blaschke.equiv(model.thetas[0], minimal_function(t)):
-            violations.append(Violation(i, "head-minimal-function", 1.0, {}))
+            tally.flag(i, "head-minimal-function", 1.0)
         op = model.operator()
-        worst = 0.0
         for a, b, direction in ((t, op, "forward"), (op, t, "backward")):
             x = find_quasiaffinity(a, b, seed=seed + i)
             if x is None:
-                violations.append(Violation(i, f"certificate-{direction}", 1.0, {}))
+                tally.flag(i, f"certificate-{direction}", 1.0)
                 continue
             resid = float(op_norm(x @ a - b @ x))
-            worst = max(worst, resid)
-            if resid > tol_resid:
-                violations.append(Violation(i, f"certificate-{direction}", resid, {}))
+            tally.check(i, f"certificate-{direction}", resid, tol_resid)
         q = random_unitary(rng, n) if cond == 1.0 else random_well_conditioned(rng, n, cond_cap=cond)
         conjugate = q @ t @ np.linalg.inv(q)
         model2 = jordan_model(conjugate, seed=seed + i, verify=False)
@@ -606,18 +551,11 @@ def jordan_model_suite(trials: int = 50, seed: int = 0, **tols) -> VerificationR
             for a, b in zip(model.thetas, model2.thetas)
         )
         if not same:
-            violations.append(
-                Violation(
-                    i,
-                    "similarity-invariance",
-                    1.0,
-                    {
-                        "model": [str(th) for th in model.thetas],
-                        "conjugate": [str(th) for th in model2.thetas],
-                    },
-                )
-            )
-        return violations, worst
+            witness = {
+                "model": [str(th) for th in model.thetas],
+                "conjugate": [str(th) for th in model2.thetas],
+            }
+            tally.flag(i, "similarity-invariance", 1.0, witness)
 
     return _run_trials("jordan-model", seed, trials, trial)
 

@@ -299,6 +299,23 @@ def test_verify_rejects_input_files_of_the_wrong_kind(capsys, files, suite):
     assert _one_error_line(err) and "input 1 is a" in err
 
 
+def test_x3_transfer_rejects_a_matrix_that_is_not_c0(capsys, files):
+    path = files["tmp"] / "expanding.json"
+    path.write_text(json.dumps(encode_matrix(np.diag([2.0, 0.1]))))
+    code, out, err = run(capsys, "verify", "x3-transfer", str(path), "--trials", "2")
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "C0" in err
+
+
+@pytest.mark.parametrize("suite", ["calculus", "modular-thm97", "x3-transfer"])
+def test_verify_rejects_a_matrix_that_is_not_square(capsys, files, suite):
+    path = files["tmp"] / "wide.json"
+    path.write_text(json.dumps(encode_matrix(np.array([[0.1, 0.2]]))))
+    code, out, err = run(capsys, "verify", suite, str(path), "--trials", "1")
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "input 1 has shape (1, 2)" in err
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     assert main(["verify", "nosuch"]) == 2
 

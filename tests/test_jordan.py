@@ -88,6 +88,39 @@ def test_size_cap():
         intertwiner_space(np.zeros((17, 17)), np.zeros((17, 17)))
 
 
+def frobenius_gantmacher(s1, s2) -> int:
+    """dim{X : X T1 = T2 X} for Jordan structures [(eigenvalue, block sizes)]:
+    the sum over shared eigenvalues of sum_{i,j} min(p_i, q_j) (Gantmacher,
+    Theory of Matrices, ch. VIII)."""
+    sizes2 = dict(s2)
+    return sum(min(p, q) for lam, ps in s1 for p in ps for q in sizes2.get(lam, ()))
+
+
+def jordan_pair_member(rng, eigenvalues):
+    """A random Jordan structure over eigenvalues[0] and one other eigenvalue,
+    and a well-conditioned similarity of the matrix it describes."""
+    chosen = (eigenvalues[0], eigenvalues[int(rng.integers(1, len(eigenvalues)))])
+    structure = [
+        (lam, sorted(rng.integers(1, 4, size=int(rng.integers(1, 3))).tolist(), reverse=True))
+        for lam in chosen
+    ]
+    blocks = [lam * np.eye(p) + np.eye(p, k=-1) for lam, sizes in structure for p in sizes]
+    j = scipy.linalg.block_diag(*blocks).astype(complex)
+    q = random_well_conditioned(rng, j.shape[0], cond_cap=3.0)
+    return q @ j @ np.linalg.inv(q), structure
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_intertwiner_dimension_matches_frobenius_gantmacher(seed):
+    rng = np.random.default_rng(seed)
+    eigenvalues = (0.3, -0.2 + 0.4j, -0.5j)
+    t1, s1 = jordan_pair_member(rng, eigenvalues)
+    t2, s2 = jordan_pair_member(rng, eigenvalues)
+    expected = frobenius_gantmacher(s1, s2)
+    assert expected > 0  # eigenvalues[0] is shared
+    assert intertwiner_space(t1, t2).dimension == expected
+
+
 # --- quasiaffinity / quasisimilarity ------------------------------------------------
 
 def test_identity_is_found():
@@ -335,6 +368,15 @@ def test_x3_pulls_each_subspace_back_once(monkeypatch):
     theorem_x3_verifier(t1, t2, q / op_norm(q), samples=samples, seed=1)
     assert len(set(pulled)) == len(pulled)
     assert len(pulled) < 3 * samples
+
+
+def test_x3_requires_c0_t1():
+    # T1 = diag(2, 0.1) is no contraction; T2 = Q T1 Q^{-1} is only checked
+    # through the intertwining
+    t1 = np.diag([2.0, 0.1]).astype(complex)
+    q = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(NotC0Error):
+        theorem_x3_verifier(t1, q @ t1 @ np.linalg.inv(q), q / op_norm(q), samples=2)
 
 
 def test_x3_rejects_rank_deficient():

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from c0lat.blaschke import BlaschkeProduct
+from c0lat.blaschke import BlaschkeProduct, elementary
+from c0lat.calculus import is_c0
 from c0lat.jordan import lattice_preimage
-from c0lat.modelspace import enumerate_lattice
+from c0lat.modelspace import compressed_shift, enumerate_lattice
 from c0lat.sampling import certifiable_c0, sample_invariant_subspaces
 from c0lat.subspace import (
     TOL_ORTHO,
@@ -338,3 +340,18 @@ def test_from_subspaces_finds_generic_line_violation():
     lat, closed = FiniteLattice.from_subspaces(lines)
     assert not lattice_is_distributive(lat).passed
     assert lattice_is_modular(lat).passed  # M3-shaped: modular, not distributive
+
+
+def test_derogatory_c0_lattice_is_modular_not_distributive():
+    # Brickman-Fillmore negative control: T = 0.5 I_2 (+) S(b_0.3) is C0 and
+    # derogatory, so every line of its 0.5-eigenspace is invariant and three
+    # of them close to the diamond M3
+    t = scipy.linalg.block_diag(0.5 * np.eye(2), compressed_shift(elementary(0.3)).matrix)
+    assert is_c0(t)
+    lines = [span_of([1, 0, 0]), span_of([0, 1, 0]), span_of([1, 1, 0])]
+    assert all(is_invariant(t, m).invariant for m in lines)
+    lat, closed = FiniteLattice.from_subspaces(lines)
+    assert lat.n == 5
+    assert lattice_is_modular(lat).passed
+    verdict = lattice_is_distributive(lat)
+    assert not verdict.passed and verdict.witness is not None

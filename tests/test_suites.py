@@ -1,5 +1,5 @@
 """Suite machinery: the divisor-indexed distributive suite, the shared
-lattice-law checker and thm97's input-file path."""
+lattice-law checker, thm97's input-file path and the per-trial tally."""
 
 from itertools import permutations
 
@@ -10,6 +10,7 @@ from c0lat import blaschke, subspace, suites
 from c0lat.blaschke import BlaschkeProduct
 from c0lat.jordan import theorem97_verifier
 from c0lat.sampling import certifiable_c0
+from c0lat.serialize import stable_json_bytes
 from c0lat.subspace import FiniteLattice, law_failures
 
 # 3 * 2 * 2 = 12 divisors
@@ -63,3 +64,32 @@ def test_thm97_inputs_run_one_verifier_call_per_matrix(tols):
     assert report.max_residual == max(p.max_residual for p in parts)
     if tols:
         assert all(p.violations for p in parts)
+
+
+def test_flagged_residuals_are_not_folded_into_the_maximum():
+    # a contraction always breaks contractive=-1 and every divisor norm
+    # sits below floor=2; neither bound is a residual tolerance
+    calculus = suites.calculus_suite(trials=20, contractive=-1)
+    prop14 = suites.prop14_suite(trials=10, floor=2)
+    for report, kind in ((calculus, "contractivity"), (prop14, "maximality")):
+        flagged = [v.residual for v in report.violations if v.kind == kind]
+        assert flagged and min(flagged) > report.max_residual
+
+
+def test_inner_violations_carry_the_outer_trial():
+    report = suites.thm97_suite(trials=3, modular=1e-16)
+    assert report.violations
+    for v in report.violations:
+        assert 0 <= v.trial < 3 and "inner_trial" in v.witness
+
+
+def test_threaded_trials_give_the_serial_bytes(monkeypatch):
+    def report_bytes():
+        report = suites.calculus_suite(trials=30, seed=4, contractive=-1)
+        assert report.violations
+        return stable_json_bytes(report.to_json_dict())
+
+    monkeypatch.setenv("C0LAT_THREADS", "1")
+    serial = report_bytes()
+    monkeypatch.setenv("C0LAT_THREADS", "2")
+    assert report_bytes() == serial
