@@ -25,15 +25,13 @@ The two theorem verifiers replay proofs on concrete samples:
   Y_*(M1 ∩ M2) = Y_*(M1) ∩ Y_*(M2), and that modularity transfers.
 
 Both verifiers run one sampled-triple loop (``_triples``): a pool of
-invariant subspaces, triples (L, M, N) with N = L ∧ R ⊆ L, the modular
-residual ``_modular`` and one tally of violations and the largest residual
-(``_Tally``, the recorder every suite trial in :mod:`c0lat.suites` uses
-too); each verifier adds only its own checks.  The same meets,
-joins, preimages and distances recur across triples, so within one
-verifier call each lattice operation is computed once per distinct input
-(subspaces are compared by the bytes of their bases) and the result is
-reused; equal input bits give equal output bits, so reports are unchanged
-by the reuse.
+invariant subspaces reduced to its distinct members, each labelled by
+its index (equal subspaces share one basis), and label triples (L, M, N)
+with N = L ∧ R ⊆ L.  A verifier checks each distinct triple once, in a
+cached function that records into a tally of its own (``_Tally``, the
+recorder every suite trial in :mod:`c0lat.suites` uses too), and replays
+that tally under every trial that drew the triple; the modular residual
+is ``_modular``.
 
 In finite dimensions Lat(T) is a sublattice of the lattice of all
 subspaces of C^n, which is modular, so neither verifier can find a
@@ -44,7 +42,8 @@ paper's infinite-dimensional content, where a join is the closure of a
 sum, is out of their reach.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cache
 
 import numpy as np
 import scipy.linalg
@@ -250,14 +249,7 @@ class LatticeMapReport:
                 raise ValueError(f"{name} must lie in [0, 1]; got {v}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "surjective_evidence": self.surjective_evidence,
-            "injective_evidence": self.injective_evidence,
-            "adjoint_surjective_evidence": self.adjoint_surjective_evidence,
-            "adjoint_injective_evidence": self.adjoint_injective_evidence,
-            "max_residual": self.max_residual,
-        }
+        return asdict(self)
 
 
 def _surjectivity_evidence(x, t_target, samples, rng):
@@ -394,6 +386,11 @@ def jordan_model(t, seed: int = 0, verify: bool = True) -> JordanModel:
     return model
 
 
+def _finite(x):
+    """``x``, or None when it is NaN or infinite, which JSON lacks."""
+    return x if np.isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class Violation:
     trial: int
@@ -405,7 +402,7 @@ class Violation:
         return {
             "trial": self.trial,
             "kind": self.kind,
-            "residual": self.residual,
+            "residual": _finite(self.residual),
             "witness": self.witness,
         }
 
@@ -430,71 +427,66 @@ class VerificationReport:
             "seed": self.seed,
             "trials": self.trials,
             "violations": [v.to_json_dict() for v in self.violations],
-            "max_residual": self.max_residual,
+            "max_residual": _finite(self.max_residual),
             "passed": self.passed,
         }
-
-
-def _memo():
-    """``memo(fn, *args)``: ``fn(*args)``, computed once per distinct input.
-
-    A :class:`Subspace` argument is keyed by its basis shape and bytes, any
-    other argument by ``id``, so the caller keeps those alive and unchanged
-    for as long as it uses the memo (one verifier call).
-    """
-    cache = {}
-
-    def memo(fn, *args):
-        key = (fn, *[
-            (a.basis.shape, a.basis.tobytes()) if isinstance(a, Subspace) else id(a)
-            for a in args
-        ])
-        if key not in cache:
-            cache[key] = fn(*args)
-        return cache[key]
-
-    return memo
 
 
 def _restriction(t, s: Subspace) -> np.ndarray:
     return s.basis.conj().T @ t @ s.basis
 
 
-def _triples(t, count, seed, memo):
-    """``(trial, L, M, N)`` for ``count`` sampled invariant triples of T with
-    N = L ∧ R ⊆ L: L, M and R come from one pool of ``max(12, n + 4)``
-    members drawn from ``default_rng(seed)``, and trial i picks its three
-    indices from ``default_rng(seed + 1 + i)``."""
+def _triples(t, count, seed):
+    """The distinct members of a pool of invariant subspaces of T, and
+    ``(trial, i, j, k)`` for ``count`` triples (L, M, N) of members with
+    N = L ∧ R ⊆ L.  The pool of ``max(12, n + 4)`` comes from
+    ``default_rng(seed)``, and trial i draws L, M and R from it with
+    ``default_rng(seed + 1 + i)``.  The first pool member of each ``equals``
+    class represents it; a meet L ∧ R is labelled by the member it equals,
+    or becomes a new one."""
     pool = sample_invariant_subspaces(t, max(12, t.shape[0] + 4), np.random.default_rng(seed))
+    members = []
+
+    def label(s):
+        for k, member in enumerate(members):
+            if equals(member, s):
+                return k
+        members.append(s)
+        return len(members) - 1
+
+    labels = [label(s) for s in pool]
+    meets = cache(lambda i, r: label(meet(members[i], members[r])))
+    draws = []
     for trial in range(count):
         rng = np.random.default_rng(seed + 1 + trial)
-        i1, i2, ir = (int(rng.integers(len(pool))) for _ in range(3))
-        yield trial, pool[i1], pool[i2], memo(meet, pool[i1], pool[ir])
+        i, j, r = (labels[rng.integers(len(pool))] for _ in range(3))
+        draws.append((trial, i, j, meets(i, r)))
+    return members, draws
 
 
-def _modular(memo, l, m, n) -> float:
-    """The residual of ``L ∧ (M ∨ N) = (L ∧ M) ∨ N``; requires ``N ⊆ L``.
-
-    Every step goes through ``memo``, so a caller can read ``M ∨ N``,
-    ``L ∧ (M ∨ N)`` and ``L ∧ M`` back from it without recomputing them.
-    """
-    if not memo(contains, l, n):
+def _modular(l, m, n):
+    """The residual of ``L ∧ (M ∨ N) = (L ∧ M) ∨ N`` (requires ``N ⊆ L``),
+    then ``M ∨ N``, ``L ∧ (M ∨ N)`` and ``L ∧ M``."""
+    if not contains(l, n):
         raise ValueError("modular-triple precondition violated: N is not contained in L")
-    return memo(distance, memo(meet, l, memo(join, m, n)), memo(join, memo(meet, l, m), n))
+    joined, lm = join(m, n), meet(l, m)
+    inter = meet(l, joined)
+    return distance(inter, join(lm, n)), joined, inter, lm
 
 
 class _Tally:
     """The violations and the largest residual of one suite trial, one suite
-    run or one verifier call."""
+    run, one verifier call or one triple's checks."""
 
     def __init__(self):
         self.violations = []
         self.max_residual = 0.0
 
     def check(self, trial, kind, residual, tol, witness=None):
-        """Fold ``residual`` into the maximum; above ``tol`` it is a violation."""
+        """Fold ``residual`` into the maximum; unless it is at most ``tol``
+        (a NaN is not) it is a violation."""
         self.fold(residual)
-        if residual > tol:
+        if not residual <= tol:
             self.flag(trial, kind, residual, witness)
 
     def flag(self, trial, kind, residual, witness=None):
@@ -506,11 +498,12 @@ class _Tally:
 
     def absorb(self, part, trial=None):
         """Merge another tally or a report.  Given ``trial``, each violation
-        is recorded as that trial's and keeps its own index as
+        is recorded as that trial's, and one that had a trial keeps it as
         ``inner_trial``."""
         for v in part.violations:
             if trial is not None:
-                v = Violation(trial, v.kind, v.residual, {**v.witness, "inner_trial": v.trial})
+                inner = {} if v.trial is None else {"inner_trial": v.trial}
+                v = Violation(trial, v.kind, v.residual, {**v.witness, **inner})
             self.violations.append(v)
         self.fold(part.max_residual)
 
@@ -541,40 +534,40 @@ def theorem97_verifier(
         raise ValueError("theorem97_verifier is capped at size 10")
     if not is_c0(t):
         raise NotC0Error("theorem97_verifier requires a C0 matrix")
-    memo = _memo()
-    tally = _Tally()
-    for trial, m1, m2, m3 in _triples(t, triples, seed, memo):
+    members, draws = _triples(t, triples, seed)
+
+    @cache
+    def checks(i, j, k):
+        m1, m2, m3 = members[i], members[j], members[k]
+        tally = _Tally()
+        resid, joined, inter, m1m2 = _modular(m1, m2, m3)
         dims = {"dims": [m1.dim, m2.dim, m3.dim]}
-        tally.check(trial, "modular-identity", _modular(memo, m1, m2, m3), tol_modular, dims)
+        tally.check(None, "modular-identity", resid, tol_modular, dims)
         if m2.dim + m3.dim == 0:
-            continue
-        # the proof objects reuse the join, the left side and M1 ∩ M2 from the memo
-        joined, m1m2 = memo(join, m2, m3), memo(meet, m1, m2)
-        inter = memo(meet, m1, joined)
+            return tally
         # the sum map X(a2, a3) = a2 + a3 in the orthonormal basis of M2 ∨ M3
         x_mat = joined.basis.conj().T @ np.hstack([m2.basis, m3.basis])
-        t23 = np.zeros((m2.dim + m3.dim, m2.dim + m3.dim), dtype=complex)
-        t23[: m2.dim, : m2.dim] = memo(_restriction, t, m2)
-        t23[m2.dim :, m2.dim :] = memo(_restriction, t, m3)
-        tj = memo(_restriction, t, joined)
-        resid_int = op_norm(x_mat @ t23 - tj @ x_mat)
+        t23 = scipy.linalg.block_diag(_restriction(t, m2), _restriction(t, m3))
+        resid_int = op_norm(x_mat @ t23 - _restriction(t, joined) @ x_mat)
         dims = {"dims": [m2.dim, m3.dim, joined.dim]}
-        tally.check(trial, "sum-map-intertwine", resid_int, tol_intertwine, dims)
+        tally.check(None, "sum-map-intertwine", resid_int, tol_intertwine, dims)
         rank = _rank(x_mat)
         if rank != joined.dim:
             witness = {"rank": rank, "target": joined.dim}
-            tally.flag(trial, "sum-map-range", float(joined.dim - rank), witness)
+            tally.flag(None, "sum-map-range", float(joined.dim - rank), witness)
 
         embedded = Subspace.from_span(joined.basis.conj().T @ inter.basis, joined.dim)
         preimage = lattice_preimage(x_mat, embedded)
-        top = m2.basis.conj().T @ m1m2.basis
-        expected_cols = np.zeros((m2.dim + m3.dim, m1m2.dim + m3.dim), dtype=complex)
-        expected_cols[: m2.dim, : m1m2.dim] = top
-        expected_cols[m2.dim :, m1m2.dim :] = np.eye(m3.dim)
+        expected_cols = scipy.linalg.block_diag(m2.basis.conj().T @ m1m2.basis, np.eye(m3.dim))
         expected = Subspace.from_span(expected_cols, m2.dim + m3.dim)
         resid_pre = distance(preimage, expected)
         dims = {"dims": [preimage.dim, expected.dim]}
-        tally.check(trial, "preimage-identity", resid_pre, tol_preimage, dims)
+        tally.check(None, "preimage-identity", resid_pre, tol_preimage, dims)
+        return tally
+
+    tally = _Tally()
+    for trial, *labels in draws:
+        tally.absorb(checks(*labels), trial)
     return tally.report("modular-thm97", seed, triples)
 
 
@@ -602,24 +595,31 @@ def theorem_x3_verifier(
     _require_intertwiner(y, t1, t2)
     if y.shape[0] != y.shape[1] or _rank(y) != y.shape[0]:
         raise RankDeficientError("theorem_x3_verifier requires a full-rank square Y")
-    memo = _memo()
     tol_invariant = TOL_INVARIANT * max(1.0, op_norm(t1))
-    tally = _Tally()
-    for trial, *ns in _triples(t2, samples, seed, memo):
-        ms = [memo(lattice_preimage, y, n_i) for n_i in ns]
-        for i, m_i in enumerate(ms):
-            invariance = memo(is_invariant, t1, m_i).residual
-            tally.check(trial, "preimage-invariance", invariance, tol_invariant, {"index": i + 1})
-            onto = memo(distance, memo(lattice_map, y, m_i), ns[i])
-            tally.check(trial, "onto-instance", onto, tol, {"index": i + 1})
-        image = memo(lattice_map, y, memo(meet, ms[0], ms[1]))
-        tally.check(trial, "product-identity", memo(distance, image, memo(meet, ns[0], ns[1])), tol)
-        source = _modular(memo, *ms)
-        target = _modular(memo, *ns)
+    targets, draws = _triples(t2, samples, seed)
+    sources = [lattice_preimage(y, n_i) for n_i in targets]
+    invariance = [is_invariant(t1, m_i).residual for m_i in sources]
+    onto = [distance(lattice_map(y, m_i), n_i) for m_i, n_i in zip(sources, targets)]
+
+    @cache
+    def checks(*labels):
+        ns, ms = [targets[a] for a in labels], [sources[a] for a in labels]
+        tally = _Tally()
+        for index, a in enumerate(labels, 1):
+            tally.check(None, "preimage-invariance", invariance[a], tol_invariant, {"index": index})
+            tally.check(None, "onto-instance", onto[a], tol, {"index": index})
+        image = lattice_map(y, meet(ms[0], ms[1]))
+        tally.check(None, "product-identity", distance(image, meet(ns[0], ns[1])), tol)
+        source, target = _modular(*ms)[0], _modular(*ns)[0]
         tally.fold(source)
         tally.fold(target)
         if source <= tol < target:
-            tally.flag(trial, "transfer", target, {"source_residual": source})
+            tally.flag(None, "transfer", target, {"source_residual": source})
+        return tally
+
+    tally = _Tally()
+    for trial, *labels in draws:
+        tally.absorb(checks(*labels), trial)
     return tally.report("x3-transfer", seed, samples)
 
 

@@ -114,7 +114,9 @@ def _run_trials(suite, seed, trials, trial_fn, counted=None) -> VerificationRepo
     """Run trial_fn(i, rng, tally), rng seeded with seed + i and a tally of
     its own, for i below ``trials``, possibly in parallel, and merge the
     tallies in index order into a report of ``counted`` trials (default
-    ``trials``)."""
+    ``trials``); a negative seed is a ValueError."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative; got {seed}")
 
     def run(i):
         tally = _Tally()

@@ -224,10 +224,12 @@ def test_verify_json_reports_are_byte_stable(files):
     assert payload["passed"] is True
 
 
-def test_thread_count_does_not_change_report(files, monkeypatch):
+@pytest.mark.parametrize("suite", ["modular-thm97", "x3-transfer"])
+def test_thread_count_does_not_change_report(files, monkeypatch, suite):
+    # each verifier call holds its own cache while the pool runs trials
     out_a = files["tmp"] / "t1.json"
     out_b = files["tmp"] / "t4.json"
-    argv = ["verify", "modular-thm97", "--seed", "3", "--trials", "2", "--json"]
+    argv = ["verify", suite, "--seed", "3", "--trials", "2", "--json"]
     monkeypatch.setenv("C0LAT_THREADS", "1")
     assert main(argv + ["--out", str(out_a)]) == 0
     monkeypatch.setenv("C0LAT_THREADS", "4")
@@ -238,6 +240,13 @@ def test_thread_count_does_not_change_report(files, monkeypatch):
 def test_thread_count_defaults_to_one_worker(monkeypatch):
     monkeypatch.delenv("C0LAT_THREADS", raising=False)
     assert suites.thread_count() == 1
+
+
+def test_negative_seed_is_input_error(capsys):
+    code, out, err = run(capsys, "verify", "lattice-laws", "--seed", "-5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("c0lat: error: ") and err.count("\n") == 1 and "seed" in err
 
 
 def test_verify_seed_changes_report(files):

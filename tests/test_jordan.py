@@ -1,5 +1,7 @@
 """Intertwiners, quasiaffinities, lattice maps, Jordan models, verifiers."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ import scipy.linalg
 from c0lat import blaschke, calculus, jordan
 from c0lat.blaschke import BlaschkeProduct, almost_equiv, elementary, equiv, monomial, multiply
 from c0lat.calculus import NotC0Error, minimal_function
+from c0lat.cli import report_render
 from c0lat.jordan import (
     JordanModel,
     NonIntertwinerError,
@@ -343,16 +346,70 @@ def test_x3_similarity_transfer():
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-def test_verifier_memo_never_changes_report_bytes(monkeypatch, seed):
+def test_verifier_cache_never_changes_report_bytes(monkeypatch, seed):
+    # forced tolerances give every trial violations to replay
     def reports():
         return (
-            stable_json_bytes(thm97_suite(trials=2, seed=seed, triples=100).to_json_dict()),
-            stable_json_bytes(x3_suite(trials=2, seed=seed, triples=50).to_json_dict()),
+            stable_json_bytes(thm97_suite(trials=2, seed=seed, modular=1e-16).to_json_dict()),
+            stable_json_bytes(x3_suite(trials=2, seed=seed, transfer=1e-18).to_json_dict()),
         )
 
     cached = reports()
-    monkeypatch.setattr(jordan, "_memo", lambda: lambda fn, *args: fn(*args))
+    assert b'"violations":[]' not in cached[0] and b'"violations":[]' not in cached[1]
+    # without the cache every draw reruns its checks
+    monkeypatch.setattr(jordan, "cache", lambda fn: fn)
     assert reports() == cached
+
+
+def test_equal_pool_members_share_one_label(monkeypatch):
+    line = Subspace.from_span(np.array([[1.0], [1.0], [0.0]]))
+    turned = Subspace(3, line.basis * 1j)
+    assert equals(line, turned) and line.basis.tobytes() != turned.basis.tobytes()
+    pool = [Subspace.zero(3), line, turned, Subspace.full(3)]
+    monkeypatch.setattr(jordan, "sample_invariant_subspaces", lambda *args: pool)
+    members, draws = jordan._triples(np.zeros((3, 3)), 20, seed=3)
+    # the first of each class represents it
+    assert [id(m) for m in members] == [id(pool[0]), id(line), id(pool[3])]
+    labels, drawn = [0, 1, 1, 2], set()
+    for trial, i, j, k in draws:
+        rng = np.random.default_rng(3 + 1 + trial)
+        p, q, r = (int(rng.integers(len(pool))) for _ in range(3))
+        assert (i, j) == (labels[p], labels[q])
+        assert equals(members[k], jordan.meet(pool[p], pool[r]))
+        drawn |= {p, q}
+    assert {1, 2} <= drawn
+
+
+def test_verifiers_check_each_distinct_triple_once(monkeypatch):
+    t1, t2, q = similarity_pair(11, n=5)
+    seen = []
+
+    def recording(l, m, n):
+        seen.append((id(l), id(m), id(n)))
+        return modular(l, m, n)
+
+    modular = jordan._modular
+    monkeypatch.setattr(jordan, "_modular", recording)
+    distinct = {tuple(d[1:]) for d in jordan._triples(t1, 100, 5)[1]}
+    theorem97_verifier(t1, triples=100, seed=5)
+    assert len(seen) == len(set(seen)) == len(distinct) < 100
+    seen.clear()
+    distinct = {tuple(d[1:]) for d in jordan._triples(t2, 50, 1)[1]}
+    theorem_x3_verifier(t1, t2, q / op_norm(q), samples=50, seed=1)
+    # the source and the target side of each triple
+    assert len(seen) == len(set(seen)) == 2 * len(distinct)
+
+
+@pytest.mark.parametrize("residual", [float("nan"), float("inf")])
+def test_non_finite_residual_is_a_violation_that_renders(residual):
+    tally = jordan._Tally()
+    tally.check(0, "kind", 0.5, 1e-6)
+    tally.check(1, "kind", residual, 1e-6)
+    report = tally.report("suite", 0, 2)
+    assert [v.trial for v in report.violations] == [0, 1]
+    payload = json.loads(report_render(report, "json"))
+    assert payload["passed"] is False and payload["violations"][1]["residual"] is None
+    assert f"trial 1: kind residual {residual}" in report_render(report).decode()
 
 
 def test_x3_pulls_each_subspace_back_once(monkeypatch):
