@@ -77,6 +77,11 @@ class UnitDiskPoint:
         object.__setattr__(self, "value", v)
 
 
+def _canonical(zm) -> tuple:
+    """Sort key of a ``(zero, multiplicity)`` pair: real, then imaginary part."""
+    return zm[0].real, zm[0].imag
+
+
 def _coerce_zeros(zeros):
     """Normalize assorted zero inputs into a merged, canonically sorted tuple."""
     counts: dict[complex, int] = {}
@@ -93,8 +98,7 @@ def _coerce_zeros(zeros):
             raise ValueError(f"zero multiplicity must be a positive integer; got {m}")
         UnitDiskPoint(z)  # validates the disk invariant
         counts[z] = counts.get(z, 0) + m
-    ordered = sorted(counts.items(), key=lambda zm: (zm[0].real, zm[0].imag))
-    return tuple(ordered)
+    return tuple(sorted(counts.items(), key=_canonical))
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,16 @@ class BlaschkeProduct:
             raise DegreeCapError(f"degree {degree} exceeds cap {DEGREE_CAP}")
         object.__setattr__(self, "zeros", merged)
         object.__setattr__(self, "constant", c)
+
+    @classmethod
+    def _trusted(cls, zeros: tuple) -> "BlaschkeProduct":
+        """The product with constant 1 on ``(zero, multiplicity)`` pairs that
+        are validated, merged and in canonical order already, without
+        re-running the coercion and the degree cap."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "zeros", zeros)
+        object.__setattr__(b, "constant", 1.0 + 0.0j)
+        return b
 
     @property
     def degree(self) -> int:
@@ -217,18 +231,25 @@ def divides(b1: BlaschkeProduct, b2: BlaschkeProduct) -> bool:
 def gcd(b1: BlaschkeProduct, b2: BlaschkeProduct) -> BlaschkeProduct:
     """Greatest common inner divisor: pointwise minimum of multiplicities, constant 1."""
     other = b2.zero_multiset()
+    # a subsequence of b1's canonical zeros, of degree at most b1's
     zeros = tuple(
         (z, min(m, other[z])) for z, m in b1.zeros if other.get(z, 0) > 0
     )
-    return BlaschkeProduct(zeros)
+    return BlaschkeProduct._trusted(zeros)
 
 
 def lcm(b1: BlaschkeProduct, b2: BlaschkeProduct) -> BlaschkeProduct:
-    """Least common inner multiple: pointwise maximum of multiplicities, constant 1."""
+    """Least common inner multiple: pointwise maximum of multiplicities, constant 1.
+
+    Raises :class:`DegreeCapError` when that degree exceeds ``DEGREE_CAP``.
+    """
     counts = b1.zero_multiset()
     for z, m in b2.zeros:
         counts[z] = max(counts.get(z, 0), m)
-    return BlaschkeProduct(tuple(counts.items()))
+    degree = sum(counts.values())
+    if degree > DEGREE_CAP:
+        raise DegreeCapError(f"degree {degree} exceeds cap {DEGREE_CAP}")
+    return BlaschkeProduct._trusted(tuple(sorted(counts.items(), key=_canonical)))
 
 
 def equiv(b1: BlaschkeProduct, b2: BlaschkeProduct) -> bool:

@@ -55,6 +55,17 @@ def _parse_tolerances(pairs) -> dict:
     return out
 
 
+def _seed(text: str) -> int:
+    """argparse type of every ``--seed``: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer; got {text!r}")
+    return seed
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="c0lat",
@@ -110,17 +121,17 @@ def _parser() -> argparse.ArgumentParser:
     jordan_sub = jordan.add_subparsers(dest="action", required=True)
     p = jordan_sub.add_parser("model", help="Jordan model of a C0 matrix")
     p.add_argument("matrix")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _output_flags(p)
     p = jordan_sub.add_parser("quasisim", help="are two matrices quasisimilar?")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _output_flags(p)
     p = jordan_sub.add_parser("intertwine", help="dimension and max rank of the intertwiner space")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _output_flags(p)
 
     verify = sub.add_parser(
@@ -137,7 +148,7 @@ def _parser() -> argparse.ArgumentParser:
         help="optional input files; matrices fix the operator under test, "
         "Blaschke files fix theta",
     )
-    verify.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
+    verify.add_argument("--seed", type=_seed, default=0, help="64-bit seed (default 0)")
     verify.add_argument("--trials", type=int, default=100, help="trial count (default 100)")
     verify.add_argument(
         "--tol",

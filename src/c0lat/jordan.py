@@ -436,6 +436,15 @@ def _restriction(t, s: Subspace) -> np.ndarray:
     return s.basis.conj().T @ t @ s.basis
 
 
+def _direct_sum(a, b) -> np.ndarray:
+    """The complex block-diagonal matrix ``a ⊕ b``."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    out = np.zeros((ra + rb, ca + cb), dtype=complex)
+    out[:ra, :ca] = a
+    out[ra:, ca:] = b
+    return out
+
+
 def _triples(t, count, seed):
     """The distinct members of a pool of invariant subspaces of T, and
     ``(trial, i, j, k)`` for ``count`` triples (L, M, N) of members with
@@ -547,7 +556,7 @@ def theorem97_verifier(
             return tally
         # the sum map X(a2, a3) = a2 + a3 in the orthonormal basis of M2 ∨ M3
         x_mat = joined.basis.conj().T @ np.hstack([m2.basis, m3.basis])
-        t23 = scipy.linalg.block_diag(_restriction(t, m2), _restriction(t, m3))
+        t23 = _direct_sum(_restriction(t, m2), _restriction(t, m3))
         resid_int = op_norm(x_mat @ t23 - _restriction(t, joined) @ x_mat)
         dims = {"dims": [m2.dim, m3.dim, joined.dim]}
         tally.check(None, "sum-map-intertwine", resid_int, tol_intertwine, dims)
@@ -558,7 +567,7 @@ def theorem97_verifier(
 
         embedded = Subspace.from_span(joined.basis.conj().T @ inter.basis, joined.dim)
         preimage = lattice_preimage(x_mat, embedded)
-        expected_cols = scipy.linalg.block_diag(m2.basis.conj().T @ m1m2.basis, np.eye(m3.dim))
+        expected_cols = _direct_sum(m2.basis.conj().T @ m1m2.basis, np.eye(m3.dim))
         expected = Subspace.from_span(expected_cols, m2.dim + m3.dim)
         resid_pre = distance(preimage, expected)
         dims = {"dims": [preimage.dim, expected.dim]}

@@ -18,8 +18,16 @@ them ``meet`` and ``join``, ``cyclic_subspace``, the Schur prefixes of
 :func:`~c0lat.sampling.sample_invariant_subspaces` and
 :meth:`~c0lat.modelspace.ModelSpace.divisor_subspace`) skip that Gram check;
 the test suite holds them to ``TOL_ORTHO`` instead.
+
+``contains`` decides ``||B - P_A B||_2 <= TOL_EQUALS`` from the Frobenius
+norm of the residual, which brackets the spectral norm within a factor
+``sqrt(dim B)``; it takes an SVD only when the Frobenius norm falls in that
+gap, so its verdicts are the SVD's.  ``equals`` answers False for unequal
+dimensions without projecting.  Every reported residual (``distance``,
+``is_invariant``) keeps the SVD.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -213,16 +221,32 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
-    """True iff ``b`` lies inside ``a`` within ``TOL_EQUALS``."""
+    """True iff ``b`` lies inside ``a``: the residual ``R = B - P_A B`` of
+    ``b``'s basis has spectral norm at most ``TOL_EQUALS``.
+
+    ``||R||_2 <= ||R||_F <= sqrt(k) ||R||_2`` for the k columns of ``R``, so
+    the Frobenius norm decides every case outside the gap
+    ``(TOL_EQUALS, sqrt(k) TOL_EQUALS]``; only there is the SVD taken.
+    """
     _check_same_ambient(a, b)
     if b.dim == 0:
         return True
     resid = b.basis - a.project(b.basis)
+    frob = math.sqrt(np.vdot(resid, resid).real)
+    if frob <= TOL_EQUALS:
+        return True
+    if frob > math.sqrt(b.dim) * TOL_EQUALS:
+        return False
     return op_norm(resid) <= TOL_EQUALS
 
 
 def equals(a: Subspace, b: Subspace) -> bool:
-    """Mutual containment."""
+    """Mutual containment.  Subspaces of different dimensions are never
+    equal: the larger has a unit vector orthogonal to the smaller, so its
+    containment residual is 1."""
+    _check_same_ambient(a, b)
+    if a.dim != b.dim:
+        return False
     return contains(a, b) and contains(b, a)
 
 
@@ -424,7 +448,7 @@ class FiniteLattice:
 
         def locate(s: Subspace) -> int | None:
             for idx, e in enumerate(elements):
-                if s.dim == e.dim and equals(s, e):
+                if equals(s, e):
                     return idx
             return None
 

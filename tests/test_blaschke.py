@@ -191,6 +191,19 @@ def test_gcd_lcm_multiset_oracle(b1, b2):
     assert multiset(lcm(b1, b2)) == m1 | m2
     assert gcd(b1, b2).degree + lcm(b1, b2).degree == b1.degree + b2.degree
     assert multiset(multiply(gcd(b1, b2), lcm(b1, b2))) == multiset(multiply(b1, b2))
+    # canonical form: the same zeros tuple and constant as the public constructor gives
+    for result in (gcd(b1, b2), lcm(b1, b2)):
+        canonical = BlaschkeProduct(result.zeros)
+        assert result.zeros == canonical.zeros and result.constant == canonical.constant
+
+
+def test_lcm_keeps_the_degree_cap():
+    b1 = BlaschkeProduct(((0.5 + 0j, 40),))
+    b2 = BlaschkeProduct(((-0.5 + 0j, 40),))
+    assert gcd(b1, b2).degree == 0
+    assert lcm(b1, b1) == b1
+    with pytest.raises(DegreeCapError, match="degree 80 exceeds cap 64"):
+        lcm(b1, b2)
 
 
 @settings(max_examples=150, deadline=None)

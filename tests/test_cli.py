@@ -242,11 +242,25 @@ def test_thread_count_defaults_to_one_worker(monkeypatch):
     assert suites.thread_count() == 1
 
 
-def test_negative_seed_is_input_error(capsys):
-    code, out, err = run(capsys, "verify", "lattice-laws", "--seed", "-5")
+@pytest.mark.parametrize(
+    "command, inputs",
+    [
+        (("verify",), ("lattice-laws",)),
+        (("jordan", "model"), ("diag",)),
+        (("jordan", "quasisim"), ("diag", "diag")),
+        (("jordan", "intertwine"), ("diag", "diag")),
+    ],
+    ids=["verify", "jordan-model", "jordan-quasisim", "jordan-intertwine"],
+)
+def test_negative_seed_is_input_error(capsys, files, command, inputs):
+    paths = [files.get(name, name) for name in inputs]
+    code, out, err = run(capsys, *command, *paths, "--seed", "-5")
     assert code == 2
     assert out == ""
-    assert err.startswith("c0lat: error: ") and err.count("\n") == 1 and "seed" in err
+    assert err.splitlines()[-1] == (
+        f"c0lat {' '.join(command)}: error: argument --seed: "
+        "must be a non-negative integer; got '-5'"
+    )
 
 
 def test_verify_seed_changes_report(files):

@@ -380,6 +380,17 @@ def test_equal_pool_members_share_one_label(monkeypatch):
     assert {1, 2} <= drawn
 
 
+@pytest.mark.parametrize(
+    "shapes", [((2, 2), (3, 3)), ((0, 0), (2, 2)), ((3, 1), (2, 0)), ((2, 3), (1, 1))]
+)
+def test_direct_sum_is_block_diag_bit_for_bit(shapes):
+    rng = np.random.default_rng(4)
+    a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)
+    for pair in ((a, b), (a, np.eye(b.shape[0]))):
+        got, expected = jordan._direct_sum(*pair), scipy.linalg.block_diag(*pair)
+        assert got.shape == expected.shape and got.tobytes() == expected.astype(complex).tobytes()
+
+
 def test_verifiers_check_each_distinct_triple_once(monkeypatch):
     t1, t2, q = similarity_pair(11, n=5)
     seen = []

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from c0lat import subspace
 from c0lat.blaschke import BlaschkeProduct, elementary
 from c0lat.calculus import is_c0
 from c0lat.jordan import lattice_preimage
 from c0lat.modelspace import compressed_shift, enumerate_lattice
 from c0lat.sampling import certifiable_c0, sample_invariant_subspaces
 from c0lat.subspace import (
+    TOL_EQUALS,
     TOL_ORTHO,
     FiniteLattice,
     Subspace,
@@ -174,6 +176,66 @@ def test_contains_examples():
     rng = np.random.default_rng(5)
     a, b = random_subspace(rng, 5, 2), random_subspace(rng, 5, 2)
     assert contains(join(a, b), a)
+
+
+def planted(rng, n, p, sines):
+    """``A`` of dimension ``p`` and ``B`` whose containment residual in ``A``
+    has the singular values ``sines``: column j of ``B`` leans off the j-th
+    basis vector of ``A`` towards the j-th vector of its complement."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    k = len(sines)
+    angles = np.arcsin(sines)
+    b = np.cos(angles) * q[:, :k] + np.sin(angles) * q[:, p : p + k]
+    return Subspace(n, q[:, :p]), Subspace(n, b)
+
+
+def spectral_contains(a, b):
+    return op_norm(b.basis - a.project(b.basis)) <= TOL_EQUALS
+
+
+def test_contains_and_equals_agree_with_the_spectral_residual():
+    # residuals below TOL_EQUALS, inside the Frobenius gap (TOL, sqrt(k) TOL]
+    # and above it; the verdicts must be the SVD's in all three
+    rng = np.random.default_rng(11)
+    regions = set()
+    for _ in range(300):
+        k = int(rng.integers(1, 5))
+        p = int(rng.integers(k, 6))
+        sines = TOL_EQUALS * rng.uniform(0.0, 1.5, k) ** 2
+        a, b = planted(rng, 9, p, sines)
+        frob = np.linalg.norm(b.basis - a.project(b.basis))
+        region = int(frob > TOL_EQUALS) + int(frob > np.sqrt(k) * TOL_EQUALS)
+        regions.add((region, spectral_contains(a, b)))
+        assert contains(a, b) == spectral_contains(a, b)
+        square, b = planted(rng, 9, k, sines)  # equal dimensions
+        expected = spectral_contains(square, b) and spectral_contains(b, square)
+        assert equals(square, b) == expected == equals(b, square)
+    # the gap holds residuals on both sides of the tolerance
+    assert regions == {(0, True), (1, True), (1, False), (2, False)}
+
+
+def test_contains_decides_clear_cases_without_an_svd(monkeypatch):
+    def no_svd(m):
+        raise AssertionError("op_norm called")
+
+    monkeypatch.setattr(subspace, "op_norm", no_svd)
+    rng = np.random.default_rng(3)
+    assert contains(Subspace.full(3), line(3, 1))
+    assert not contains(Subspace.zero(3), line(3, 1))
+    a, b = random_subspace(rng, 6, 2), random_subspace(rng, 6, 3)
+    assert contains(join(a, b), a) and contains(join(a, b), b)
+    assert not contains(a, b) and not contains(b, a)
+    assert contains(*planted(rng, 6, 3, [1e-9, 1e-9, 1e-9]))
+    assert not contains(*planted(rng, 6, 3, [1e-6, 0.0, 0.0]))
+    assert equals(a, Subspace.from_span(a.basis @ rng.standard_normal((2, 2))))
+    assert not equals(a, b) and not equals(a, join(a, b))
+
+
+def test_equals_rejects_mismatched_ambients():
+    with pytest.raises(ValueError):
+        equals(line(2, 0), line(3, 0))
+    with pytest.raises(ValueError):
+        equals(Subspace.zero(2), line(3, 0))
 
 
 def test_distance():
