@@ -18,6 +18,7 @@ should use :func:`almost_equiv` instead of :func:`equiv`.
 """
 
 import itertools
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,36 @@ class UnitDiskPoint:
                 f"unit-disk point must satisfy |z| < 1 - {_UNIT_TOL:g}; got |z| = {abs(v):.17g}"
             )
         object.__setattr__(self, "value", v)
+
+
+def _json_field(data, key: str, kind, payload: str, path: str = ""):
+    """``data[key]`` from the object at ``path`` of a decoded JSON
+    ``payload``, checked to be a ``kind``: ``dict``, ``list``, ``int`` or
+    ``float`` (any JSON number, returned as a float); a boolean is neither
+    number.  A missing or mistyped field is a ValueError naming it."""
+    if not isinstance(data, dict):
+        where = f"{payload}: {path}" if path else payload
+        raise ValueError(f"{where} must be a JSON object; got {json.dumps(data)}")
+    field = f"{path}.{key}" if path else key
+    if key not in data:
+        raise ValueError(f"{payload} has no field {field}")
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        wanted = {dict: "an object", list: "a list", int: "an integer", float: "a number"}[kind]
+        raise ValueError(f"{payload}: {field} must be {wanted}; got {json.dumps(value)}")
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{payload}: {field} is too large for a float") from None
+    return value
+
+
+def _complex_field(data, payload: str, path: str) -> complex:
+    """The complex number ``{"re": x, "im": y}`` at ``path`` of ``payload``."""
+    return complex(
+        _json_field(data, "re", float, payload, path), _json_field(data, "im", float, payload, path)
+    )
 
 
 def _canonical(zm) -> tuple:
@@ -161,12 +192,21 @@ class BlaschkeProduct:
 
     @classmethod
     def from_json_dict(cls, data) -> "BlaschkeProduct":
-        zeros = [
-            (complex(item["re"], item["im"]), int(item["mult"]))
-            for item in data["zeros"]
-        ]
-        c = data.get("constant", {"re": 1.0, "im": 0.0})
-        return cls(tuple(zeros), complex(c["re"], c["im"]))
+        """The product of a ``to_json_dict`` payload; ``constant`` may be
+        left out.  A payload of the wrong shape (not an object, a
+        non-numeric ``re`` or ``im``, a ``mult`` that is not a JSON
+        integer) is a ValueError naming the field."""
+        payload = "Blaschke payload"
+        zeros = tuple(
+            (
+                _complex_field(item, payload, f"zeros[{k}]"),
+                _json_field(item, "mult", int, payload, f"zeros[{k}]"),
+            )
+            for k, item in enumerate(_json_field(data, "zeros", list, payload))
+        )
+        if "constant" not in data:
+            return cls(zeros)
+        return cls(zeros, _complex_field(data["constant"], payload, "constant"))
 
     def __str__(self):
         if not self.zeros:

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct
+from .blaschke import BlaschkeProduct, _json_field
 
 __all__ = [
     "decode_blaschke_file",
@@ -31,17 +31,36 @@ def decode_blaschke_file(path) -> BlaschkeProduct:
 
 
 def decode_matrix_file(path) -> np.ndarray:
+    """The matrix of an ``encode_matrix`` payload file.  A payload of the
+    wrong shape (not an object, a non-integer ``rows`` or ``cols``, an entry
+    that is not a ``[re, im]`` pair of numbers) is a ValueError naming the
+    field."""
     data = load_json(path)
-    rows, cols = int(data["rows"]), int(data["cols"])
-    entries = data["entries"]
-    if len(entries) != rows or any(len(r) != cols for r in entries):
+    rows = _json_field(data, "rows", int, "matrix payload")
+    cols = _json_field(data, "cols", int, "matrix payload")
+    entries = _json_field(data, "entries", list, "matrix payload")
+    if len(entries) != rows or any(not isinstance(r, list) or len(r) != cols for r in entries):
         raise ValueError(f"matrix payload does not match shape {rows}x{cols}")
     matrix = np.array(
-        [[complex(re, im) for re, im in row] for row in entries], dtype=complex
+        [[_matrix_entry(entry, i, j) for j, entry in enumerate(row)] for i, row in enumerate(entries)],
+        dtype=complex,
     )
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix payload has a non-finite entry")
     return matrix
+
+
+def _matrix_entry(entry, i: int, j: int) -> complex:
+    """The complex value of the ``[re, im]`` pair at ``entries[i][j]``."""
+    if isinstance(entry, list) and len(entry) == 2:
+        if not any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entry):
+            try:
+                return complex(*entry)
+            except OverflowError:
+                pass
+    raise ValueError(
+        f"matrix payload: entries[{i}][{j}] must be a [re, im] pair of numbers; got {json.dumps(entry)}"
+    )
 
 
 def encode_matrix(matrix) -> dict:

@@ -25,6 +25,16 @@ norm of the residual, which brackets the spectral norm within a factor
 gap, so its verdicts are the SVD's.  ``equals`` answers False for unequal
 dimensions without projecting.  Every reported residual (``distance``,
 ``is_invariant``) keeps the SVD.
+
+``closure(pairs)`` (the meets and joins of many pairs) and
+``equalities(pairs)`` (their ``equals`` verdicts) are the batched entry
+points: they group the pairs by shape and run each group through stacked
+matmuls and LAPACK calls.  They and the scalar ``meet``, ``join``,
+``from_span``, ``contains`` and ``equals`` share the private kernels
+``_principal`` (the cosine SVD, the principal directions and the
+``TOL_MEET_ANGLE`` mask), ``_leading`` (the ``TOL_RANK`` cut) and
+``_inside`` (the containment rule above), so each rule lives in one place
+and a batched result is the scalar one bit for bit.
 """
 
 import math
@@ -46,10 +56,12 @@ __all__ = [
     "TripleVerdict",
     "check_distributive_triple",
     "check_modular_triple",
+    "closure",
     "contains",
     "cyclic_multiplicity",
     "cyclic_subspace",
     "distance",
+    "equalities",
     "equals",
     "is_invariant",
     "join",
@@ -137,10 +149,7 @@ class Subspace:
         if a.shape[1] == 0:
             return cls.zero(n)
         u, s, _ = np.linalg.svd(a, full_matrices=False)
-        if s.size == 0 or s[0] <= 0:
-            return cls.zero(n)
-        r = int(np.sum(s > TOL_RANK * s[0]))
-        return cls._trusted(n, u[:, :r])
+        return _leading(n, u, s)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -158,8 +167,7 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
     def project(self, vectors) -> np.ndarray:
-        v = np.asarray(vectors, dtype=complex)
-        return self.basis @ (self.basis.conj().T @ v)
+        return _project(self.basis, np.asarray(vectors, dtype=complex))
 
     def to_json_dict(self) -> dict:
         return {
@@ -192,6 +200,56 @@ def _check_same_ambient(a: Subspace, b: Subspace):
         )
 
 
+# The scalar operations and the batched ones (closure, equalities) share
+# the kernels below.  _leading, _project and _principal take one basis
+# (n x k) or a (P, n, k) stack of them and work slice by slice: a slice of
+# a stacked matmul or SVD is bitwise the 2-D call on that slice, so the
+# batched entry points give the scalar bits.  _inside judges one residual.
+
+def _leading(n: int, u, s):
+    """The span of the columns of ``u`` whose singular values in ``s``
+    exceed ``TOL_RANK`` times the largest: a Subspace of C^n, or a list of
+    them for a stack."""
+    ranks = (s > TOL_RANK * s[..., :1]).sum(-1)
+    if u.ndim == 2:
+        return Subspace._trusted(n, u[:, :ranks])
+    return [Subspace._trusted(n, x[:, :r]) for x, r in zip(u, ranks)]
+
+
+def _project(a, v):
+    """``P_A v``, the projection of ``v`` onto the span of the basis ``a``."""
+    return a @ (a.conj().swapaxes(-1, -2) @ v)
+
+
+def _principal(a, b):
+    """The principal directions of span(b) against span(a), ``b``'s basis
+    rotated by the right singular vectors of the cosine matrix ``A^H B``,
+    and the mask of those whose principal angle is at most
+    ``TOL_MEET_ANGLE``.  The angle is measured through the projection
+    residual (the sine of the angle), which stays well conditioned where
+    the cosine saturates."""
+    _, _, vh = np.linalg.svd(a.conj().swapaxes(-1, -2) @ b)
+    w = b @ vh.conj().swapaxes(-1, -2)
+    sines = np.linalg.norm(w - _project(a, w), axis=-2)
+    return w, sines <= TOL_MEET_ANGLE
+
+
+def _inside(resid) -> bool:
+    """Whether one containment residual ``R`` (n x k) has spectral norm at
+    most ``TOL_EQUALS``.
+
+    ``||R||_2 <= ||R||_F <= sqrt(k) ||R||_2``, so the Frobenius norm
+    decides every case outside the gap ``(TOL_EQUALS, sqrt(k) TOL_EQUALS]``;
+    only there is the SVD taken.
+    """
+    frob = math.sqrt(np.vdot(resid, resid).real)
+    if frob <= TOL_EQUALS:
+        return True
+    if frob > math.sqrt(resid.shape[1]) * TOL_EQUALS:
+        return False
+    return op_norm(resid) <= TOL_EQUALS
+
+
 def join(a: Subspace, b: Subspace) -> Subspace:
     """Closed span of the union."""
     _check_same_ambient(a, b)
@@ -199,45 +257,25 @@ def join(a: Subspace, b: Subspace) -> Subspace:
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via principal vectors.
-
-    A principal direction is kept when its principal angle is at most
-    ``TOL_MEET_ANGLE``; the angle is measured through the projection
-    residual (the sine of the angle), which stays well conditioned where
-    the cosine saturates.
-    """
+    """Intersection via principal vectors: the projection onto ``a`` of the
+    principal directions of ``b`` within ``TOL_MEET_ANGLE`` of ``a``."""
     _check_same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
-    m = a.basis.conj().T @ b.basis
-    _, _, vh = np.linalg.svd(m)
-    w = b.basis @ vh.conj().T  # principal directions inside b
-    resid = w - a.project(w)
-    sines = np.linalg.norm(resid, axis=0)
-    keep = sines <= TOL_MEET_ANGLE
+    w, keep = _principal(a.basis, b.basis)
     if not np.any(keep):
         return Subspace.zero(a.ambient_dim)
-    return Subspace.from_span(a.project(w[:, keep]), a.ambient_dim)
+    return Subspace.from_span(_project(a.basis, w[:, keep]), a.ambient_dim)
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
     """True iff ``b`` lies inside ``a``: the residual ``R = B - P_A B`` of
-    ``b``'s basis has spectral norm at most ``TOL_EQUALS``.
-
-    ``||R||_2 <= ||R||_F <= sqrt(k) ||R||_2`` for the k columns of ``R``, so
-    the Frobenius norm decides every case outside the gap
-    ``(TOL_EQUALS, sqrt(k) TOL_EQUALS]``; only there is the SVD taken.
-    """
+    ``b``'s basis has spectral norm at most ``TOL_EQUALS`` (decided by
+    ``_inside``, with an SVD only where the Frobenius norm cannot)."""
     _check_same_ambient(a, b)
     if b.dim == 0:
         return True
-    resid = b.basis - a.project(b.basis)
-    frob = math.sqrt(np.vdot(resid, resid).real)
-    if frob <= TOL_EQUALS:
-        return True
-    if frob > math.sqrt(b.dim) * TOL_EQUALS:
-        return False
-    return op_norm(resid) <= TOL_EQUALS
+    return _inside(b.basis - _project(a.basis, b.basis))
 
 
 def equals(a: Subspace, b: Subspace) -> bool:
@@ -248,6 +286,72 @@ def equals(a: Subspace, b: Subspace) -> bool:
     if a.dim != b.dim:
         return False
     return contains(a, b) and contains(b, a)
+
+
+def _by_shape(pairs, key):
+    """Indices of ``pairs`` grouped by ``key(a, b)``, with the stacked bases
+    of each group; pairs keyed None are left out, and mismatched ambients
+    are a ValueError."""
+    groups = {}
+    for p, (a, b) in enumerate(pairs):
+        _check_same_ambient(a, b)
+        shape = key(a, b)
+        if shape is not None:
+            groups.setdefault(shape, []).append(p)
+    for shape, idx in groups.items():
+        stack_a = np.stack([pairs[p][0].basis for p in idx])
+        stack_b = np.stack([pairs[p][1].basis for p in idx])
+        yield shape, idx, stack_a, stack_b
+
+
+def closure(pairs):
+    """``(meets, joins)``: the lists ``[meet(a, b) for a, b in pairs]`` and
+    ``[join(a, b) for a, b in pairs]``, bit for bit, computed with a few
+    stacked LAPACK calls for each shape ``(n, a.dim, b.dim)``."""
+    pairs = list(pairs)
+    meets, joins = [None] * len(pairs), [None] * len(pairs)
+    for (n, ka, kb), idx, stack_a, stack_b in _by_shape(
+        pairs, lambda a, b: (a.ambient_dim, a.dim, b.dim)
+    ):
+        zero = Subspace.zero(n)  # immutable, so the group's pairs may share it
+        if ka + kb == 0:
+            spans = [zero] * len(idx)
+        else:
+            u, s, _ = np.linalg.svd(np.concatenate([stack_a, stack_b], axis=-1), full_matrices=False)
+            spans = _leading(n, u, s)
+        for p, span in zip(idx, spans):
+            joins[p] = span
+            meets[p] = zero
+        if ka == 0 or kb == 0:
+            continue
+        w, keep = _principal(stack_a, stack_b)
+        kept = keep.sum(axis=-1)
+        for r in np.unique(kept[kept > 0]):
+            sel = np.flatnonzero(kept == r)
+            # w[:, keep] of each slice, as the C-ordered copy the scalar meet projects
+            cols = np.nonzero(keep[sel])[1].reshape(len(sel), 1, r)
+            v = np.take_along_axis(w[sel], cols, axis=-1)
+            u, s, _ = np.linalg.svd(_project(stack_a[sel], v), full_matrices=False)
+            for q, span in zip(sel, _leading(n, u, s)):
+                meets[idx[q]] = span
+    return meets, joins
+
+
+def equalities(pairs) -> np.ndarray:
+    """``[equals(a, b) for a, b in pairs]`` as a boolean array, with the
+    containment residuals of each shape ``(n, k)`` computed in stacks."""
+    pairs = list(pairs)
+    out = np.zeros(len(pairs), dtype=bool)
+    for (_, k), idx, stack_a, stack_b in _by_shape(
+        pairs, lambda a, b: (a.ambient_dim, a.dim) if a.dim == b.dim else None
+    ):
+        if k == 0:
+            out[idx] = True
+        else:
+            forward = stack_b - _project(stack_a, stack_b)
+            backward = stack_a - _project(stack_b, stack_a)
+            out[idx] = [_inside(f) and _inside(r) for f, r in zip(forward, backward)]
+    return out
 
 
 def distance(a: Subspace, b: Subspace) -> float:

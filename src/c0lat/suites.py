@@ -75,8 +75,10 @@ from .sampling import (
     random_well_conditioned,
 )
 from .subspace import (
+    closure,
     contains,
     distance,
+    equalities,
     equals,
     join,
     law_failures,
@@ -268,7 +270,13 @@ def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> Ve
     """Exhaustive distributive-identity check over the enumerated invariant
     lattice of each theta, through meet/join index tables read from lcm/gcd
     of the divisor labels; every numerical meet and join must equal its
-    predicted member within the subspace equality tolerance."""
+    predicted member within the subspace equality tolerance.
+
+    The meets and joins of a trial's pairs come from one ``closure`` call
+    and are compared with their members by one ``equalities`` call, each a
+    few stacked LAPACK calls per shape with the scalar ``meet``, ``join``
+    and ``equals`` bits; the first failing pair in row-major order is the
+    reported one."""
     _tolerances("distributive", tols)
     thetas = _inputs("distributive", inputs, BlaschkeProduct)
 
@@ -277,23 +285,25 @@ def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> Ve
         entries = enumerate_lattice(theta)
         # Lat(S(theta)) is the divisor lattice upside down: meet is lcm, join gcd
         index = {phi.zeros: k for k, (phi, _) in enumerate(entries)}
-        count = len(entries)
-        meet_idx = np.empty((count, count), dtype=int)
-        join_idx = np.empty((count, count), dtype=int)
-        for a, (phi_a, s_a) in enumerate(entries):
-            for b in range(a, count):
-                phi_b, s_b = entries[b]
-                lo = index[blaschke.lcm(phi_a, phi_b).zeros]
-                hi = index[blaschke.gcd(phi_a, phi_b).zeros]
-                if not (
-                    equals(meet(s_a, s_b), entries[lo][1])
-                    and equals(join(s_a, s_b), entries[hi][1])
-                ):
-                    tally.flag(i, "closure", 1.0, {"pair": [a, b]})
-                    tally.fold(1.0)
-                    return
-                meet_idx[a, b] = meet_idx[b, a] = lo
-                join_idx[a, b] = join_idx[b, a] = hi
+        spaces = [s for _, s in entries]
+        rows, cols = np.triu_indices(len(entries))
+        lo, hi = [], []
+        for a, b in zip(rows, cols):
+            lo.append(index[blaschke.lcm(entries[a][0], entries[b][0]).zeros])
+            hi.append(index[blaschke.gcd(entries[a][0], entries[b][0]).zeros])
+        meets, joins = closure([(spaces[a], spaces[b]) for a, b in zip(rows, cols)])
+        expected = [spaces[k] for k in lo + hi]
+        same = equalities(zip(meets + joins, expected)).reshape(2, -1)
+        failed = np.flatnonzero(~(same[0] & same[1]))
+        if failed.size:
+            first = failed[0]
+            tally.flag(i, "closure", 1.0, {"pair": [int(rows[first]), int(cols[first])]})
+            tally.fold(1.0)
+            return
+        meet_idx = np.empty((len(entries), len(entries)), dtype=int)
+        join_idx = np.empty_like(meet_idx)
+        meet_idx[rows, cols] = meet_idx[cols, rows] = lo
+        join_idx[rows, cols] = join_idx[cols, rows] = hi
         for l, m, n, _, _ in law_failures(meet_idx, join_idx):
             tally.flag(i, "distributive-identity", 1.0, {"triple": [l, m, n]})
 

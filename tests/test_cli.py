@@ -165,8 +165,18 @@ NAN_TOLS = ["--tol", "annihilate=nan", "--tol", "floor=nan"]
         ('{"rows": 1, "cols": 1, "entries": [[[NaN, 0.0]]]}', APPLY),
         ('{"rows": 1, "cols": 1, "entries": [[[Infinity, 0.0]]]}', APPLY),
         (None, ["verify", "prop14", "--trials", "2", *NAN_TOLS]),
+        ('[{"re": 0.5, "im": 0.0, "mult": 1}]', GCD),
+        ('{"zeros": [{"re": "0.5", "im": 0.0, "mult": 1}]}', GCD),
+        ('{"zeros": [{"re": "0.5", "im": 0.0, "mult": 1}]}', ["verify", "distributive", "FILE"]),
+        ('{"zeros": [{"re": 0.5, "im": 0.0, "mult": 2.7}]}', GCD),
+        ('{"zeros": [{"re": 0.5, "im": 0.0, "mult": true}]}', GCD),
+        ('{"rows": 1, "cols": 1, "entries": [[1]]}', ["calc", "minfun", "FILE"]),
     ],
-    ids=["nan-zero", "nan-constant", "nan-point", "nan-matrix", "infinite-matrix", "nan-tolerance"],
+    ids=[
+        "nan-zero", "nan-constant", "nan-point", "nan-matrix", "infinite-matrix", "nan-tolerance",
+        "list-payload", "string-re", "string-re-verify", "fractional-mult", "boolean-mult",
+        "bare-number-entry",
+    ],
 )
 def test_non_finite_input_is_input_error(capsys, tmp_path, payload, argv):
     path = tmp_path / "input.json"

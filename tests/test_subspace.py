@@ -8,8 +8,13 @@ from c0lat import subspace
 from c0lat.blaschke import BlaschkeProduct, elementary
 from c0lat.calculus import is_c0
 from c0lat.jordan import lattice_preimage
-from c0lat.modelspace import compressed_shift, enumerate_lattice
-from c0lat.sampling import certifiable_c0, sample_invariant_subspaces
+from c0lat.modelspace import ModelSpace, compressed_shift, enumerate_lattice
+from c0lat.sampling import (
+    certifiable_c0,
+    pseudo_hyperbolic,
+    random_unit_disk_points,
+    sample_invariant_subspaces,
+)
 from c0lat.subspace import (
     TOL_EQUALS,
     TOL_ORTHO,
@@ -17,10 +22,12 @@ from c0lat.subspace import (
     Subspace,
     check_distributive_triple,
     check_modular_triple,
+    closure,
     contains,
     cyclic_multiplicity,
     cyclic_subspace,
     distance,
+    equalities,
     equals,
     is_invariant,
     join,
@@ -195,9 +202,13 @@ def spectral_contains(a, b):
 
 def test_contains_and_equals_agree_with_the_spectral_residual():
     # residuals below TOL_EQUALS, inside the Frobenius gap (TOL, sqrt(k) TOL]
-    # and above it; the verdicts must be the SVD's in all three
+    # and above it; the verdicts must be the SVD's in all three, for the
+    # scalar equals and for one batched equalities call over every pair
     rng = np.random.default_rng(11)
     regions = set()
+    zero, line_9 = Subspace.zero(9), line(9, 4)
+    pairs = [(zero, zero), (zero, line_9), (line_9, zero)]
+    expected = [True, False, False]
     for _ in range(300):
         k = int(rng.integers(1, 5))
         p = int(rng.integers(k, 6))
@@ -207,11 +218,17 @@ def test_contains_and_equals_agree_with_the_spectral_residual():
         region = int(frob > TOL_EQUALS) + int(frob > np.sqrt(k) * TOL_EQUALS)
         regions.add((region, spectral_contains(a, b)))
         assert contains(a, b) == spectral_contains(a, b)
+        pairs.append((a, b))  # unequal dimensions unless p == k
+        expected.append(p == k and spectral_contains(a, b) and spectral_contains(b, a))
         square, b = planted(rng, 9, k, sines)  # equal dimensions
-        expected = spectral_contains(square, b) and spectral_contains(b, square)
-        assert equals(square, b) == expected == equals(b, square)
+        same = spectral_contains(square, b) and spectral_contains(b, square)
+        assert equals(square, b) == same == equals(b, square)
+        pairs += [(square, b), (b, square)]
+        expected += [same, same]
     # the gap holds residuals on both sides of the tolerance
     assert regions == {(0, True), (1, True), (1, False), (2, False)}
+    assert [equals(a, b) for a, b in pairs] == expected
+    assert equalities(pairs).tolist() == expected
 
 
 def test_contains_decides_clear_cases_without_an_svd(monkeypatch):
@@ -234,6 +251,50 @@ def test_contains_decides_clear_cases_without_an_svd(monkeypatch):
 def test_equals_rejects_mismatched_ambients():
     with pytest.raises(ValueError):
         equals(line(2, 0), line(3, 0))
+    mixed = [(line(3, 0), line(3, 1)), (line(2, 0), line(3, 0))]
+    with pytest.raises(ValueError):
+        equalities(mixed)
+    with pytest.raises(ValueError):
+        closure(mixed)
+
+
+@pytest.mark.parametrize("mults", [(1, 1, 2, 3), (1, 1, 1, 1, 2)])
+def test_closure_is_the_scalar_meet_and_join_bit_for_bit(mults):
+    # every ordered pair of an enumerated lattice, the zero (theta) and full
+    # (constant) members among them, so every shape of stack and every
+    # count of kept principal directions
+    rng = np.random.default_rng(len(mults))
+    points = random_unit_disk_points(rng, len(mults), radius=0.85, min_separation=0.2)
+    spaces = [s for _, s in enumerate_lattice(BlaschkeProduct(tuple(zip(points, mults))))]
+    assert {s.dim for s in spaces} == set(range(sum(mults) + 1))
+    pairs = [(a, b) for a in spaces for b in spaces]
+    meets, joins = closure(pairs)
+    for (a, b), m, j in zip(pairs, meets, joins):
+        assert np.array_equal(m.basis, meet(a, b).basis)
+        assert np.array_equal(j.basis, join(a, b).basis)
+
+
+def test_divisor_lines_of_two_zeros_meet_at_the_pseudo_hyperbolic_angle():
+    # H(b_a b_b) is two-dimensional, and its divisor lines b_a H(b_b) and
+    # b_b H(b_a) are the orthocomplements of the kernel lines k_a and k_b.
+    # The sine of the angle between k_a and k_b is rho(a, b), because
+    # 1 - rho^2 = (1 - |a|^2)(1 - |b|^2) / |1 - conj(a) b|^2 (Garnett,
+    # Bounded Analytic Functions, ch. I), and the sum map [u v] of two unit
+    # vectors at that angle has sigma_min = sqrt(1 - sqrt(1 - rho^2)).
+    rng = np.random.default_rng(20)
+    lines, pairs = [], []
+    for _ in range(200):
+        a, b = random_unit_disk_points(rng, 2)
+        space = ModelSpace(BlaschkeProduct(((a, 1), (b, 1))))
+        u, v = space.divisor_subspace(elementary(a)), space.divisor_subspace(elementary(b))
+        rho = pseudo_hyperbolic(a, b)
+        assert abs(distance(u, v) - rho) <= 1e-12
+        sigma_min = np.linalg.svd(np.hstack([u.basis, v.basis]), compute_uv=False)[-1]
+        assert abs(sigma_min - np.sqrt(1 - np.sqrt(1 - rho**2))) <= 1e-12
+        assert meet(u, v).dim == 0 and join(u, v).dim == 2
+        pairs.append((u, v))
+    meets, joins = closure(pairs)
+    assert all(m.dim == 0 for m in meets) and all(j.dim == 2 for j in joins)
     with pytest.raises(ValueError):
         equals(Subspace.zero(2), line(3, 0))
 

@@ -20,24 +20,29 @@ THETA_12 = BlaschkeProduct(((0.3 + 0j, 2), (-0.2 + 0.4j, 1), (0.1 - 0.5j, 1)))
 def test_distributive_meet_must_land_on_its_lcm_member(monkeypatch):
     # join for meet still lands on members of the lattice (the gcd ones), and
     # the resulting tables are distributive, so only the lcm check catches it
-    monkeypatch.setattr(suites, "meet", suites.join)
+    def joins_for_meets(pairs):
+        _, joins = subspace.closure(pairs)
+        return joins, joins
+
+    monkeypatch.setattr(suites, "closure", joins_for_meets)
     report = suites.distributive_suite(trials=1, inputs=(THETA_12,))
     assert [v.kind for v in report.violations] == ["closure"]
 
 
 def test_distributive_checks_each_meet_and_join_once(monkeypatch):
-    calls = []
+    checked = []
 
-    def counting_equals(a, b):
-        calls.append((a, b))
-        return subspace.equals(a, b)
+    def counting_equalities(pairs):
+        pairs = list(pairs)
+        checked.extend(pairs)
+        return subspace.equalities(pairs)
 
-    monkeypatch.setattr(suites, "equals", counting_equals)
+    monkeypatch.setattr(suites, "equalities", counting_equalities)
     report = suites.distributive_suite(trials=1, inputs=(THETA_12,))
     count = blaschke.divisor_count(THETA_12)
     assert report.passed and count == 12
     # one meet and one join for each of the count * (count + 1) / 2 pairs a <= b
-    assert len(calls) == count * (count + 1)
+    assert len(checked) == count * (count + 1)
 
 
 def test_law_failures_lists_every_failing_triple_in_row_major_order():
