@@ -144,7 +144,7 @@ def apply_polynomial(t, coefficients) -> np.ndarray:
 def _blaschke_factor(t: np.ndarray, a: complex) -> np.ndarray:
     n = t.shape[0]
     eye = np.eye(n, dtype=complex)
-    if a == 0:
+    if a == 0 or n == 0:
         return t.copy()
     resolvent_matrix = eye - np.conj(a) * t
     sv = np.linalg.svd(resolvent_matrix, compute_uv=False)

@@ -25,6 +25,7 @@ from .jordan import VerificationReport, are_quasisimilar, intertwiner_space, jor
 from .modelspace import compressed_shift, divisor_subspace, enumerate_lattice
 from .serialize import (
     decode_blaschke_file,
+    decode_matrix,
     decode_matrix_file,
     encode_matrix,
     load_json,
@@ -309,7 +310,7 @@ def _decode_suite_inputs(paths):
         if isinstance(data, dict) and "zeros" in data:
             decoded.append(blaschke.BlaschkeProduct.from_json_dict(data))
         elif isinstance(data, dict) and "entries" in data:
-            decoded.append(decode_matrix_file(path))
+            decoded.append(decode_matrix(data))
         else:
             raise UsageError(f"{path}: not a Blaschke product or matrix payload")
     return decoded

@@ -27,11 +27,12 @@ The two theorem verifiers replay proofs on concrete samples:
 Both verifiers run one sampled-triple loop (``_triples``): a pool of
 invariant subspaces reduced to its distinct members, each labelled by
 its index (equal subspaces share one basis), and label triples (L, M, N)
-with N = L ∧ R ⊆ L.  A verifier checks each distinct triple once, in a
-cached function that records into a tally of its own (``_Tally``, the
-recorder every suite trial in :mod:`c0lat.suites` uses too), and replays
-that tally under every trial that drew the triple; the modular residual
-is ``_modular``.
+with N = L ∧ R ⊆ L, drawn as the rows of one integer array from one
+generator, so row i is trial i's draw whatever the count.  A verifier
+checks each distinct triple once, in a cached function that records into
+a tally of its own (``_Tally``, the recorder every suite trial in
+:mod:`c0lat.suites` uses too), and replays that tally under every trial
+that drew the triple; the modular residual is ``_modular``.
 
 In finite dimensions Lat(T) is a sublattice of the lattice of all
 subspaces of C^n, which is modular, so neither verifier can find a
@@ -184,11 +185,14 @@ def find_quasiaffinity(t1, t2, seed: int = 0) -> np.ndarray | None:
     """A full-rank intertwiner from T1 to T2, or None.
 
     At matrix scale injective with dense range means square and
-    invertible, so this requires equal sizes and a max rank equal to them.
+    invertible, so this requires equal sizes and a max rank equal to them;
+    on the zero space it is the empty identity.
     """
     t1, t2 = _square(t1), _square(t2)
     if t1.shape[0] != t2.shape[0]:
         return None
+    if t1.shape[0] == 0:  # the identity of the zero space
+        return np.eye(0, dtype=complex)
     space = intertwiner_space(t1, t2, seed=seed)
     if space.max_rank != t1.shape[0] or space.rank_witness is None:
         return None
@@ -222,7 +226,8 @@ def lattice_preimage(x, n: Subspace) -> Subspace:
     scale = max(1.0, op_norm(x))
     mask = np.ones(x.shape[1], dtype=bool)
     mask[: sv.size] = sv <= TOL_RANK * scale
-    return Subspace.from_span(vh.conj().T[:, mask], x.shape[1])
+    # right singular vectors: orthonormal by construction
+    return Subspace._trusted(x.shape[1], vh.conj().T[:, mask])
 
 
 @dataclass(frozen=True)
@@ -449,10 +454,11 @@ def _triples(t, count, seed):
     """The distinct members of a pool of invariant subspaces of T, and
     ``(trial, i, j, k)`` for ``count`` triples (L, M, N) of members with
     N = L ∧ R ⊆ L.  The pool of ``max(12, n + 4)`` comes from
-    ``default_rng(seed)``, and trial i draws L, M and R from it with
-    ``default_rng(seed + 1 + i)``.  The first pool member of each ``equals``
-    class represents it; a meet L ∧ R is labelled by the member it equals,
-    or becomes a new one."""
+    ``default_rng(seed)``; the pool indices of L, M and R are the rows of
+    one ``(count, 3)`` draw from ``default_rng([seed, 1])``, so trial i's
+    draw is row i for every ``count``.  The first pool member of each
+    ``equals`` class represents it; a meet L ∧ R is labelled by the member
+    it equals, or becomes a new one."""
     pool = sample_invariant_subspaces(t, max(12, t.shape[0] + 4), np.random.default_rng(seed))
     members = []
 
@@ -463,14 +469,10 @@ def _triples(t, count, seed):
         members.append(s)
         return len(members) - 1
 
-    labels = [label(s) for s in pool]
+    labels = np.array([label(s) for s in pool])
     meets = cache(lambda i, r: label(meet(members[i], members[r])))
-    draws = []
-    for trial in range(count):
-        rng = np.random.default_rng(seed + 1 + trial)
-        i, j, r = (labels[rng.integers(len(pool))] for _ in range(3))
-        draws.append((trial, i, j, meets(i, r)))
-    return members, draws
+    drawn = labels[np.random.default_rng([seed, 1]).integers(len(pool), size=(count, 3))]
+    return members, [(trial, i, j, meets(i, r)) for trial, (i, j, r) in enumerate(drawn.tolist())]
 
 
 def _modular(l, m, n):

@@ -14,6 +14,7 @@ from .blaschke import BlaschkeProduct, _json_field
 
 __all__ = [
     "decode_blaschke_file",
+    "decode_matrix",
     "decode_matrix_file",
     "encode_matrix",
     "load_json",
@@ -31,20 +32,24 @@ def decode_blaschke_file(path) -> BlaschkeProduct:
 
 
 def decode_matrix_file(path) -> np.ndarray:
-    """The matrix of an ``encode_matrix`` payload file.  A payload of the
-    wrong shape (not an object, a non-integer ``rows`` or ``cols``, an entry
-    that is not a ``[re, im]`` pair of numbers) is a ValueError naming the
-    field."""
-    data = load_json(path)
+    """The matrix of an ``encode_matrix`` payload file."""
+    return decode_matrix(load_json(path))
+
+
+def decode_matrix(data) -> np.ndarray:
+    """The ``rows x cols`` matrix of a parsed ``encode_matrix`` payload.  A
+    payload of the wrong shape (not an object, a non-integer ``rows`` or
+    ``cols``, an entry that is not a ``[re, im]`` pair of numbers) is a
+    ValueError naming the field."""
     rows = _json_field(data, "rows", int, "matrix payload")
     cols = _json_field(data, "cols", int, "matrix payload")
     entries = _json_field(data, "entries", list, "matrix payload")
-    if len(entries) != rows or any(not isinstance(r, list) or len(r) != cols for r in entries):
+    if cols < 0 or len(entries) != rows or any(not isinstance(r, list) or len(r) != cols for r in entries):
         raise ValueError(f"matrix payload does not match shape {rows}x{cols}")
     matrix = np.array(
         [[_matrix_entry(entry, i, j) for j, entry in enumerate(row)] for i, row in enumerate(entries)],
         dtype=complex,
-    )
+    ).reshape(rows, cols)
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix payload has a non-finite entry")
     return matrix

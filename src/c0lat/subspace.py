@@ -1,7 +1,7 @@
 """Numerical subspace-lattice operations and finite abstract lattices.
 
 Subspaces carry an ambient dimension and an orthonormal column basis; meets
-go through principal vectors, joins through rank-revealing
+go through the principal sines, joins through rank-revealing
 orthogonalization.  A single set of tolerances lives here and is imported
 by every other module, so there is one place to tune:
 
@@ -13,8 +13,8 @@ by every other module, so there is one place to tune:
 
 The public constructor ``Subspace(n, basis)`` checks that the basis is
 orthonormal to ``TOL_ORTHO``.  Internal builders whose bases are
-orthonormal by construction (``from_span``, ``zero``, ``full``, and through
-them ``meet`` and ``join``, ``cyclic_subspace``, the Schur prefixes of
+orthonormal by construction (``from_span``, ``zero``, ``full``, ``meet``,
+``join``, ``cyclic_subspace``, the Schur prefixes of
 :func:`~c0lat.sampling.sample_invariant_subspaces` and
 :meth:`~c0lat.modelspace.ModelSpace.divisor_subspace`) skip that Gram check;
 the test suite holds them to ``TOL_ORTHO`` instead.
@@ -31,10 +31,16 @@ dimensions without projecting.  Every reported residual (``distance``,
 points: they group the pairs by shape and run each group through stacked
 matmuls and LAPACK calls.  They and the scalar ``meet``, ``join``,
 ``from_span``, ``contains`` and ``equals`` share the private kernels
-``_principal`` (the cosine SVD, the principal directions and the
-``TOL_MEET_ANGLE`` mask), ``_leading`` (the ``TOL_RANK`` cut) and
-``_inside`` (the containment rule above), so each rule lives in one place
-and a batched result is the scalar one bit for bit.
+``_meets``, ``_leading`` (the ``TOL_RANK`` cut) and ``_inside``
+(the containment rule above), so each rule lives in one place and a
+batched result is the scalar one bit for bit.
+
+A meet takes one SVD, of the projection residual ``R = B - P_A B``
+(Bjorck and Golub, Math. Comp. 1973; Knyazev and Argentati, SIAM J. Sci.
+Comput. 2002): its singular values are the principal sines, and ``B V``
+over the right singular vectors with sine at most ``TOL_MEET_ANGLE`` is an
+orthonormal basis of ``A ∧ B``, off by about eps/rho for the smallest
+discarded sine rho (eps/rho^2 from the cosines of ``A^H B``).
 """
 
 import math
@@ -201,7 +207,7 @@ def _check_same_ambient(a: Subspace, b: Subspace):
 
 
 # The scalar operations and the batched ones (closure, equalities) share
-# the kernels below.  _leading, _project and _principal take one basis
+# the kernels below.  _leading, _project and _meets take one basis
 # (n x k) or a (P, n, k) stack of them and work slice by slice: a slice of
 # a stacked matmul or SVD is bitwise the 2-D call on that slice, so the
 # batched entry points give the scalar bits.  _inside judges one residual.
@@ -221,17 +227,15 @@ def _project(a, v):
     return a @ (a.conj().swapaxes(-1, -2) @ v)
 
 
-def _principal(a, b):
-    """The principal directions of span(b) against span(a), ``b``'s basis
-    rotated by the right singular vectors of the cosine matrix ``A^H B``,
-    and the mask of those whose principal angle is at most
-    ``TOL_MEET_ANGLE``.  The angle is measured through the projection
-    residual (the sine of the angle), which stays well conditioned where
-    the cosine saturates."""
-    _, _, vh = np.linalg.svd(a.conj().swapaxes(-1, -2) @ b)
-    w = b @ vh.conj().swapaxes(-1, -2)
-    sines = np.linalg.norm(w - _project(a, w), axis=-2)
-    return w, sines <= TOL_MEET_ANGLE
+def _meets(n: int, a, b) -> list:
+    """``[A ∧ B]`` for one basis pair, or one meet per slice of a stack, each
+    from one SVD of ``R = B - P_A B``: ``B V`` over the right singular
+    vectors (the trailing rows of ``vh``) whose singular value, the sine of
+    a principal angle, is at most ``TOL_MEET_ANGLE``."""
+    _, sines, vh = np.linalg.svd(b - _project(a, b), full_matrices=False)
+    kept = (sines <= TOL_MEET_ANGLE).sum(-1).reshape(-1)
+    b, vh = b.reshape(-1, *b.shape[-2:]), vh.reshape(-1, *vh.shape[-2:])
+    return [Subspace._trusted(n, x @ v[len(v) - r:].conj().T) for x, v, r in zip(b, vh, kept)]
 
 
 def _inside(resid) -> bool:
@@ -257,15 +261,12 @@ def join(a: Subspace, b: Subspace) -> Subspace:
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via principal vectors: the projection onto ``a`` of the
-    principal directions of ``b`` within ``TOL_MEET_ANGLE`` of ``a``."""
+    """Intersection from one SVD: the directions of ``b`` whose principal
+    angle to ``a`` is at most ``TOL_MEET_ANGLE`` (``_meets``)."""
     _check_same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
-    w, keep = _principal(a.basis, b.basis)
-    if not np.any(keep):
-        return Subspace.zero(a.ambient_dim)
-    return Subspace.from_span(_project(a.basis, w[:, keep]), a.ambient_dim)
+    return _meets(a.ambient_dim, a.basis, b.basis)[0]
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
@@ -321,19 +322,8 @@ def closure(pairs):
             spans = _leading(n, u, s)
         for p, span in zip(idx, spans):
             joins[p] = span
-            meets[p] = zero
-        if ka == 0 or kb == 0:
-            continue
-        w, keep = _principal(stack_a, stack_b)
-        kept = keep.sum(axis=-1)
-        for r in np.unique(kept[kept > 0]):
-            sel = np.flatnonzero(kept == r)
-            # w[:, keep] of each slice, as the C-ordered copy the scalar meet projects
-            cols = np.nonzero(keep[sel])[1].reshape(len(sel), 1, r)
-            v = np.take_along_axis(w[sel], cols, axis=-1)
-            u, s, _ = np.linalg.svd(_project(stack_a[sel], v), full_matrices=False)
-            for q, span in zip(sel, _leading(n, u, s)):
-                meets[idx[q]] = span
+        for p, span in zip(idx, _meets(n, stack_a, stack_b) if ka and kb else [zero] * len(idx)):
+            meets[p] = span
     return meets, joins
 
 
@@ -397,20 +387,19 @@ def cyclic_subspace(t, x) -> Subspace:
     nx = np.linalg.norm(x)
     if nx <= TOL_RANK:
         return Subspace.zero(n)
-    cols = [x / nx]
-    v = cols[0]
-    for _ in range(n - 1):
-        w = t @ v
+    basis = np.empty((n, n), dtype=complex)
+    basis[:, 0] = x / nx
+    k = 1
+    while k < n:
+        w, prior = t @ basis[:, k - 1], basis[:, :k]
         for _ in range(2):  # reorthogonalize for stability
-            for c in cols:
-                w = w - c * (c.conj() @ w)
+            w = w - prior @ (prior.conj().T @ w)
         nw = np.linalg.norm(w)
         if nw <= TOL_RANK * scale:
             break
-        w = w / nw
-        cols.append(w)
-        v = w
-    return Subspace._trusted(n, np.column_stack(cols))
+        basis[:, k] = w / nw
+        k += 1
+    return Subspace._trusted(n, basis[:, :k])
 
 
 def cyclic_multiplicity(t) -> int:

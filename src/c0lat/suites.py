@@ -269,8 +269,9 @@ def meetjoin_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> Verif
 def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> VerificationReport:
     """Exhaustive distributive-identity check over the enumerated invariant
     lattice of each theta, through meet/join index tables read from lcm/gcd
-    of the divisor labels; every numerical meet and join must equal its
-    predicted member within the subspace equality tolerance.
+    of the divisor labels (the componentwise max/min of their exponent
+    vectors); every numerical meet and join must equal its predicted member
+    within the subspace equality tolerance.
 
     The meets and joins of a trial's pairs come from one ``closure`` call
     and are compared with their members by one ``equalities`` call, each a
@@ -283,14 +284,14 @@ def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> Ve
     def trial(i, rng, tally):
         theta = thetas[i % len(thetas)] if thetas else random_blaschke_with_divisor_cap(rng)
         entries = enumerate_lattice(theta)
-        # Lat(S(theta)) is the divisor lattice upside down: meet is lcm, join gcd
-        index = {phi.zeros: k for k, (phi, _) in enumerate(entries)}
+        # Lat(S(theta)) is the divisor lattice upside down: meet is lcm, join
+        # gcd, the componentwise max and min of the divisors' exponent vectors
+        exps = np.array([[dict(phi.zeros).get(z, 0) for z, _ in theta.zeros] for phi, _ in entries])
+        index = {e: k for k, e in enumerate(map(tuple, exps.tolist()))}
         spaces = [s for _, s in entries]
         rows, cols = np.triu_indices(len(entries))
-        lo, hi = [], []
-        for a, b in zip(rows, cols):
-            lo.append(index[blaschke.lcm(entries[a][0], entries[b][0]).zeros])
-            hi.append(index[blaschke.gcd(entries[a][0], entries[b][0]).zeros])
+        lo = [index[tuple(e)] for e in np.maximum(exps[rows], exps[cols]).tolist()]
+        hi = [index[tuple(e)] for e in np.minimum(exps[rows], exps[cols]).tolist()]
         meets, joins = closure([(spaces[a], spaces[b]) for a, b in zip(rows, cols)])
         expected = [spaces[k] for k in lo + hi]
         same = equalities(zip(meets + joins, expected)).reshape(2, -1)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from c0lat import jordan, suites
+from c0lat import cli, jordan, suites
 from c0lat.blaschke import elementary, monomial, multiply
 from c0lat.cli import main
 from c0lat.serialize import encode_matrix, stable_json_bytes
@@ -347,6 +347,49 @@ def test_verify_rejects_a_matrix_that_is_not_square(capsys, files, suite):
     code, out, err = run(capsys, "verify", suite, str(path), "--trials", "1")
     assert code == 2 and out == ""
     assert _one_error_line(err) and "input 1 has shape (1, 2)" in err
+
+
+EMPTY_MATRIX = {"rows": 0, "cols": 0, "entries": []}
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        (("calc", "minfun", "M"), {"constant": {"im": 0.0, "re": 1.0}, "zeros": []}),
+        (("jordan", "model", "M"), {"thetas": []}),
+        (("jordan", "quasisim", "M", "M"), {"quasisimilar": True}),
+    ],
+)
+def test_matrix_commands_accept_the_zero_by_zero_payload(capsys, files, command, expected):
+    # the operator on the zero space: C0, its own Jordan model, with the
+    # empty identity as quasiaffinity
+    path = files["tmp"] / "empty.json"
+    path.write_text(json.dumps(EMPTY_MATRIX))
+    argv = [str(path) if word == "M" else word for word in command]
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "") and json.loads(out) == expected
+
+
+@pytest.mark.parametrize("suite", sorted(suites.SUITES))
+def test_verify_on_the_zero_by_zero_payload_exits_cleanly(capsys, files, suite):
+    path = files["tmp"] / "empty.json"
+    path.write_text(json.dumps(EMPTY_MATRIX))
+    code, out, err = run(capsys, "verify", suite, str(path), "--trials", "2")
+    assert (code, err) == (0, "") or (code == 2 and out == "" and _one_error_line(err))
+
+
+def test_verify_parses_each_input_file_once(capsys, files, monkeypatch):
+    loaded = []
+
+    def recording(path):
+        loaded.append(path)
+        return load_json(path)
+
+    load_json = cli.load_json
+    monkeypatch.setattr(cli, "load_json", recording)
+    monkeypatch.setattr(cli, "decode_matrix_file", None)  # a second parse would call it
+    code, _, _ = run(capsys, "verify", "calculus", files["diag"], files["diag"], "--trials", "2")
+    assert code == 0 and loaded == [files["diag"], files["diag"]]
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

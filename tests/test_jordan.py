@@ -31,6 +31,7 @@ from c0lat.jordan import (
 from c0lat.modelspace import compressed_shift, enumerate_lattice
 from c0lat.sampling import (
     certifiable_c0,
+    complex_gaussian,
     random_contraction,
     random_structured_c0,
     random_unit_disk_points,
@@ -38,7 +39,14 @@ from c0lat.sampling import (
     sample_invariant_subspaces,
 )
 from c0lat.serialize import stable_json_bytes
-from c0lat.subspace import Subspace, cyclic_multiplicity, equals, is_invariant, op_norm
+from c0lat.subspace import (
+    TOL_ORTHO,
+    Subspace,
+    cyclic_multiplicity,
+    equals,
+    is_invariant,
+    op_norm,
+)
 from c0lat.suites import jordan_model_suite, thm97_suite, x3_suite
 
 NILPOTENT = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -144,6 +152,14 @@ def test_similar_pair_has_two_sided_certificates():
     assert are_quasisimilar(t1, t2)
 
 
+def test_the_zero_space_is_quasisimilar_to_itself():
+    empty = np.zeros((0, 0), dtype=complex)
+    x = find_quasiaffinity(empty, empty)
+    assert x is not None and x.shape == (0, 0)
+    assert are_quasisimilar(empty, empty)
+    assert jordan_model(empty).thetas == ()
+
+
 def test_shifts_of_different_degree_not_quasisimilar():
     s1 = compressed_shift(monomial(1)).matrix
     s2 = compressed_shift(monomial(2)).matrix
@@ -181,6 +197,22 @@ def test_lattice_preimage_examples():
     pre = lattice_preimage(x, n)
     assert pre.dim == 2
     assert equals(lattice_map(x, pre), n)
+
+
+def test_lattice_preimage_is_the_orthonormal_null_space_of_the_residual():
+    # X^{-1}(N) is ker (I - P_N) X: X maps it into N, and its dimension is
+    # the column count less the residual's rank; any X, wide, tall or rank
+    # deficient
+    rng = np.random.default_rng(8)
+    for rows, cols, rank in ((4, 4, 4), (4, 4, 2), (3, 5, 3), (6, 3, 2), (5, 5, 0)):
+        x = complex_gaussian(rng, rows, rank) @ complex_gaussian(rng, rank, cols)
+        for k in range(rows + 1):
+            n = Subspace.from_span(complex_gaussian(rng, rows, k), rows)
+            pre = lattice_preimage(x, n)
+            gram = pre.basis.conj().T @ pre.basis
+            assert np.max(np.abs(gram - np.eye(pre.dim)), initial=0.0) <= TOL_ORTHO
+            assert op_norm(x @ pre.basis - n.project(x @ pre.basis)) <= 1e-10
+            assert pre.dim == cols - np.linalg.matrix_rank(x - n.project(x), tol=1e-10)
 
 
 def test_preimage_invariance_transfer():
@@ -361,6 +393,17 @@ def test_verifier_cache_never_changes_report_bytes(monkeypatch, seed):
     assert reports() == cached
 
 
+def test_triple_draws_are_prefix_stable_across_counts():
+    # row i of the one (count, 3) draw is trial i's, whatever the count
+    t = similarity_pair(11, n=5)[0]
+    short_members, short = jordan._triples(t, 10, seed=4)
+    members, draws = jordan._triples(t, 60, seed=4)
+    assert draws[:10] == short
+    for a, b in zip(short_members, members):
+        assert a.basis.tobytes() == b.basis.tobytes()
+    assert jordan._triples(t, 10, seed=5)[1] != short
+
+
 def test_equal_pool_members_share_one_label(monkeypatch):
     line = Subspace.from_span(np.array([[1.0], [1.0], [0.0]]))
     turned = Subspace(3, line.basis * 1j)
@@ -371,9 +414,8 @@ def test_equal_pool_members_share_one_label(monkeypatch):
     # the first of each class represents it
     assert [id(m) for m in members] == [id(pool[0]), id(line), id(pool[3])]
     labels, drawn = [0, 1, 1, 2], set()
-    for trial, i, j, k in draws:
-        rng = np.random.default_rng(3 + 1 + trial)
-        p, q, r = (int(rng.integers(len(pool))) for _ in range(3))
+    rows = np.random.default_rng([3, 1]).integers(len(pool), size=(20, 3))
+    for (trial, i, j, k), (p, q, r) in zip(draws, rows):
         assert (i, j) == (labels[p], labels[q])
         assert equals(members[k], jordan.meet(pool[p], pool[r]))
         drawn |= {p, q}

@@ -339,6 +339,22 @@ def test_cyclic_subspace_examples():
         assert is_invariant(t, s).invariant
 
 
+def test_cyclic_subspace_is_the_krylov_span():
+    # the span of x, Tx, ..., T^(n-1) x, for cyclic and non-cyclic vectors of
+    # operators with one Jordan chain, with distinct eigenvalues and with a
+    # repeated eigenvalue (where no vector is cyclic)
+    rng = np.random.default_rng(9)
+    shift, e = np.eye(5, k=-1), np.eye(5)
+    vectors = (*e, e[0] + e[2], rng.standard_normal(5) + 1j * rng.standard_normal(5))
+    for t in (shift, np.diag([0.1, -0.2, 0.3j, 0.4, -0.5j]), np.diag([0.3, 0.3, 0.1, -0.2, 0.5])):
+        for x in vectors:
+            s = cyclic_subspace(t, x)
+            krylov = np.column_stack([np.linalg.matrix_power(t, k) @ x for k in range(5)])
+            assert_orthonormal(s)
+            assert equals(s, Subspace.from_span(krylov))
+    assert [cyclic_subspace(shift, v).dim for v in e] == [5, 4, 3, 2, 1]
+
+
 def test_cyclic_multiplicity_zero_matrix():
     assert cyclic_multiplicity(np.zeros((2, 2))) == 2
 

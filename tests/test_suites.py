@@ -9,6 +9,7 @@ import pytest
 from c0lat import blaschke, subspace, suites
 from c0lat.blaschke import BlaschkeProduct
 from c0lat.jordan import theorem97_verifier
+from c0lat.modelspace import enumerate_lattice
 from c0lat.sampling import certifiable_c0
 from c0lat.serialize import stable_json_bytes
 from c0lat.subspace import FiniteLattice, law_failures
@@ -27,6 +28,36 @@ def test_distributive_meet_must_land_on_its_lcm_member(monkeypatch):
     monkeypatch.setattr(suites, "closure", joins_for_meets)
     report = suites.distributive_suite(trials=1, inputs=(THETA_12,))
     assert [v.kind for v in report.violations] == ["closure"]
+
+
+@pytest.mark.parametrize("d", [1e-4, 1e-5, 1e-6, 1e-7])
+def test_close_zeros_meet_on_their_lcm_members(d):
+    # 0.5 and 0.5 + d are pseudo-hyperbolically about 1.3 d apart, the sine
+    # of the smallest nonzero principal angle between divisor subspaces.  A
+    # meet from the SVD of the cosine matrix missed the lcm member by about
+    # eps / d^2 (4.4e-2 at d = 1e-7) and distributive reported a closure
+    # violation from d = 1e-5 on; the sines of the projection residual miss
+    # it by about eps / d.
+    theta = BlaschkeProduct(((0.5, 1), (0.5 + d, 1), (-0.3 + 0.2j, 1)))
+    assert suites.distributive_suite(trials=1, inputs=(theta,)).passed
+    entries = enumerate_lattice(theta)
+    index = {phi.zeros: k for k, (phi, _) in enumerate(entries)}
+    for phi, a in entries:
+        for psi, b in entries:
+            m = subspace.meet(a, b)
+            gram = m.basis.conj().T @ m.basis
+            assert np.max(np.abs(gram - np.eye(m.dim)), initial=0.0) <= subspace.TOL_ORTHO
+            assert subspace.distance(m, entries[index[blaschke.lcm(phi, psi).zeros]][1]) <= 1e-8
+
+
+def test_distributive_reads_lcm_and_gcd_from_exponent_vectors(monkeypatch):
+    def unused(*args):
+        raise AssertionError("distributive called Blaschke arithmetic")
+
+    report = suites.distributive_suite(trials=1, inputs=(THETA_12,))
+    monkeypatch.setattr(blaschke, "lcm", unused)
+    monkeypatch.setattr(blaschke, "gcd", unused)
+    assert suites.distributive_suite(trials=1, inputs=(THETA_12,)) == report
 
 
 def test_distributive_checks_each_meet_and_join_once(monkeypatch):
