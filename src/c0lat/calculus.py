@@ -189,25 +189,17 @@ def radial_validate(t, b: BlaschkeProduct, r_sequence) -> list[float]:
 
 
 def _single_linkage_clusters(values: np.ndarray, radius: float) -> list[np.ndarray]:
-    n = values.size
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= radius:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [np.array(idx) for idx in groups.values()]
-    clusters.sort(key=lambda idx: (values[idx].mean().real, values[idx].mean().imag))
-    return clusters
+    """Single-linkage clusters of a nonempty array of eigenvalues: the
+    connected components of the graph joining values at most ``radius``
+    apart, each as ascending indices, sorted by mean (real part, then
+    imaginary part, then smallest index)."""
+    near = np.abs(values[:, None] - values[None, :]) <= radius
+    # each product doubles the length of the paths closed so far
+    while not np.array_equal(reach := near @ near.astype(float) > 0, near):
+        near = reach
+    clusters = [np.flatnonzero(near[i]) for i in np.unique(near.argmax(axis=1))]
+    means = np.array([values[idx].mean() for idx in clusters])
+    return [clusters[k] for k in np.lexsort((means.imag, means.real))]
 
 
 def _nullity(mat: np.ndarray, scale: float) -> int:

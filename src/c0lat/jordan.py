@@ -1,12 +1,17 @@
 """Intertwiners, quasiaffinities, lattice maps, Jordan models, and the
 modularity verifiers.
 
-The intertwining equation X T1 = T2 X is flattened into an
-(n1*n2) x (n1*n2) linear system whose numerical null space (SVD threshold
-1e-10 relative) spans the intertwiner space.  The maximal rank over that
-space is certified by random combinations: the full-rank locus of a
-matrix space is Zariski-open, so a random element attains the maximum
-with probability 1; 32 seeded draws guard against unlucky ones.
+The intertwining equation X T1 = T2 X splits over the eigenvalue clusters
+that T1 and T2 share.  Reordered complex Schur forms give each cluster's
+spectral subspaces V1_c and V2_c, the restrictions A1_c and A2_c, and T1's
+spectral coordinates Π1_c; each cluster's equation Z A1_c = A2_c Z is
+flattened into a small Kronecker system whose numerical null space (SVD
+threshold 1e-10 relative) gives the elements V2_c Z Π1_c.  A pair with a
+single cluster, or an ill-conditioned spectral basis, is flattened whole
+into one (n1*n2) x (n1*n2) system.  The maximal rank over the space is
+certified by random combinations: the full-rank locus of a matrix space is
+Zariski-open, so a random element attains the maximum with probability 1;
+32 seeded draws guard against unlucky ones.
 
 Quasisimilarity at matrix scale collapses to similarity, but the
 verifiers still run the two-sided quasiaffinity search so the code paths
@@ -51,7 +56,14 @@ import scipy.linalg
 
 from . import blaschke
 from .blaschke import BlaschkeProduct
-from .calculus import NotC0Error, VerificationError, eigenstructure, is_c0
+from .calculus import (
+    CLUSTER_LADDER,
+    NotC0Error,
+    VerificationError,
+    _single_linkage_clusters,
+    eigenstructure,
+    is_c0,
+)
 from .modelspace import compressed_shift
 from .sampling import complex_gaussian, sample_invariant_subspaces
 from .subspace import (
@@ -92,6 +104,10 @@ __all__ = [
 
 SIZE_CAP = 16
 _MAX_RANK_DRAWS = 32
+# spectral bases above this condition number leave a pair undivided: two
+# eigenvalues d apart in one Jordan-coupled pair give about 2 / d, so pairs
+# within about twice the clustering radius (3e-3) of each other stay whole
+_SPLIT_COND = 3e2
 
 
 class NonIntertwinerError(ValueError):
@@ -123,19 +139,27 @@ def _require_intertwiner(x, t1, t2):
     return resid
 
 
+def _ranks(stack) -> np.ndarray:
+    """The numerical rank of each matrix in a stack: its number of singular
+    values above ``TOL_RANK`` times its largest."""
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return np.sum(sv > TOL_RANK * sv[:, :1], axis=1)
+
+
 def _rank(m) -> int:
     m = np.asarray(m)
-    if m.size == 0:
-        return 0
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] <= 0:
-        return 0
-    return int(np.sum(sv > TOL_RANK * sv[0]))
+    return int(_ranks(m[None])[0]) if m.size else 0
 
 
 @dataclass(frozen=True)
 class IntertwinerSpace:
-    """Basis of the solution space of X T1 = T2 X, with rank diagnostics."""
+    """Basis of the solution space of X T1 = T2 X, with rank diagnostics.
+
+    The basis is Frobenius-orthonormal when the pair was solved undivided.
+    Split over shared eigenvalue clusters, each element is V2_c Z Π1_c with
+    Z from an orthonormal basis, so elements are neither of unit norm nor
+    orthogonal, within a cluster or across clusters.
+    """
 
     t1: np.ndarray
     t2: np.ndarray
@@ -148,37 +172,118 @@ class IntertwinerSpace:
         return len(self.basis)
 
 
+def _sylvester_null(t1, t2, threshold) -> np.ndarray:
+    """Null space of Z -> Z T1 - T2 Z as a stack (d, n2, n1): the right
+    singular vectors of its Kronecker matrix with singular value at most
+    ``threshold``, Frobenius-orthonormal."""
+    n1, n2 = t1.shape[0], t2.shape[0]
+    # vec is column-major over Z (n2 x n1): Z T1 -> (T1^T ⊗ I), T2 Z -> (I ⊗ T2);
+    # the products are np.kron's, broadcast without its per-call overhead
+    eye1, eye2 = np.eye(n1)[:, None, :, None], np.eye(n2)[None, :, None, :]
+    lhs = (t1.T[:, None, :, None] * eye2 - eye1 * t2[None, :, None, :]).reshape(n1 * n2, n1 * n2)
+    _, sv, vh = np.linalg.svd(lhs)
+    null = vh[sv <= threshold].conj()
+    return null.reshape(len(null), n1, n2).transpose(0, 2, 1)
+
+
+def _spectral_split(s, q, parts) -> dict | None:
+    """Spectral pieces of T = Q S Q^H (S upper triangular) over groups of
+    its eigenvalues: ``{c: (V_c, A_c, Π_c)}`` for each nonempty array
+    ``parts[c]`` of positions on the diagonal of S.  V_c is an orthonormal
+    basis of the spectral subspace, from one ``ztrsen`` reorder of S, A_c
+    the restriction (T V_c = V_c A_c), and Π_c the rows of
+    inv([V_1 V_2 ...]) that give the coordinates along V_c.  None when a
+    reorder fails or [V_1 V_2 ...] has condition number above
+    ``_SPLIT_COND``."""
+    pieces = {}
+    for c, picked in enumerate(parts):
+        if picked.size:
+            select = np.zeros(s.shape[0], dtype=np.int32)
+            select[picked] = 1
+            ts, qs, _, m, _, _, info = scipy.linalg.lapack.ztrsen(select, s, q, job="N")
+            if info != 0:
+                return None
+            pieces[c] = qs[:, :m], ts[:m, :m]
+    v = np.hstack([vc for vc, _ in pieces.values()])
+    if np.linalg.cond(v) > _SPLIT_COND:
+        return None
+    ends = np.cumsum([vc.shape[1] for vc, _ in pieces.values()])
+    coords = np.vsplit(np.linalg.inv(v), ends[:-1])
+    return {c: (vc, ac, pi) for (c, (vc, ac)), pi in zip(pieces.items(), coords)}
+
+
+def _split_null(t1, t2, threshold) -> np.ndarray | None:
+    """The intertwiner basis as a stack (d, n2, n1), one Sylvester null
+    space Z A1_c = A2_c Z per eigenvalue cluster c that T1 and T2 share,
+    each element V2_c Z Π1_c; None when the pair has a single cluster or a
+    spectral split is unusable (see :func:`_spectral_split`)."""
+    n1, n2 = t1.shape[0], t2.shape[0]
+    if n1 * n2 == 0:
+        return None
+    (s1, q1), (s2, q2) = (scipy.linalg.schur(t, output="complex") for t in (t1, t2))
+    clusters = _single_linkage_clusters(
+        np.concatenate([np.diag(s1), np.diag(s2)]), CLUSTER_LADDER[0]
+    )
+    if len(clusters) < 2:
+        return None
+    split1 = _spectral_split(s1, q1, [idx[idx < n1] for idx in clusters])
+    split2 = _spectral_split(s2, q2, [idx[idx >= n1] - n1 for idx in clusters])
+    if split1 is None or split2 is None:
+        return None
+    stacks = [np.zeros((0, n2, n1), dtype=complex)]
+    for c, (_, a1, pi1) in split1.items():
+        if c in split2:
+            v2, a2, _ = split2[c]
+            stacks.append(v2 @ _sylvester_null(a1, a2, threshold) @ pi1)
+    return np.concatenate(stacks)
+
+
+def _max_rank(stack, seed):
+    """The largest rank over seeded random combinations of the basis
+    ``stack`` and the first combination that reaches it (None when it is
+    0): at most ``_MAX_RANK_DRAWS`` draws, stopping at full rank.  The
+    full-rank locus of a matrix space is Zariski-open, so the first draw
+    reaches the maximum with probability 1; when it falls short of full
+    rank, every later draw is ranked in one stacked SVD."""
+    d, n2, n1 = stack.shape
+    if d == 0:
+        return 0, None
+    rng = np.random.default_rng(seed)
+    candidates = np.tensordot(complex_gaussian(rng, 1, d), stack, 1)
+    ranks = _ranks(candidates)
+    if ranks[0] < min(n1, n2):
+        coeffs = np.array([complex_gaussian(rng, d) for _ in range(_MAX_RANK_DRAWS - 1)])
+        more = np.tensordot(coeffs, stack, 1)
+        candidates = np.concatenate([candidates, more])
+        ranks = np.concatenate([ranks, _ranks(more)])
+    best = int(np.argmax(ranks))
+    return int(ranks[best]), (candidates[best] if ranks[best] else None)
+
+
 def intertwiner_space(t1, t2, seed: int = 0) -> IntertwinerSpace:
     """Null space of X -> X T1 - T2 X, plus a certified maximal rank.
 
-    Sizes are capped at 16 since the flattened system has n1*n2 unknowns.
+    X maps each generalized eigenspace of T1 into that of T2 for the same
+    eigenvalue, so the equation splits over the eigenvalue clusters (single
+    linkage at ``CLUSTER_LADDER[0]``) that T1 and T2 share, and each
+    cluster's much smaller system is solved on its own.  A pair with one
+    cluster, or whose spectral bases cannot be trusted, is solved undivided,
+    as one (n1*n2) x (n1*n2) Kronecker system.  Either way the null-space
+    threshold is ``TOL_RANK * max(1, ||T1||, ||T2||)``.  Sizes stay capped at
+    ``SIZE_CAP`` (16), because a single-cluster pair still builds that
+    system.
     """
     t1, t2 = _square(t1), _square(t2)
     n1, n2 = t1.shape[0], t2.shape[0]
     if n1 > SIZE_CAP or n2 > SIZE_CAP:
         raise ValueError(f"matrix sizes {n1}, {n2} exceed cap {SIZE_CAP}")
-    # vec is column-major over X (n2 x n1): X T1 -> (T1^T ⊗ I), T2 X -> (I ⊗ T2)
-    lhs = np.kron(t1.T, np.eye(n2)) - np.kron(np.eye(n1), t2)
-    _, sv, vh = np.linalg.svd(lhs)
     # threshold against the problem scale, not sigma_max of the Sylvester
     # operator: for near-zero T1, T2 the whole spectrum is roundoff
-    scale = max(1.0, op_norm(t1), op_norm(t2))
-    null_mask = sv <= TOL_RANK * scale
-    vectors = vh[null_mask].conj()
-    basis = tuple(v.reshape((n1, n2)).T for v in vectors)
-    max_rank = 0
-    witness = None
-    if basis:
-        rng = np.random.default_rng(seed)
-        for _ in range(_MAX_RANK_DRAWS):
-            coeffs = complex_gaussian(rng, len(basis))
-            candidate = sum(c * b for c, b in zip(coeffs, basis))
-            r = _rank(candidate)
-            if r > max_rank:
-                max_rank, witness = r, candidate
-            if max_rank == min(n1, n2):
-                break
-    return IntertwinerSpace(t1, t2, basis, max_rank, witness)
+    threshold = TOL_RANK * max(1.0, op_norm(t1), op_norm(t2))
+    stack = _split_null(t1, t2, threshold)
+    if stack is None:
+        stack = _sylvester_null(t1, t2, threshold)
+    return IntertwinerSpace(t1, t2, tuple(stack), *_max_rank(stack, seed))
 
 
 def find_quasiaffinity(t1, t2, seed: int = 0) -> np.ndarray | None:

@@ -413,18 +413,25 @@ def x3_suite(
     (tol,) = _tolerances("x3-transfer", tols, transfer=1e-6)
     matrices = _inputs("x3-transfer", inputs, np.ndarray)
 
-    def trial(i, rng, tally):
-        if matrices:
-            t1 = matrices[i % len(matrices)]
-        else:
-            rng.integers(3, 9)  # an unused size draw, kept so the stream is unchanged
-            t1 = _random_c0_instance(rng, i, n_max=8, spectral_radius=0.8)
-        n = t1.shape[0]
-        q = random_well_conditioned(rng, n, cond_cap=10.0)
+    def transfer(t1, rng, samples, inner_seed):
+        q = random_well_conditioned(rng, t1.shape[0], cond_cap=10.0)
         t2 = q @ t1 @ np.linalg.inv(q)
         y = q / op_norm(q)
-        part = theorem_x3_verifier(t1, t2, y, samples=triples, seed=seed + 1000 * (i + 1), tol=tol)
-        tally.absorb(part, trial=i)
+        return theorem_x3_verifier(t1, t2, y, samples=samples, seed=inner_seed, tol=tol)
+
+    if matrices:
+        # input k gets one instance with `trials` sampled triples seeded
+        # seed + k; its violations keep their own triple indices
+        def given(k, rng, tally):
+            tally.absorb(transfer(matrices[k], rng, trials, seed + k))
+
+        count = len(matrices)
+        return _run_trials("x3-transfer", seed, count, given, counted=count * trials)
+
+    def trial(i, rng, tally):
+        rng.integers(3, 9)  # an unused size draw, kept so the stream is unchanged
+        t1 = _random_c0_instance(rng, i, n_max=8, spectral_radius=0.8)
+        tally.absorb(transfer(t1, rng, triples, seed + 1000 * (i + 1)), trial=i)
 
     return _run_trials("x3-transfer", seed, trials, trial, counted=trials * triples)
 

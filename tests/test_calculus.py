@@ -9,7 +9,7 @@ first annihilator; it never looks at Jordan structure.
 import numpy as np
 import pytest
 
-from c0lat import blaschke
+from c0lat import blaschke, calculus
 from c0lat.blaschke import BlaschkeProduct, almost_equiv, divisors, elementary, equiv, monomial, multiply
 from c0lat.calculus import (
     ContractionMatrix,
@@ -26,7 +26,12 @@ from c0lat.calculus import (
     spectral_radius,
 )
 from c0lat.modelspace import compressed_shift
-from c0lat.sampling import random_blaschke, random_contraction, random_well_conditioned
+from c0lat.sampling import (
+    complex_gaussian,
+    random_blaschke,
+    random_contraction,
+    random_well_conditioned,
+)
 from c0lat.subspace import op_norm
 
 NILPOTENT = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -259,6 +264,43 @@ def test_eigenstructure_uncertifiable_spectrum_raises():
     # pseudo-hyperbolic separation below the maximality floor
     with pytest.raises(VerificationError):
         eigenstructure(np.diag([0.5, 0.5 + 2e-4]).astype(complex))
+
+
+def union_find_clusters(values, radius):
+    """The reference single linkage: a union-find pass over every pair,
+    clusters in order of their smallest index, then sorted by mean."""
+    parent = list(range(values.size))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(values.size):
+        for j in range(i + 1, values.size):
+            if abs(values[i] - values[j]) <= radius:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(values.size):
+        groups.setdefault(find(i), []).append(i)
+    clusters = [np.array(idx) for idx in groups.values()]
+    clusters.sort(key=lambda idx: (values[idx].mean().real, values[idx].mean().imag))
+    return clusters
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_single_linkage_clusters_match_the_union_find_reference(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        n = int(rng.integers(1, 33))
+        centres = rng.uniform(-0.9, 0.9, 4) + 1j * rng.uniform(-0.9, 0.9, 4)
+        # chains of near points, exact repeats and conjugate pairs
+        values = rng.choice(centres, n) + rng.uniform(0, 1e-2) * complex_gaussian(rng, n)
+        values = np.round(values, 2) if rng.uniform() < 0.3 else values
+        values = np.concatenate([values, values.conj()]) if rng.uniform() < 0.3 else values
+        radius = float(rng.choice(calculus.CLUSTER_LADDER + (1e-2,)))
+        got = calculus._single_linkage_clusters(values, radius)
+        assert [c.tolist() for c in got] == [c.tolist() for c in union_find_clusters(values, radius)]
 
 
 def test_certificate_json_shape():

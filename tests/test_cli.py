@@ -332,6 +332,14 @@ def test_verify_rejects_input_files_of_the_wrong_kind(capsys, files, suite):
     assert _one_error_line(err) and "input 1 is a" in err
 
 
+@pytest.mark.parametrize("suite", ["modular-thm97", "x3-transfer"])
+def test_trials_count_the_sampled_checks_on_each_input_file(capsys, files, suite):
+    inputs = (files["diag"], files["diag"])
+    code, out, _ = run(capsys, "verify", suite, *inputs, "--trials", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["trials"] == 4
+
+
 def test_x3_transfer_rejects_a_matrix_that_is_not_c0(capsys, files):
     path = files["tmp"] / "expanding.json"
     path.write_text(json.dumps(encode_matrix(np.diag([2.0, 0.1]))))
@@ -358,6 +366,7 @@ EMPTY_MATRIX = {"rows": 0, "cols": 0, "entries": []}
         (("calc", "minfun", "M"), {"constant": {"im": 0.0, "re": 1.0}, "zeros": []}),
         (("jordan", "model", "M"), {"thetas": []}),
         (("jordan", "quasisim", "M", "M"), {"quasisimilar": True}),
+        (("jordan", "intertwine", "M", "M"), {"dimension": 0, "max_rank": 0}),
     ],
 )
 def test_matrix_commands_accept_the_zero_by_zero_payload(capsys, files, command, expected):

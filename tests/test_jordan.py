@@ -40,7 +40,9 @@ from c0lat.sampling import (
 )
 from c0lat.serialize import stable_json_bytes
 from c0lat.subspace import (
+    TOL_INTERTWINE,
     TOL_ORTHO,
+    TOL_RANK,
     Subspace,
     cyclic_multiplicity,
     equals,
@@ -65,6 +67,13 @@ def test_commutant_of_zero_is_everything():
     space = intertwiner_space(np.zeros((2, 2)), np.zeros((2, 2)))
     assert space.dimension == 4
     assert space.max_rank == 2
+
+
+@pytest.mark.parametrize("n1, n2", [(0, 0), (0, 2), (2, 0)])
+def test_an_empty_side_has_only_the_empty_intertwiner(n1, n2):
+    t1, t2 = np.diag([0.1, 0.5][:n1]), np.diag([0.1, 0.5][:n2])
+    space = intertwiner_space(t1, t2)
+    assert (space.dimension, space.max_rank, space.rank_witness) == (0, 0, None)
 
 
 def test_distinct_scalars_force_zero():
@@ -107,29 +116,152 @@ def frobenius_gantmacher(s1, s2) -> int:
     return sum(min(p, q) for lam, ps in s1 for p in ps for q in sizes2.get(lam, ()))
 
 
-def jordan_pair_member(rng, eigenvalues):
-    """A random Jordan structure over eigenvalues[0] and one other eigenvalue,
-    and a well-conditioned similarity of the matrix it describes."""
-    chosen = (eigenvalues[0], eigenvalues[int(rng.integers(1, len(eigenvalues)))])
-    structure = [
-        (lam, sorted(rng.integers(1, 4, size=int(rng.integers(1, 3))).tolist(), reverse=True))
-        for lam in chosen
+def jordan_pair_member(rng, eigenvalues, superdiagonal=1.0):
+    """A random Jordan structure over eigenvalues[0] and up to two of the
+    others, with one or two blocks of size 1 to 6 at each (redrawn until it
+    has at most SIZE_CAP rows), and a similarity by a conditioner with
+    cond <= 3 of the matrix it describes, with the given superdiagonal."""
+    while True:
+        others = rng.permutation(range(1, len(eigenvalues)))[: int(rng.integers(0, 3))]
+        structure = [
+            (eigenvalues[k], sorted(rng.integers(1, 7, size=rng.integers(1, 3)), reverse=True))
+            for k in (0, *others)
+        ]
+        if sum(sum(sizes) for _, sizes in structure) <= jordan.SIZE_CAP:
+            break
+    blocks = [
+        lam * np.eye(p) + superdiagonal * np.eye(p, k=1) for lam, sizes in structure for p in sizes
     ]
-    blocks = [lam * np.eye(p) + np.eye(p, k=-1) for lam, sizes in structure for p in sizes]
     j = scipy.linalg.block_diag(*blocks).astype(complex)
     q = random_well_conditioned(rng, j.shape[0], cond_cap=3.0)
     return q @ j @ np.linalg.inv(q), structure
 
 
-@pytest.mark.parametrize("seed", range(8))
+def kronecker_null_space(t1, t2) -> list:
+    """The reference intertwiner basis: the null space of the whole
+    (n1*n2) x (n1*n2) Kronecker matrix of X -> X T1 - T2 X."""
+    n1, n2 = t1.shape[0], t2.shape[0]
+    lhs = np.kron(t1.T, np.eye(n2)) - np.kron(np.eye(n1), t2)
+    _, sv, vh = np.linalg.svd(lhs)
+    scale = max(1.0, op_norm(t1), op_norm(t2))
+    return [v.reshape((n1, n2)).T for v in vh[sv <= TOL_RANK * scale].conj()]
+
+
+def span(matrices, ambient_dim) -> Subspace:
+    return Subspace.from_span(np.column_stack([x.reshape(-1) for x in matrices]), ambient_dim)
+
+
+@pytest.mark.parametrize("seed", range(40))
 def test_intertwiner_dimension_matches_frobenius_gantmacher(seed):
+    """Conjugated Jordan pairs, square and rectangular, with one to three
+    eigenvalues (most split into clusters, some a single cluster): the basis
+    spans the undivided Kronecker null space, has the Frobenius–Gantmacher
+    dimension, and every element intertwines."""
     rng = np.random.default_rng(seed)
     eigenvalues = (0.3, -0.2 + 0.4j, -0.5j)
-    t1, s1 = jordan_pair_member(rng, eigenvalues)
-    t2, s2 = jordan_pair_member(rng, eigenvalues)
+    superdiagonal = (1.0, 0.3)[seed % 2]
+    t1, s1 = jordan_pair_member(rng, eigenvalues, superdiagonal)
+    t2, s2 = jordan_pair_member(rng, eigenvalues, superdiagonal)
     expected = frobenius_gantmacher(s1, s2)
     assert expected > 0  # eigenvalues[0] is shared
-    assert intertwiner_space(t1, t2).dimension == expected
+    space = intertwiner_space(t1, t2)
+    assert space.dimension == expected
+    scale = max(1.0, op_norm(t1), op_norm(t2))
+    for x in space.basis:
+        assert op_norm(x @ t1 - t2 @ x) <= TOL_INTERTWINE * scale
+    n = t1.shape[0] * t2.shape[0]
+    assert equals(span(space.basis, n), span(kronecker_null_space(t1, t2), n))
+
+
+def test_a_single_cluster_pair_keeps_the_kronecker_basis_bit_for_bit():
+    t1, _ = jordan_pair_member(np.random.default_rng(3), (0.3,))
+    t2, _ = jordan_pair_member(np.random.default_rng(4), (0.3,))
+    space = intertwiner_space(t1, t2)
+    assert space.dimension > 0
+    assert np.array(space.basis).tobytes() == np.array(kronecker_null_space(t1, t2)).tobytes()
+
+
+@pytest.mark.parametrize("gap, undivided", [(3.2e-3, True), (0.2, False)])
+def test_a_just_separated_pair_is_solved_undivided(monkeypatch, gap, undivided):
+    """0.3 and 0.3 + gap are two clusters, but just past the clustering
+    radius their spectral basis has condition number about 2 / gap, and the
+    pair is solved as one Kronecker system; far apart it splits in two."""
+    t = np.array([[0.3, 1.0], [0.0, 0.3 + gap]], dtype=complex)
+    shapes = []
+    kernel = jordan._sylvester_null
+
+    def recorded(a1, a2, threshold):
+        shapes.append((a1.shape[0], a2.shape[0]))
+        return kernel(a1, a2, threshold)
+
+    monkeypatch.setattr(jordan, "_sylvester_null", recorded)
+    space = intertwiner_space(t, t)
+    assert (space.dimension, space.max_rank) == (2, 2)
+    assert shapes == ([(2, 2)] if undivided else [(1, 1), (1, 1)])
+    if undivided:
+        assert np.array(space.basis).tobytes() == np.array(kronecker_null_space(t, t)).tobytes()
+
+
+def test_a_failed_reorder_leaves_the_pair_undivided(monkeypatch):
+    t1, t2, _ = similarity_pair(0)
+    scale = max(1.0, op_norm(t1), op_norm(t2))
+    assert jordan._split_null(t1, t2, TOL_RANK * scale) is not None
+    reorder = scipy.linalg.lapack.ztrsen
+    monkeypatch.setattr(
+        scipy.linalg.lapack, "ztrsen", lambda *args, **kw: (*reorder(*args, **kw)[:-1], 1)
+    )
+    space = intertwiner_space(t1, t2)
+    assert np.array(space.basis).tobytes() == np.array(kronecker_null_space(t1, t2)).tobytes()
+
+
+def first_draw_zero():
+    """complex_gaussian, except that its first draw is zeroed."""
+    calls = []
+
+    def gaussian(rng, *shape):
+        calls.append(shape)
+        draw = complex_gaussian(rng, *shape)
+        return 0 * draw if len(calls) == 1 else draw
+
+    return gaussian
+
+
+def sequential_max_rank(basis, seed, gaussian):
+    """The reference certificate: one combination at a time, at most 32,
+    stopping at full rank; the witness is the first to reach the maximum."""
+    n2, n1 = basis[0].shape
+    rng = np.random.default_rng(seed)
+    max_rank, witness = 0, None
+    for _ in range(32):
+        candidate = sum(c * b for c, b in zip(gaussian(rng, len(basis)), basis))
+        sv = np.linalg.svd(candidate, compute_uv=False)
+        rank = int(np.sum(sv > TOL_RANK * sv[0]))
+        if rank > max_rank:
+            max_rank, witness = rank, candidate
+        if max_rank == min(n1, n2):
+            break
+    return max_rank, witness
+
+
+@pytest.mark.parametrize("zero_first", [False, True])
+@pytest.mark.parametrize(
+    "pair",
+    [
+        similarity_pair(0)[:2],
+        (np.diag([0.3, 0.3, 0.5]), np.diag([0.3, 0.7, 0.7])),
+        (np.diag([0.3, -0.2, 0.1, 0.5]), np.diag([0.3, 0.3, -0.2])),
+    ],
+    ids=["full-rank", "rank-1", "rectangular"],
+)
+def test_stacked_draws_pick_the_sequential_max_rank_and_witness(monkeypatch, pair, zero_first):
+    t1, t2 = pair
+    gaussian = first_draw_zero() if zero_first else complex_gaussian
+    monkeypatch.setattr(jordan, "complex_gaussian", gaussian)
+    space = intertwiner_space(t1, t2, seed=5)
+    reference = first_draw_zero() if zero_first else complex_gaussian
+    max_rank, witness = sequential_max_rank(space.basis, 5, reference)
+    assert space.max_rank == max_rank > 0
+    assert np.allclose(space.rank_witness, witness, rtol=0, atol=1e-12)
 
 
 # --- quasiaffinity / quasisimilarity ------------------------------------------------
