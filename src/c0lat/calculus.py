@@ -81,9 +81,7 @@ class ContractionMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        m = _as_matrix(self.matrix)
         if op_norm(m) > 1.0 + 1e-9:
             raise ValueError(f"operator norm {op_norm(m):.17g} exceeds 1")
         m = m.copy()

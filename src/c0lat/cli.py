@@ -43,9 +43,9 @@ class UsageError(ValueError):
 def _parse_tolerances(pairs) -> dict:
     out = {}
     for pair in pairs or ():
-        if "=" not in pair:
+        name, eq, value = pair.partition("=")
+        if not eq or not name.strip():
             raise UsageError(f"--tol expects NAME=VALUE, got {pair!r}")
-        name, _, value = pair.partition("=")
         try:
             tol = float(value)
         except ValueError as exc:

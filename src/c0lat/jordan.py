@@ -31,13 +31,15 @@ The two theorem verifiers replay proofs on concrete samples:
 
 Both verifiers run one sampled-triple loop (``_triples``): a pool of
 invariant subspaces reduced to its distinct members, each labelled by
-its index (equal subspaces share one basis), and label triples (L, M, N)
-with N = L ∧ R ⊆ L, drawn as the rows of one integer array from one
-generator, so row i is trial i's draw whatever the count.  A verifier
-checks each distinct triple once, in a cached function that records into
-a tally of its own (``_Tally``, the recorder every suite trial in
-:mod:`c0lat.suites` uses too), and replays that tally under every trial
-that drew the triple; the modular residual is ``_modular``.
+its index (``subspace._label``; equal subspaces share one basis), and
+label triples (L, M, N) with N = L ∧ R ⊆ L, drawn as the rows of one
+integer array from one generator, so row i is trial i's draw whatever
+the count.  A verifier checks each distinct triple once, in a cached
+function that records into a tally of its own (``_Tally``, the recorder
+every suite trial in :mod:`c0lat.suites` uses too), and replays that
+tally under every trial that drew the triple; the two sides of the
+modular law come from :func:`c0lat.subspace._modular`, the kernel of
+``check_modular_triple``.
 
 In finite dimensions Lat(T) is a sublattice of the lattice of all
 subspaces of C^n, which is modular, so neither verifier can find a
@@ -60,6 +62,7 @@ from .calculus import (
     CLUSTER_LADDER,
     NotC0Error,
     VerificationError,
+    _as_matrix,
     _single_linkage_clusters,
     eigenstructure,
     is_c0,
@@ -71,11 +74,12 @@ from .subspace import (
     TOL_INVARIANT,
     TOL_RANK,
     Subspace,
-    contains,
+    _direct_sum,
+    _label,
+    _modular,
     distance,
     equals,
     is_invariant,
-    join,
     meet,
     op_norm,
 )
@@ -118,20 +122,9 @@ class RankDeficientError(ValueError):
     """A full-rank (quasiaffinity) operator was required."""
 
 
-def _square(t) -> np.ndarray:
-    a = np.asarray(t, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def _intertwine_residual(x, t1, t2) -> float:
-    return op_norm(x @ t1 - t2 @ x)
-
-
 def _require_intertwiner(x, t1, t2):
     scale = max(1.0, op_norm(t1), op_norm(t2))
-    resid = _intertwine_residual(x, t1, t2)
+    resid = op_norm(x @ t1 - t2 @ x)
     if resid > TOL_INTERTWINE * scale:
         raise NonIntertwinerError(
             f"intertwining residual {resid:.3g} exceeds {TOL_INTERTWINE:g} * {scale:.3g}"
@@ -273,7 +266,7 @@ def intertwiner_space(t1, t2, seed: int = 0) -> IntertwinerSpace:
     ``SIZE_CAP`` (16), because a single-cluster pair still builds that
     system.
     """
-    t1, t2 = _square(t1), _square(t2)
+    t1, t2 = _as_matrix(t1), _as_matrix(t2)
     n1, n2 = t1.shape[0], t2.shape[0]
     if n1 > SIZE_CAP or n2 > SIZE_CAP:
         raise ValueError(f"matrix sizes {n1}, {n2} exceed cap {SIZE_CAP}")
@@ -293,7 +286,7 @@ def find_quasiaffinity(t1, t2, seed: int = 0) -> np.ndarray | None:
     invertible, so this requires equal sizes and a max rank equal to them;
     on the zero space it is the empty identity.
     """
-    t1, t2 = _square(t1), _square(t2)
+    t1, t2 = _as_matrix(t1), _as_matrix(t2)
     if t1.shape[0] != t2.shape[0]:
         return None
     if t1.shape[0] == 0:  # the identity of the zero space
@@ -347,17 +340,6 @@ class LatticeMapReport:
     adjoint_injective_evidence: float
     max_residual: float
 
-    def __post_init__(self):
-        for name in (
-            "surjective_evidence",
-            "injective_evidence",
-            "adjoint_surjective_evidence",
-            "adjoint_injective_evidence",
-        ):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]; got {v}")
-
     def to_json_dict(self) -> dict:
         return asdict(self)
 
@@ -409,7 +391,7 @@ def check_lattice_isomorphism(x, t1, t2, samples: int = 20, seed: int = 0) -> La
     duality: X_* onto pairs with (X*)_* one-to-one and vice versa, so the
     report carries both directions for comparison."""
     x = np.asarray(x, dtype=complex)
-    t1, t2 = _square(t1), _square(t2)
+    t1, t2 = _as_matrix(t1), _as_matrix(t2)
     resid = _require_intertwiner(x, t1, t2)
     rng = np.random.default_rng(seed)
     surj, worst = _surjectivity_evidence(x, t2, samples, rng)
@@ -451,11 +433,9 @@ class JordanModel:
         return sum(t.degree for t in self.thetas)
 
     def operator(self) -> np.ndarray:
-        """The model matrix: the direct sum of the compressed shifts."""
-        if not self.thetas:
-            return np.zeros((0, 0), dtype=complex)
-        blocks = [compressed_shift(t).matrix for t in self.thetas]
-        return scipy.linalg.block_diag(*blocks).astype(complex)
+        """The model matrix: the direct sum of the compressed shifts (0 x 0
+        for the empty chain)."""
+        return _direct_sum(*(compressed_shift(t).matrix for t in self.thetas))
 
     def to_json_dict(self) -> dict:
         return {"thetas": [t.to_json_dict() for t in self.thetas]}
@@ -474,7 +454,7 @@ def jordan_model(t, seed: int = 0, verify: bool = True) -> JordanModel:
     quasiaffinity search against the model operator; a failed search
     raises :class:`~c0lat.calculus.VerificationError` too.
     """
-    t = _square(t)
+    t = _as_matrix(t)
     n = t.shape[0]
     if n > 12:
         raise ValueError("jordan_model is capped at size 12")
@@ -546,15 +526,6 @@ def _restriction(t, s: Subspace) -> np.ndarray:
     return s.basis.conj().T @ t @ s.basis
 
 
-def _direct_sum(a, b) -> np.ndarray:
-    """The complex block-diagonal matrix ``a ⊕ b``."""
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    out = np.zeros((ra + rb, ca + cb), dtype=complex)
-    out[:ra, :ca] = a
-    out[ra:, ca:] = b
-    return out
-
-
 def _triples(t, count, seed):
     """The distinct members of a pool of invariant subspaces of T, and
     ``(trial, i, j, k)`` for ``count`` triples (L, M, N) of members with
@@ -566,28 +537,10 @@ def _triples(t, count, seed):
     it equals, or becomes a new one."""
     pool = sample_invariant_subspaces(t, max(12, t.shape[0] + 4), np.random.default_rng(seed))
     members = []
-
-    def label(s):
-        for k, member in enumerate(members):
-            if equals(member, s):
-                return k
-        members.append(s)
-        return len(members) - 1
-
-    labels = np.array([label(s) for s in pool])
-    meets = cache(lambda i, r: label(meet(members[i], members[r])))
+    labels = np.array([_label(members, s) for s in pool])
+    meets = cache(lambda i, r: _label(members, meet(members[i], members[r])))
     drawn = labels[np.random.default_rng([seed, 1]).integers(len(pool), size=(count, 3))]
     return members, [(trial, i, j, meets(i, r)) for trial, (i, j, r) in enumerate(drawn.tolist())]
-
-
-def _modular(l, m, n):
-    """The residual of ``L ∧ (M ∨ N) = (L ∧ M) ∨ N`` (requires ``N ⊆ L``),
-    then ``M ∨ N``, ``L ∧ (M ∨ N)`` and ``L ∧ M``."""
-    if not contains(l, n):
-        raise ValueError("modular-triple precondition violated: N is not contained in L")
-    joined, lm = join(m, n), meet(l, m)
-    inter = meet(l, joined)
-    return distance(inter, join(lm, n)), joined, inter, lm
 
 
 class _Tally:
@@ -644,7 +597,7 @@ def theorem97_verifier(
     (T|M2) (+) (T|M3) with T|M2∨M3 and is onto; and that the X-preimage
     of M1 ∩ (M2 ∨ M3) is (M1 ∩ M2) (+) M3.
     """
-    t = _square(t)
+    t = _as_matrix(t)
     n = t.shape[0]
     if n > 10:
         raise ValueError("theorem97_verifier is capped at size 10")
@@ -656,9 +609,9 @@ def theorem97_verifier(
     def checks(i, j, k):
         m1, m2, m3 = members[i], members[j], members[k]
         tally = _Tally()
-        resid, joined, inter, m1m2 = _modular(m1, m2, m3)
+        inter, rhs, joined, m1m2 = _modular(m1, m2, m3)
         dims = {"dims": [m1.dim, m2.dim, m3.dim]}
-        tally.check(None, "modular-identity", resid, tol_modular, dims)
+        tally.check(None, "modular-identity", distance(inter, rhs), tol_modular, dims)
         if m2.dim + m3.dim == 0:
             return tally
         # the sum map X(a2, a3) = a2 + a3 in the orthonormal basis of M2 ∨ M3
@@ -705,7 +658,7 @@ def theorem_x3_verifier(
     the T2 side.  T1 must be C0; T2, similar to T1, need not be a
     contraction.
     """
-    t1, t2, y = _square(t1), _square(t2), np.asarray(y, dtype=complex)
+    t1, t2, y = _as_matrix(t1), _as_matrix(t2), np.asarray(y, dtype=complex)
     if not is_c0(t1):
         raise NotC0Error("theorem_x3_verifier requires a C0 matrix T1")
     _require_intertwiner(y, t1, t2)
@@ -726,7 +679,7 @@ def theorem_x3_verifier(
             tally.check(None, "onto-instance", onto[a], tol, {"index": index})
         image = lattice_map(y, meet(ms[0], ms[1]))
         tally.check(None, "product-identity", distance(image, meet(ns[0], ns[1])), tol)
-        source, target = _modular(*ms)[0], _modular(*ns)[0]
+        source, target = (distance(*_modular(*side)[:2]) for side in (ms, ns))
         tally.fold(source)
         tally.fold(target)
         if source <= tol < target:
@@ -754,7 +707,7 @@ class TriangularizationReport:
 def triangularization_check(t, m: Subspace) -> TriangularizationReport:
     """Classify T|M and the compression to the complement; at matrix scale
     T is C0 exactly when both corners are."""
-    t = _square(t)
+    t = _as_matrix(t)
     inv = is_invariant(t, m)
     if not inv.invariant:
         raise ValueError(f"subspace is not invariant (residual {inv.residual:.3g})")
@@ -783,7 +736,7 @@ def brute_force_lat(t) -> list[Subspace]:
     it refuses matrices with (numerically) repeated eigenvalues, closer
     than 1e-6, where the eigenvector-subset description is wrong.
     """
-    t = _square(t)
+    t = _as_matrix(t)
     n = t.shape[0]
     if n > 10:
         raise ValueError("brute_force_lat is capped at size 10")

@@ -35,6 +35,11 @@ matmuls and LAPACK calls.  They and the scalar ``meet``, ``join``,
 (the containment rule above), so each rule lives in one place and a
 batched result is the scalar one bit for bit.
 
+:mod:`c0lat.jordan` and :mod:`c0lat.suites` share three more helpers:
+``_modular`` (both sides of the modular law, for ``check_modular_triple``
+and the theorem verifiers), ``_label`` (the first ``equals`` member of a
+list, appending when there is none) and ``_direct_sum`` (block sums).
+
 A meet takes one SVD, of the projection residual ``R = B - P_A B``
 (Bjorck and Golub, Math. Comp. 1973; Knyazev and Argentati, SIAM J. Sci.
 Comput. 2002): its singular values are the principal sines, and ``B V``
@@ -344,6 +349,27 @@ def equalities(pairs) -> np.ndarray:
     return out
 
 
+def _label(members: list, s: Subspace) -> int:
+    """The index of the first of ``members`` that ``equals`` ``s``; ``s`` is
+    appended, and labelled, when none does."""
+    for k, member in enumerate(members):
+        if equals(member, s):
+            return k
+    members.append(s)
+    return len(members) - 1
+
+
+def _direct_sum(*blocks) -> np.ndarray:
+    """The complex block-diagonal matrix of ``blocks``; 0 x 0 for none."""
+    out = np.zeros([sum(d) for d in zip((0, 0), *(b.shape for b in blocks))], dtype=complex)
+    r = c = 0
+    for b in blocks:
+        h, w = b.shape
+        out[r:r + h, c:c + w] = b
+        r, c = r + h, c + w
+    return out
+
+
 def distance(a: Subspace, b: Subspace) -> float:
     """Projector-gap distance ``|| P_a - P_b ||`` (the sine of the largest
     principal angle for equal dimensions; 1 when dimensions differ)."""
@@ -428,12 +454,18 @@ def cyclic_multiplicity(t) -> int:
     return n
 
 
-def check_modular_triple(l: Subspace, m: Subspace, n: Subspace) -> TripleVerdict:
-    """Both sides of ``L ∩ (M ∨ N) = (L ∩ M) ∨ N``; requires ``N ⊆ L``."""
+def _modular(l: Subspace, m: Subspace, n: Subspace) -> tuple:
+    """The two sides of ``L ∧ (M ∨ N) = (L ∧ M) ∨ N`` (requires ``N ⊆ L``),
+    then ``M ∨ N`` and ``L ∧ M``."""
     if not contains(l, n):
         raise ValueError("modular-triple precondition violated: N is not contained in L")
-    lhs = meet(l, join(m, n))
-    rhs = join(meet(l, m), n)
+    joined, lm = join(m, n), meet(l, m)
+    return meet(l, joined), join(lm, n), joined, lm
+
+
+def check_modular_triple(l: Subspace, m: Subspace, n: Subspace) -> TripleVerdict:
+    """Both sides of ``L ∩ (M ∨ N) = (L ∩ M) ∨ N``; requires ``N ⊆ L``."""
+    lhs, rhs, _, _ = _modular(l, m, n)
     return TripleVerdict(equals(lhs, rhs), distance(lhs, rhs))
 
 
@@ -538,35 +570,20 @@ class FiniteLattice:
         meets/joins with existing elements uses :func:`equals`.
         """
         elements: list[Subspace] = []
-
-        def locate(s: Subspace) -> int | None:
-            for idx, e in enumerate(elements):
-                if equals(s, e):
-                    return idx
-            return None
-
         for s in subspaces:
-            if locate(s) is None:
-                elements.append(s)
+            _label(elements, s)
         if not elements:
             raise ValueError("cannot build a lattice from no subspaces")
-        frontier = list(range(len(elements)))
-        while frontier:
-            new_frontier = []
-            pairs = [
-                (i, j)
-                for i in range(len(elements))
-                for j in frontier
-                if j >= i
-            ]
-            for i, j in pairs:
-                for combo in (meet(elements[i], elements[j]), join(elements[i], elements[j])):
-                    if locate(combo) is None:
-                        if len(elements) >= cls.MAX_ELEMENTS:
+        # each round pairs every element with the ones the last round added
+        start = 0
+        while start < len(elements):
+            end = len(elements)
+            for i in range(end):
+                for j in range(max(i, start), end):
+                    for combo in (meet(elements[i], elements[j]), join(elements[i], elements[j])):
+                        if _label(elements, combo) >= cls.MAX_ELEMENTS:
                             raise ValueError(f"lattice closure exceeds cap {cls.MAX_ELEMENTS}")
-                        elements.append(combo)
-                        new_frontier.append(len(elements) - 1)
-            frontier = new_frontier
+            start = end
         n = len(elements)
         leq = np.zeros((n, n), dtype=bool)
         for i in range(n):

@@ -20,12 +20,18 @@ rather than overlap: on a 2-CPU machine six modular-thm97 plus x3-transfer
 suite pairs (2 trials each) took a median 2.4 s with one worker against
 4.2 s with two, over six runs each.
 
+The matrix suites, ``modular-thm97`` and ``x3-transfer``, hand one
+verifier call per matrix to ``_per_matrix``, the one owner of their
+files x trials policy: the inner seeds, the trial tags of violations and
+the count each report gives.
+
 Each suite checks its arguments before the first trial.  A tolerance name
 the suite does not define (``_tolerances``) and an input payload of the
 wrong kind (``_inputs``: a matrix where the suite takes Blaschke products,
 a Blaschke product where it takes matrices, a matrix that is not square,
-any input to ``duality``) raise ValueError, which the command line
-reports with exit code 2.
+any input to ``duality``, a repeated zero or a degree above 10 for
+``oracle-latmatch``) raise ValueError, which the command line reports
+with exit code 2.
 
 ``modular-thm97`` and ``x3-transfer`` can never find a counterexample to
 modularity: in finite dimensions Lat(T) is a sublattice of the lattice of
@@ -75,6 +81,7 @@ from .sampling import (
     random_well_conditioned,
 )
 from .subspace import (
+    _direct_sum,
     closure,
     contains,
     distance,
@@ -316,9 +323,19 @@ def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> Ve
 
 def oracle_latmatch_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> VerificationReport:
     """For theta with 3 distinct zeros, enumerate_lattice must match the
-    brute-force invariant-subspace oracle bijectively."""
+    brute-force invariant-subspace oracle bijectively.  A given theta must
+    have simple zeros and degree at most 10, as the oracle requires."""
     _tolerances("oracle-latmatch", tols)
     thetas = _inputs("oracle-latmatch", inputs, BlaschkeProduct)
+    for k, theta in enumerate(thetas, 1):
+        # the oracle spans eigenvector subsets: distinct eigenvalues, size <= 10
+        repeated = [m for _, m in theta.zeros if m > 1]
+        if repeated or theta.degree > 10:
+            why = f"a zero of multiplicity {repeated[0]}" if repeated else f"degree {theta.degree}"
+            raise ValueError(
+                f"oracle-latmatch takes Blaschke products with simple zeros and degree "
+                f"at most 10; input {k} has {why}"
+            )
 
     def trial(i, rng, tally):
         if thetas:
@@ -365,6 +382,27 @@ def _random_c0_instance(rng, i, n_max=8, spectral_radius=0.9):
     )
 
 
+def _per_matrix(suite, seed, trials, triples, matrices, verify, draw) -> VerificationReport:
+    """The files x trials policy of the matrix suites, one
+    ``verify(t, rng, count, inner_seed)`` call per matrix.  Given
+    ``matrices``, file k is verified with ``trials`` sampled triples seeded
+    seed + k, its violations keep their own triple indices, and the report
+    counts files x trials.  Without, trial i verifies ``draw(rng, i)`` with
+    ``triples`` sampled triples seeded seed + 1000 (i + 1), its violations
+    are tagged with trial i, and the report counts trials x triples."""
+    if matrices:
+        def given(k, rng, tally):
+            tally.absorb(verify(matrices[k], rng, trials, seed + k))
+
+        count = len(matrices)
+        return _run_trials(suite, seed, count, given, counted=count * trials)
+
+    def trial(i, rng, tally):
+        tally.absorb(verify(draw(rng, i), rng, triples, seed + 1000 * (i + 1)), trial=i)
+
+    return _run_trials(suite, seed, trials, trial, counted=trials * triples)
+
+
 def thm97_suite(
     trials: int = 50,
     seed: int = 0,
@@ -379,23 +417,10 @@ def thm97_suite(
     )
     matrices = _inputs("modular-thm97", inputs, np.ndarray)
 
-    def verify(t, count, inner_seed):
+    def verify(t, rng, count, inner_seed):
         return theorem97_verifier(t, count, inner_seed, tol_modular, tol_intertwine, tol_preimage)
 
-    if matrices:
-        # input k gets `trials` sampled triples seeded seed + k; its
-        # violations keep their own triple indices
-        def given(k, rng, tally):
-            tally.absorb(verify(matrices[k], trials, seed + k))
-
-        count = len(matrices)
-        return _run_trials("modular-thm97", seed, count, given, counted=count * trials)
-
-    def trial(i, rng, tally):
-        part = verify(_random_c0_instance(rng, i), triples, seed + 1000 * (i + 1))
-        tally.absorb(part, trial=i)
-
-    return _run_trials("modular-thm97", seed, trials, trial, counted=trials * triples)
+    return _per_matrix("modular-thm97", seed, trials, triples, matrices, verify, _random_c0_instance)
 
 
 # --------------------------------------------------------------------------
@@ -419,21 +444,11 @@ def x3_suite(
         y = q / op_norm(q)
         return theorem_x3_verifier(t1, t2, y, samples=samples, seed=inner_seed, tol=tol)
 
-    if matrices:
-        # input k gets one instance with `trials` sampled triples seeded
-        # seed + k; its violations keep their own triple indices
-        def given(k, rng, tally):
-            tally.absorb(transfer(matrices[k], rng, trials, seed + k))
-
-        count = len(matrices)
-        return _run_trials("x3-transfer", seed, count, given, counted=count * trials)
-
-    def trial(i, rng, tally):
+    def draw(rng, i):
         rng.integers(3, 9)  # an unused size draw, kept so the stream is unchanged
-        t1 = _random_c0_instance(rng, i, n_max=8, spectral_radius=0.8)
-        tally.absorb(transfer(t1, rng, triples, seed + 1000 * (i + 1)), trial=i)
+        return _random_c0_instance(rng, i, spectral_radius=0.8)
 
-    return _run_trials("x3-transfer", seed, trials, trial, counted=trials * triples)
+    return _per_matrix("x3-transfer", seed, trials, triples, matrices, transfer, draw)
 
 
 # --------------------------------------------------------------------------
@@ -476,14 +491,12 @@ def calculus_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> Verif
 # lattice-isomorphism duality evidence
 
 def _duality_instance(rng, deficient: bool):
-    import scipy.linalg
-
     if deficient:
         na, nb = int(rng.integers(2, 5)), int(rng.integers(1, 4))
         a = random_contraction(rng, na, 0.7)
         b = random_contraction(rng, nb, 0.7)
         t1 = a
-        t2 = scipy.linalg.block_diag(a, b).astype(complex)
+        t2 = _direct_sum(a, b)
         x = np.vstack([np.eye(na), np.zeros((nb, na))]).astype(complex)
         return t1, t2, x
     n = int(rng.integers(3, 7))

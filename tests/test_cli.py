@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from c0lat import cli, jordan, suites
-from c0lat.blaschke import elementary, monomial, multiply
+from c0lat.blaschke import BlaschkeProduct, elementary, monomial, multiply
 from c0lat.cli import main
 from c0lat.serialize import encode_matrix, stable_json_bytes
 
@@ -290,8 +290,11 @@ def test_verify_tol_override(capsys, files):
 
 
 def test_verify_bad_tol_is_usage_error(capsys, files):
-    code, _, err = run(capsys, "verify", "prop14", "--tol", "nonsense")
-    assert code == 2
+    # an empty name used to reach the suite as the tolerance ""
+    for pair in ("nonsense", "=3", " =3"):
+        code, out, err = run(capsys, "verify", "prop14", "--tol", pair)
+        assert code == 2 and out == ""
+        assert err == f"c0lat: error: --tol expects NAME=VALUE, got {pair!r}\n"
 
 
 def _one_error_line(err):
@@ -330,6 +333,22 @@ def test_verify_rejects_input_files_of_the_wrong_kind(capsys, files, suite):
     code, out, err = run(capsys, "verify", suite, wrong, "--trials", "1")
     assert code == 2 and out == ""
     assert _one_error_line(err) and "input 1 is a" in err
+
+
+@pytest.mark.parametrize(
+    "zeros, reason",
+    [
+        ([(0.5, 2)], "a zero of multiplicity 2"),
+        ([(0.8 * np.exp(2j * np.pi * k / 11), 1) for k in range(11)], "degree 11"),
+    ],
+)
+def test_oracle_latmatch_rejects_inputs_the_oracle_cannot_take(capsys, files, zeros, reason):
+    # these used to fail inside a trial, with the oracle's own message
+    path = files["tmp"] / "theta.json"
+    path.write_text(json.dumps(BlaschkeProduct(tuple(zeros)).to_json_dict()))
+    code, out, err = run(capsys, "verify", "oracle-latmatch", files["zb"], str(path), "--trials", "1")
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and err.endswith(f"degree at most 10; input 2 has {reason}\n")
 
 
 @pytest.mark.parametrize("suite", ["modular-thm97", "x3-transfer"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from c0lat import blaschke, calculus, jordan
+from c0lat import blaschke, calculus, jordan, subspace
 from c0lat.blaschke import BlaschkeProduct, almost_equiv, elementary, equiv, monomial, multiply
 from c0lat.calculus import NotC0Error, minimal_function
 from c0lat.cli import report_render
@@ -555,14 +555,30 @@ def test_equal_pool_members_share_one_label(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "shapes", [((2, 2), (3, 3)), ((0, 0), (2, 2)), ((3, 1), (2, 0)), ((2, 3), (1, 1))]
+    "shapes",
+    [
+        ((2, 2), (3, 3)),
+        ((0, 0), (2, 2)),
+        ((3, 1), (2, 0)),
+        ((2, 3), (1, 1)),
+        ((2, 2), (1, 3), (3, 3)),
+        ((2, 2), (0, 3), (1, 2)),
+        ((0, 0), (0, 0), (2, 1)),
+    ],
 )
 def test_direct_sum_is_block_diag_bit_for_bit(shapes):
     rng = np.random.default_rng(4)
-    a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)
-    for pair in ((a, b), (a, np.eye(b.shape[0]))):
-        got, expected = jordan._direct_sum(*pair), scipy.linalg.block_diag(*pair)
+    blocks = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+    # the last block complex, then real
+    for case in (blocks, blocks[:-1] + [np.eye(blocks[-1].shape[0])]):
+        got, expected = subspace._direct_sum(*case), scipy.linalg.block_diag(*case)
         assert got.shape == expected.shape and got.tobytes() == expected.astype(complex).tobytes()
+
+
+def test_empty_jordan_model_operator_is_zero_by_zero():
+    # block_diag of no blocks is 1 x 0; the direct sum of none is 0 x 0
+    op = JordanModel(()).operator()
+    assert op.shape == (0, 0) and op.dtype == complex
 
 
 def test_verifiers_check_each_distinct_triple_once(monkeypatch):

@@ -481,6 +481,17 @@ def test_from_subspaces_finds_generic_line_violation():
     assert lattice_is_modular(lat).passed  # M3-shaped: modular, not distributive
 
 
+def test_from_subspaces_raises_when_the_closure_passes_the_cap(monkeypatch):
+    # three lines in C^2 close to five members: themselves, 0 and C^2
+    lines = [span_of([1, 0]), span_of([0, 1]), span_of([1, 1])]
+    monkeypatch.setattr(FiniteLattice, "MAX_ELEMENTS", 5)
+    lat, closed = FiniteLattice.from_subspaces(lines)
+    assert lat.n == len(closed) == 5
+    monkeypatch.setattr(FiniteLattice, "MAX_ELEMENTS", 4)
+    with pytest.raises(ValueError, match="lattice closure exceeds cap 4"):
+        FiniteLattice.from_subspaces(lines)
+
+
 def test_derogatory_c0_lattice_is_modular_not_distributive():
     # Brickman-Fillmore negative control: T = 0.5 I_2 (+) S(b_0.3) is C0 and
     # derogatory, so every line of its 0.5-eigenspace is invariant and three
