@@ -26,6 +26,7 @@ search to the next finer radius.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .blaschke import BlaschkeProduct, divide
 from .subspace import op_norm
@@ -198,6 +199,17 @@ def _single_linkage_clusters(values: np.ndarray, radius: float) -> list[np.ndarr
     clusters = [np.flatnonzero(near[i]) for i in np.unique(near.argmax(axis=1))]
     means = np.array([values[idx].mean() for idx in clusters])
     return [clusters[k] for k in np.lexsort((means.imag, means.real))]
+
+
+def _spectral_basis(s, q, picked) -> tuple | None:
+    """Invariant subspace of T = Q S Q^H (S upper triangular) over the diagonal
+    positions ``picked`` of S: ``(V, A)``, V an orthonormal basis and A the
+    leading block of the reordered S (T V = V A), from one LAPACK ``ztrsen``
+    reorder (Bai and Demmel, LAA 186, 1993); None when the reorder fails."""
+    select = np.zeros(s.shape[0], dtype=np.int32)
+    select[picked] = 1
+    ts, qs, _, m, _, _, info = scipy.linalg.lapack.ztrsen(select, s, q, job="N")
+    return (qs[:, :m], ts[:m, :m]) if info == 0 else None
 
 
 def _nullity(mat: np.ndarray, scale: float) -> int:

@@ -2,10 +2,11 @@
 modularity verifiers.
 
 The intertwining equation X T1 = T2 X splits over the eigenvalue clusters
-that T1 and T2 share.  Reordered complex Schur forms give each cluster's
-spectral subspaces V1_c and V2_c, the restrictions A1_c and A2_c, and T1's
-spectral coordinates Π1_c; each cluster's equation Z A1_c = A2_c Z is
-flattened into a small Kronecker system whose numerical null space (SVD
+that T1 and T2 share.  Complex Schur forms, reordered by the kernel that
+also gives the divisor subspaces (``calculus._spectral_basis``), give each
+cluster's spectral subspaces V1_c and V2_c, the restrictions A1_c and A2_c,
+and T1's spectral coordinates Π1_c; each cluster's equation Z A1_c = A2_c Z
+is flattened into a small Kronecker system whose numerical null space (SVD
 threshold 1e-10 relative) gives the elements V2_c Z Π1_c.  A pair with a
 single cluster, or an ill-conditioned spectral basis, is flattened whole
 into one (n1*n2) x (n1*n2) system.  The maximal rank over the space is
@@ -64,6 +65,7 @@ from .calculus import (
     VerificationError,
     _as_matrix,
     _single_linkage_clusters,
+    _spectral_basis,
     eigenstructure,
     is_c0,
 )
@@ -183,20 +185,14 @@ def _spectral_split(s, q, parts) -> dict | None:
     """Spectral pieces of T = Q S Q^H (S upper triangular) over groups of
     its eigenvalues: ``{c: (V_c, A_c, Π_c)}`` for each nonempty array
     ``parts[c]`` of positions on the diagonal of S.  V_c is an orthonormal
-    basis of the spectral subspace, from one ``ztrsen`` reorder of S, A_c
-    the restriction (T V_c = V_c A_c), and Π_c the rows of
+    basis of the spectral subspace and A_c the restriction (T V_c = V_c A_c),
+    both from :func:`~c0lat.calculus._spectral_basis`, and Π_c the rows of
     inv([V_1 V_2 ...]) that give the coordinates along V_c.  None when a
     reorder fails or [V_1 V_2 ...] has condition number above
     ``_SPLIT_COND``."""
-    pieces = {}
-    for c, picked in enumerate(parts):
-        if picked.size:
-            select = np.zeros(s.shape[0], dtype=np.int32)
-            select[picked] = 1
-            ts, qs, _, m, _, _, info = scipy.linalg.lapack.ztrsen(select, s, q, job="N")
-            if info != 0:
-                return None
-            pieces[c] = qs[:, :m], ts[:m, :m]
+    pieces = {c: _spectral_basis(s, q, picked) for c, picked in enumerate(parts) if picked.size}
+    if None in pieces.values():
+        return None
     v = np.hstack([vc for vc, _ in pieces.values()])
     if np.linalg.cond(v) > _SPLIT_COND:
         return None

@@ -15,8 +15,9 @@ closed form: the zeros a_j sit on the diagonal and, below it,
 
 (Garcia-Mashreghi-Ross, *Introduction to Model Spaces and their
 Operators*, 2016; Nikolski, *Treatise on the Shift Operator*).  A divisor
-subspace phi H^2 ⊖ theta H^2 is the range of phi(S(theta)), whose rank is
-deg theta - deg phi, so it comes from an SVD of that matrix.
+subspace phi H^2 ⊖ theta H^2 is the one invariant subspace of the cyclic
+S(theta) with spectrum the zeros of theta/phi, so it comes from one reorder
+of the triangular S(theta) (:func:`~c0lat.calculus._spectral_basis`).
 
 A uniform N-point grid on the unit circle serves only
 :meth:`ModelSpace.inner_product`, for functions given by their values and
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blaschke
-from .blaschke import BlaschkeProduct, NotADivisorError
-from .calculus import apply_blaschke
+from .blaschke import BlaschkeProduct
+from .calculus import VerificationError, _spectral_basis
 from .subspace import FiniteLattice, Subspace
 
 __all__ = [
@@ -164,17 +165,18 @@ class ModelSpace:
         return _shift_matrix(self.zero_order)
 
     def divisor_subspace(self, phi: BlaschkeProduct) -> Subspace:
-        """Coordinates of ``phi H^2 ⊖ theta H^2`` inside H(theta): the range of
-        phi(S(theta)), whose nonzero singular values are all 1."""
-        if not blaschke.divides(phi, self.theta):
-            raise NotADivisorError(f"{phi} does not divide {self.theta}")
-        rank = self.dim - phi.degree
-        if rank == 0:
-            return Subspace.zero(self.dim)
-        if phi.degree == 0:
-            return Subspace.full(self.dim)
-        u, _, _ = np.linalg.svd(apply_blaschke(self.shift_matrix(), phi))
-        return Subspace._trusted(self.dim, u[:, :rank])
+        """Coordinates of ``phi H^2 ⊖ theta H^2`` inside H(theta): the invariant
+        subspace of the reversed, upper triangular S(theta) over the leading
+        occurrences of theta/phi's zeros there, so the first k canonical zeros
+        give exactly span(e_{k+1}, ..., e_d) with no swap."""
+        left, zeros = blaschke.divide(self.theta, phi).zero_multiset(), self.zero_order[::-1]
+        # the occurrences of a zero are adjacent in canonical order
+        picked = [k for k, z in enumerate(zeros) if k < zeros.index(z) + left.get(z, 0)]
+        flip = np.eye(self.dim, dtype=complex)[::-1]
+        split = _spectral_basis(self.shift_matrix()[::-1, ::-1], flip, picked)
+        if split is None:
+            raise VerificationError(f"could not reorder S(theta) onto the zeros of theta / {phi}")
+        return Subspace._trusted(self.dim, split[0])
 
 
 @dataclass(frozen=True)

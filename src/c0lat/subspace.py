@@ -15,9 +15,9 @@ The public constructor ``Subspace(n, basis)`` checks that the basis is
 orthonormal to ``TOL_ORTHO``.  Internal builders whose bases are
 orthonormal by construction (``from_span``, ``zero``, ``full``, ``meet``,
 ``join``, ``cyclic_subspace``, the Schur prefixes of
-:func:`~c0lat.sampling.sample_invariant_subspaces` and
-:meth:`~c0lat.modelspace.ModelSpace.divisor_subspace`) skip that Gram check;
-the test suite holds them to ``TOL_ORTHO`` instead.
+:func:`~c0lat.sampling.sample_invariant_subspaces` and the reorder kernel
+``calculus._spectral_basis`` behind ``ModelSpace.divisor_subspace``) skip
+that Gram check; the test suite holds them to ``TOL_ORTHO`` instead.
 
 ``contains`` decides ``||B - P_A B||_2 <= TOL_EQUALS`` from the Frobenius
 norm of the residual, which brackets the spectral norm within a factor

@@ -88,7 +88,6 @@ from .subspace import (
     equalities,
     equals,
     join,
-    law_failures,
     meet,
     op_norm,
 )
@@ -271,22 +270,27 @@ def meetjoin_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> Verif
 
 
 # --------------------------------------------------------------------------
-# the divisor lattice is distributive (exhaustive triples)
+# the divisor lattice is closed under lcm/gcd, so distributive
+# a trial closes every pair of divisors at once: one trial on k simple zeros
+# 0.7 e^(2 pi i j / k) took 0.16 s at 64 divisors, 0.74 s at 128, 2.75 s and
+# 180 MiB at 256, and 12.6 s and 586 MiB at 512 (2 CPUs)
+DISTRIBUTIVE_CAP = 256
+
 
 def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> VerificationReport:
-    """Exhaustive distributive-identity check over the enumerated invariant
-    lattice of each theta, through meet/join index tables read from lcm/gcd
-    of the divisor labels (the componentwise max/min of their exponent
-    vectors); every numerical meet and join must equal its predicted member
-    within the subspace equality tolerance.
-
-    The meets and joins of a trial's pairs come from one ``closure`` call
-    and are compared with their members by one ``equalities`` call, each a
-    few stacked LAPACK calls per shape with the scalar ``meet``, ``join``
-    and ``equals`` bits; the first failing pair in row-major order is the
-    reported one."""
+    """Every numerical meet and join over the enumerated invariant lattice of
+    each theta (at most ``DISTRIBUTIVE_CAP`` divisors) must equal, within the
+    subspace equality tolerance, the member that lcm/gcd of the divisor
+    labels predicts; Lat(S(theta)) is then a product of chains, so
+    distributive.  A trial's meets and joins come from one ``closure`` call
+    and are compared with their members by one ``equalities`` call (stacked
+    LAPACK calls with the scalar bits); the first failing pair in row-major
+    order is the reported one."""
     _tolerances("distributive", tols)
     thetas = _inputs("distributive", inputs, BlaschkeProduct)
+    for k, theta in enumerate(thetas, 1):
+        if (count := blaschke.divisor_count(theta)) > DISTRIBUTIVE_CAP:
+            raise ValueError(f"distributive takes at most {DISTRIBUTIVE_CAP} divisors; input {k} has {count}")
 
     def trial(i, rng, tally):
         theta = thetas[i % len(thetas)] if thetas else random_blaschke_with_divisor_cap(rng)
@@ -307,13 +311,6 @@ def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> Ve
             first = failed[0]
             tally.flag(i, "closure", 1.0, {"pair": [int(rows[first]), int(cols[first])]})
             tally.fold(1.0)
-            return
-        meet_idx = np.empty((len(entries), len(entries)), dtype=int)
-        join_idx = np.empty_like(meet_idx)
-        meet_idx[rows, cols] = meet_idx[cols, rows] = lo
-        join_idx[rows, cols] = join_idx[cols, rows] = hi
-        for l, m, n, _, _ in law_failures(meet_idx, join_idx):
-            tally.flag(i, "distributive-identity", 1.0, {"triple": [l, m, n]})
 
     return _run_trials("distributive", seed, trials, trial)
 

@@ -351,6 +351,20 @@ def test_oracle_latmatch_rejects_inputs_the_oracle_cannot_take(capsys, files, ze
     assert _one_error_line(err) and err.endswith(f"degree at most 10; input 2 has {reason}\n")
 
 
+def test_distributive_rejects_a_theta_with_too_many_divisors(capsys, files, monkeypatch):
+    # 2048 divisors used to run out of memory in the pairwise closure and exit 1
+    def unused(theta):
+        raise AssertionError("distributive enumerated the lattice")
+
+    monkeypatch.setattr(suites, "enumerate_lattice", unused)
+    path = files["tmp"] / "theta.json"
+    zeros = tuple((0.7 * np.exp(2j * np.pi * k / 11), 1) for k in range(11))
+    path.write_text(json.dumps(BlaschkeProduct(zeros).to_json_dict()))
+    code, out, err = run(capsys, "verify", "distributive", files["zb"], str(path), "--trials", "1")
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and err.endswith("at most 256 divisors; input 2 has 2048\n")
+
+
 @pytest.mark.parametrize("suite", ["modular-thm97", "x3-transfer"])
 def test_trials_count_the_sampled_checks_on_each_input_file(capsys, files, suite):
     inputs = (files["diag"], files["diag"])

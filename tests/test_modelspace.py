@@ -8,11 +8,12 @@ shares no code with any of them.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from c0lat import blaschke, suites
 from c0lat.blaschke import BlaschkeProduct, NotADivisorError, elementary, monomial, multiply
-from c0lat.calculus import apply_blaschke
+from c0lat.calculus import VerificationError, apply_blaschke
 from c0lat.modelspace import (
     LatticeCapError,
     ModelOperator,
@@ -42,6 +43,13 @@ def quad_inner(f, g) -> complex:
 
 
 THETA_MIXED = BlaschkeProduct(((0.5 + 0j, 2), (-0.3 + 0.2j, 1), (0.1 - 0.6j, 1)))
+# the zeros of a Jordan structure with two 4-blocks
+THETA_TWO_FOURFOLD = BlaschkeProduct(
+    (
+        (0.16315617427631196 + 0.06201259116827713j, 4),
+        (-0.5600446443392839 - 0.03902363760481331j, 4),
+    )
+)
 
 
 # --- basis ----------------------------------------------------------------------
@@ -219,6 +227,57 @@ def test_divisor_subspace_requires_divisor():
         divisor_subspace(monomial(2), elementary(0.5))
 
 
+@pytest.mark.parametrize("theta", [THETA_MIXED, THETA_TWO_FOURFOLD])
+def test_prefix_divisor_subspace_is_exactly_the_trailing_basis_vectors(theta):
+    # phi made of the first k canonical zeros: phi H(theta/phi) is spanned by
+    # e_{k+1}, ..., e_d, and the reorder runs no swap, so rows 1..k are 0.0
+    space = ModelSpace(theta)
+    for k in range(theta.degree + 1):
+        s = space.divisor_subspace(BlaschkeProduct(tuple((z, 1) for z in space.zero_order[:k])))
+        assert s.dim == theta.degree - k
+        assert np.all(s.basis[:k] == 0)
+
+
+def svd_divisor_subspace(space, phi) -> Subspace:
+    """The oracle: phi H^2 ⊖ theta H^2 as the range of phi(S(theta)), whose
+    rank is deg theta - deg phi, from the leading left singular vectors."""
+    u, _, _ = np.linalg.svd(apply_blaschke(space.shift_matrix(), phi))
+    return Subspace(space.dim, u[:, : space.dim - phi.degree])
+
+
+def oracle_families():
+    rng = np.random.default_rng(16)
+    pools = [random_unit_disk_points(rng, 3, radius=0.85) for _ in range(40)]
+    # three zeros drawn into a product of degree up to 8, so zeros repeat
+    yield from (random_blaschke(rng, 8, pool=pool) for pool in pools)
+    yield BlaschkeProduct(((0.5 + 0j, 1), (0.500001 + 0j, 1), (-0.3 + 0.2j, 1)))
+    yield BlaschkeProduct(((0.99999 * np.exp(0.7j), 2), (0.3 - 0.2j, 1), (-0.5 + 0.1j, 1)))
+    yield THETA_TWO_FOURFOLD
+
+
+def test_divisor_subspaces_match_the_range_of_phi_of_the_shift():
+    worst = 0.0
+    for theta in oracle_families():
+        space = ModelSpace(theta)
+        for phi in blaschke.divisors(theta):
+            if 0 < phi.degree < theta.degree:
+                oracle = svd_divisor_subspace(space, phi)
+                worst = max(worst, distance(space.divisor_subspace(phi), oracle))
+    assert worst <= 1e-13
+
+
+def test_a_failed_reorder_is_a_verification_error(monkeypatch):
+    reorder = scipy.linalg.lapack.ztrsen
+    monkeypatch.setattr(
+        scipy.linalg.lapack, "ztrsen", lambda *args, **kw: (*reorder(*args, **kw)[:-1], 1)
+    )
+    # a prefix divisor runs the reorder too, with no swap; the intertwiner
+    # split's fallback is tests/test_jordan.py's failed-reorder test
+    for phi in (elementary(0.5), BlaschkeProduct(((-0.3 + 0.2j, 1),))):
+        with pytest.raises(VerificationError, match="could not reorder"):
+            divisor_subspace(THETA_MIXED, phi)
+
+
 # --- zeros near the boundary and of high multiplicity ---------------------------------------
 
 @pytest.mark.parametrize("r", [0.9999, 0.99999, 1 - 1e-7])
@@ -230,9 +289,7 @@ def test_near_boundary_double_zero(r):
 
 
 def test_two_fourfold_zeros_accepted():
-    # the zeros of a Jordan structure with two 4-blocks
-    a, b = 0.16315617427631196 + 0.06201259116827713j, -0.5600446443392839 - 0.03902363760481331j
-    assert op_norm(compressed_shift(BlaschkeProduct(((a, 4), (b, 4)))).matrix) <= 1.0 + 1e-9
+    assert op_norm(compressed_shift(THETA_TWO_FOURFOLD).matrix) <= 1.0 + 1e-9
 
 
 # --- lattice enumeration ----------------------------------------------------------------
