@@ -162,14 +162,20 @@ def apply_blaschke(t, b: BlaschkeProduct) -> np.ndarray:
     singular.
     """
     t = _as_matrix(t)
-    n = t.shape[0]
-    if n and spectral_radius(t) >= 1.0:
+    if t.shape[0] and spectral_radius(t) >= 1.0:
         raise NotC0Error("apply_blaschke requires spectral radius < 1")
-    out = b.constant * np.eye(n, dtype=complex)
+    return _blaschke_product(t, b, {})
+
+
+def _blaschke_product(t: np.ndarray, b: BlaschkeProduct, factors: dict) -> np.ndarray:
+    """B(T) as the product of the factors b_a(T) in B's zero order, each
+    taken from ``factors`` (keyed by zero) or evaluated once into it."""
+    out = b.constant * np.eye(t.shape[0], dtype=complex)
     for a, m in b.zeros:
-        factor = _blaschke_factor(t, a)
+        if a not in factors:
+            factors[a] = _blaschke_factor(t, a)
         for _ in range(m):
-            out = out @ factor
+            out = out @ factors[a]
     return out
 
 
@@ -217,13 +223,12 @@ def _nullity(mat: np.ndarray, scale: float) -> int:
     return int(np.sum(sv <= _JORDAN_RANK_TOL * max(1.0, scale)))
 
 
-def _cluster_partition(t: np.ndarray, mean: complex, size: int) -> tuple | None:
-    """Jordan block sizes at ``mean`` from the nullity sequence of powers,
-    or None when the sequence is inconsistent with algebraic multiplicity
-    ``size`` (the signal that the clustering radius was wrong)."""
+def _cluster_partition(t: np.ndarray, mean: complex, size: int, scale: float) -> tuple | None:
+    """Jordan block sizes at ``mean`` from the nullity sequence of powers at
+    ``scale = max(1, ||T||)``, or None when it is inconsistent with algebraic
+    multiplicity ``size`` (the signal that the clustering radius was wrong)."""
     n = t.shape[0]
     a = t - mean * np.eye(n, dtype=complex)
-    scale = max(1.0, op_norm(t))
     power = np.eye(n, dtype=complex)
     nullities = [0]
     for _ in range(size):
@@ -254,7 +259,9 @@ def eigenstructure(t) -> list[tuple[complex, tuple]]:
     :class:`VerificationError` when no clustering radius on the ladder
     yields a certified structure; in particular, distinct spectral
     clusters whose pseudo-hyperbolic separation is below the maximality
-    floor (1e-3) are not certifiable, by design.
+    floor (1e-3) are not certifiable, by design.  Each factor b_a(T) is
+    evaluated once per call, and each product multiplies the shared factors
+    in its own zero order, so its bits are :func:`apply_blaschke`'s.
     """
     t = _as_matrix(t)
     n = t.shape[0]
@@ -262,12 +269,13 @@ def eigenstructure(t) -> list[tuple[complex, tuple]]:
         return []
     eig = np.linalg.eigvals(t)
     scale = max(1.0, op_norm(t))
+    factors = {}  # b_a(T) by zero a, shared by every product below
     for radius in CLUSTER_LADDER:
         clusters = _single_linkage_clusters(eig, radius)
         structure = []
         for idx in clusters:
             mean = complex(np.mean(eig[idx]))
-            partition = _cluster_partition(t, mean, idx.size)
+            partition = _cluster_partition(t, mean, idx.size, scale)
             if partition is None:
                 structure = None
                 break
@@ -277,12 +285,15 @@ def eigenstructure(t) -> list[tuple[complex, tuple]]:
         candidate = BlaschkeProduct(
             tuple((mean, sizes[0]) for mean, sizes in structure)
         )
-        if op_norm(apply_blaschke(t, candidate)) > ANNIHILATION_TOL * scale:
+        # apply_blaschke's guard, on the spectrum already computed
+        if np.max(np.abs(eig)) >= 1.0:
+            raise NotC0Error("apply_blaschke requires spectral radius < 1")
+        if op_norm(_blaschke_product(t, candidate, factors)) > ANNIHILATION_TOL * scale:
             continue
         maximal_ok = True
         for mean, _ in structure:
             trimmed = divide(candidate, BlaschkeProduct(((mean, 1),)))
-            if op_norm(apply_blaschke(t, trimmed)) <= MAXIMALITY_FLOOR:
+            if op_norm(_blaschke_product(t, trimmed, factors)) <= MAXIMALITY_FLOOR:
                 maximal_ok = False
                 break
         if maximal_ok:

@@ -40,7 +40,8 @@ function that records into a tally of its own (``_Tally``, the recorder
 every suite trial in :mod:`c0lat.suites` uses too), and replays that
 tally under every trial that drew the triple; the two sides of the
 modular law come from :func:`c0lat.subspace._modular`, the kernel of
-``check_modular_triple``.
+``check_modular_triple``.  thm97 also caches M2 ∨ M3, M1 ∧ M2 and the sum map
+by label pair; x3 takes the product identity's meets from the law's L ∧ M.
 
 In finite dimensions Lat(T) is a sublattice of the lattice of all
 subspaces of C^n, which is modular, so neither verifier can find a
@@ -82,6 +83,7 @@ from .subspace import (
     distance,
     equals,
     is_invariant,
+    join,
     meet,
     op_norm,
 )
@@ -315,9 +317,13 @@ def lattice_preimage(x, n: Subspace) -> Subspace:
     x = np.asarray(x, dtype=complex)
     if x.shape[0] != n.ambient_dim:
         raise ValueError("row count of X does not match the ambient of N")
+    return _preimage(x, n, max(1.0, op_norm(x)))
+
+
+def _preimage(x: np.ndarray, n: Subspace, scale: float) -> Subspace:
+    """:func:`lattice_preimage` of a checked complex X, given ``scale = max(1, ||X||)``."""
     resid = x - n.project(x)
     _, sv, vh = np.linalg.svd(resid)
-    scale = max(1.0, op_norm(x))
     mask = np.ones(x.shape[1], dtype=bool)
     mask[: sv.size] = sv <= TOL_RANK * scale
     # right singular vectors: orthonormal by construction
@@ -343,9 +349,10 @@ class LatticeMapReport:
 def _surjectivity_evidence(x, t_target, samples, rng):
     """Fraction of sampled N in Lat(T_target) with X_*(X^{-1} N) = N."""
     pool = sample_invariant_subspaces(t_target, samples, rng)
+    scale = max(1.0, op_norm(x))
     hits, worst = 0, 0.0
     for n_sub in pool[:samples]:
-        image = lattice_map(x, lattice_preimage(x, n_sub))
+        image = lattice_map(x, _preimage(x, n_sub, scale))
         if equals(image, n_sub):
             hits += 1
             worst = max(worst, distance(image, n_sub))
@@ -362,6 +369,7 @@ def _injectivity_evidence(x, t_source, samples, rng):
     pool = sample_invariant_subspaces(t_source, samples, rng)
     kernel = lattice_preimage(x, Subspace.zero(np.asarray(x).shape[0]))
     pool.append(kernel)
+    images = cache(lambda i: lattice_map(x, pool[i]))  # X_*(M) by pool index
     queued = []
     if kernel.dim > 0:
         queued.append((len(pool) - 1, 0))  # pool[0] is the zero subspace
@@ -377,7 +385,7 @@ def _injectivity_evidence(x, t_source, samples, rng):
         if i == j or equals(pool[i], pool[j]):
             continue
         pairs += 1
-        if not equals(lattice_map(x, pool[i]), lattice_map(x, pool[j])):
+        if not equals(images(i), images(j)):
             separated += 1
     return (separated / pairs if pairs else 1.0), pairs
 
@@ -600,29 +608,36 @@ def theorem97_verifier(
     if not is_c0(t):
         raise NotC0Error("theorem97_verifier requires a C0 matrix")
     members, draws = _triples(t, triples, seed)
+    joins = cache(lambda j, k: join(members[j], members[k]))
+    meets = cache(lambda i, j: meet(members[i], members[j]))
+
+    @cache
+    def sum_map(j, k):
+        """X(a2, a3) = a2 + a3 in M2 ∨ M3's basis, its residual, rank and max(1, ||X||)."""
+        m2, m3, joined = members[j], members[k], joins(j, k)
+        x_mat = joined.basis.conj().T @ np.hstack([m2.basis, m3.basis])
+        t23 = _direct_sum(_restriction(t, m2), _restriction(t, m3))
+        resid = op_norm(x_mat @ t23 - _restriction(t, joined) @ x_mat)
+        return x_mat, resid, _rank(x_mat), max(1.0, op_norm(x_mat))
 
     @cache
     def checks(i, j, k):
         m1, m2, m3 = members[i], members[j], members[k]
         tally = _Tally()
-        inter, rhs, joined, m1m2 = _modular(m1, m2, m3)
+        inter, rhs, joined, m1m2 = _modular(m1, m2, m3, joins(j, k), meets(i, j))
         dims = {"dims": [m1.dim, m2.dim, m3.dim]}
         tally.check(None, "modular-identity", distance(inter, rhs), tol_modular, dims)
         if m2.dim + m3.dim == 0:
             return tally
-        # the sum map X(a2, a3) = a2 + a3 in the orthonormal basis of M2 ∨ M3
-        x_mat = joined.basis.conj().T @ np.hstack([m2.basis, m3.basis])
-        t23 = _direct_sum(_restriction(t, m2), _restriction(t, m3))
-        resid_int = op_norm(x_mat @ t23 - _restriction(t, joined) @ x_mat)
+        x_mat, resid_int, rank, scale = sum_map(j, k)
         dims = {"dims": [m2.dim, m3.dim, joined.dim]}
         tally.check(None, "sum-map-intertwine", resid_int, tol_intertwine, dims)
-        rank = _rank(x_mat)
         if rank != joined.dim:
             witness = {"rank": rank, "target": joined.dim}
             tally.flag(None, "sum-map-range", float(joined.dim - rank), witness)
 
         embedded = Subspace.from_span(joined.basis.conj().T @ inter.basis, joined.dim)
-        preimage = lattice_preimage(x_mat, embedded)
+        preimage = _preimage(x_mat, embedded, scale)
         expected_cols = _direct_sum(m2.basis.conj().T @ m1m2.basis, np.eye(m3.dim))
         expected = Subspace.from_span(expected_cols, m2.dim + m3.dim)
         resid_pre = distance(preimage, expected)
@@ -673,9 +688,11 @@ def theorem_x3_verifier(
         for index, a in enumerate(labels, 1):
             tally.check(None, "preimage-invariance", invariance[a], tol_invariant, {"index": index})
             tally.check(None, "onto-instance", onto[a], tol, {"index": index})
-        image = lattice_map(y, meet(ms[0], ms[1]))
-        tally.check(None, "product-identity", distance(image, meet(ns[0], ns[1])), tol)
-        source, target = (distance(*_modular(*side)[:2]) for side in (ms, ns))
+        sides = [_modular(*side) for side in (ms, ns)]
+        # the product identity Y_*(M1 ∩ M2) = N1 ∩ N2 on each side's L ∧ M
+        image = lattice_map(y, sides[0][3])
+        tally.check(None, "product-identity", distance(image, sides[1][3]), tol)
+        source, target = (distance(*side[:2]) for side in sides)
         tally.fold(source)
         tally.fold(target)
         if source <= tol < target:

@@ -96,6 +96,9 @@ class ModelSpace:
             )
         self.theta = theta
         self.zero_order = theta.zero_sequence()
+        # S(theta) reversed to upper triangular, built once for every divisor
+        self._flipped = _shift_matrix(self.zero_order)[::-1, ::-1]
+        self._flipped.flags.writeable = False
         self.quadrature_points = n
         self._nodes = None
         self._basis_values = None
@@ -162,7 +165,7 @@ class ModelSpace:
 
     def shift_matrix(self) -> np.ndarray:
         """Matrix of the compressed shift: M[j, k] = <z e_{k+1}, e_{j+1}>."""
-        return _shift_matrix(self.zero_order)
+        return self._flipped[::-1, ::-1].copy()
 
     def divisor_subspace(self, phi: BlaschkeProduct) -> Subspace:
         """Coordinates of ``phi H^2 ⊖ theta H^2`` inside H(theta): the invariant
@@ -173,7 +176,7 @@ class ModelSpace:
         # the occurrences of a zero are adjacent in canonical order
         picked = [k for k, z in enumerate(zeros) if k < zeros.index(z) + left.get(z, 0)]
         flip = np.eye(self.dim, dtype=complex)[::-1]
-        split = _spectral_basis(self.shift_matrix()[::-1, ::-1], flip, picked)
+        split = _spectral_basis(self._flipped, flip, picked)
         if split is None:
             raise VerificationError(f"could not reorder S(theta) onto the zeros of theta / {phi}")
         return Subspace._trusted(self.dim, split[0])

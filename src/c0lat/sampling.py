@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 
 from .blaschke import BlaschkeProduct
-from .subspace import Subspace, cyclic_subspace, join, meet
+from .subspace import Subspace, _krylov, join, meet, op_norm
 
 __all__ = [
     "certifiable_c0",
@@ -258,12 +258,13 @@ def sample_invariant_subspaces(t, count, rng) -> list[Subspace]:
     t = np.asarray(t, dtype=complex)
     n = t.shape[0]
     prefixes = _schur_prefixes(t) if n > 1 else []
+    scale = max(1.0, op_norm(t))  # the Krylov stopping scale of every draw
     pool = [Subspace.zero(n), Subspace.full(n)]
     depth = [0, 0]
     while len(pool) < count + 2:
         kind = rng.random()
         if kind < 0.5:
-            s = cyclic_subspace(t, complex_gaussian(rng, n))
+            s = _krylov(t, complex_gaussian(rng, n), scale)
             d = 0
         elif kind < 0.65 and prefixes:
             s = Subspace._trusted(n, prefixes[int(rng.integers(len(prefixes)))])

@@ -407,9 +407,13 @@ def is_invariant(t, m: Subspace) -> InvarianceVerdict:
 def cyclic_subspace(t, x) -> Subspace:
     """Krylov span ``{x, Tx, T^2 x, ...}``, stopped when the rank stabilizes."""
     t = _complex_matrix(t)
+    return _krylov(t, x, max(1.0, op_norm(t)))
+
+
+def _krylov(t: np.ndarray, x, scale: float) -> Subspace:
+    """:func:`cyclic_subspace` of a complex matrix, given ``scale = max(1, ||t||)``."""
     n = t.shape[0]
     x = np.asarray(x, dtype=complex).reshape(n)
-    scale = max(1.0, op_norm(t))
     nx = np.linalg.norm(x)
     if nx <= TOL_RANK:
         return Subspace.zero(n)
@@ -442,24 +446,26 @@ def cyclic_multiplicity(t) -> int:
         raise ValueError("cyclic_multiplicity is capped at ambient dimension 12")
     if n == 0:
         return 0
+    scale = max(1.0, op_norm(t))
     for m in range(1, n + 1):
         for draw in range(20):
             rng = np.random.default_rng(1000 * m + draw)
             space = Subspace.zero(n)
             for _ in range(m):
                 v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                space = join(space, cyclic_subspace(t, v))
+                space = join(space, _krylov(t, v, scale))
             if space.dim == n:
                 return m
     return n
 
 
-def _modular(l: Subspace, m: Subspace, n: Subspace) -> tuple:
+def _modular(l: Subspace, m: Subspace, n: Subspace, joined=None, lm=None) -> tuple:
     """The two sides of ``L ∧ (M ∨ N) = (L ∧ M) ∨ N`` (requires ``N ⊆ L``),
-    then ``M ∨ N`` and ``L ∧ M``."""
+    then ``M ∨ N`` and ``L ∧ M``, each computed unless passed in (``joined``, ``lm``)."""
     if not contains(l, n):
         raise ValueError("modular-triple precondition violated: N is not contained in L")
-    joined, lm = join(m, n), meet(l, m)
+    joined = join(m, n) if joined is None else joined
+    lm = meet(l, m) if lm is None else lm
     return meet(l, joined), join(lm, n), joined, lm
 
 

@@ -467,10 +467,12 @@ def calculus_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> Verif
             t = random_contraction(rng, n, spectral_radius=0.8, norm_cap=0.85)
         b1 = random_blaschke(rng, 4, radius=0.6)
         b2 = random_blaschke(rng, 4, radius=0.6)
+        # product and split keep their own factors, so two computations are compared
         product = apply_blaschke(t, blaschke.multiply(b1, b2))
-        split = apply_blaschke(t, b1) @ apply_blaschke(t, b2)
+        first = apply_blaschke(t, b1)
+        split = first @ apply_blaschke(t, b2)
         tally.check(i, "multiplicativity", float(op_norm(product - split)), tol_mult)
-        r_norm = float(op_norm(apply_blaschke(t, b1)))
+        r_norm = float(op_norm(first))
         if r_norm > 1.0 + tol_contract:
             tally.flag(i, "contractivity", r_norm)
         if i % 10 == 0:

@@ -8,6 +8,7 @@ first annihilator; it never looks at Jordan structure.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from c0lat import blaschke, calculus
 from c0lat.blaschke import BlaschkeProduct, almost_equiv, divisors, elementary, equiv, monomial, multiply
@@ -258,6 +259,62 @@ def test_eigenstructure_mixed_blocks_under_rotation():
     structure = eigenstructure(t)
     parts = sorted(p for _, p in structure)
     assert parts == [(1, 1), (2,)]
+
+
+def repeated_block_matrices():
+    """Jordan matrices with two or three eigenvalue clusters, each carrying
+    repeated blocks, conjugated by well-conditioned similarities."""
+    rng = np.random.default_rng(17)
+    structures = [
+        {0.3 + 0.1j: (2, 2), -0.4j: (1, 1)},
+        {0.5: (3, 3, 1), -0.2 + 0.3j: (2, 2), -0.5: (1,)},
+        {0.1j: (2, 1, 1), 0.6 - 0.1j: (2, 2)},
+    ]
+    for structure in structures:
+        blocks = []
+        for lam, sizes in structure.items():
+            for size in sizes:
+                block = lam * np.eye(size, dtype=complex)
+                block[np.arange(1, size), np.arange(size - 1)] = 0.3
+                blocks.append(block)
+        j = scipy.linalg.block_diag(*blocks)
+        q = random_well_conditioned(rng, j.shape[0], cond_cap=2.0)
+        yield structure, 0.9 * q @ j @ np.linalg.inv(q)
+
+
+def test_eigenstructure_products_are_apply_blaschke_bit_for_bit(monkeypatch):
+    # the candidate and every trimmed product, built from factors shared
+    # across the call, equal fresh apply_blaschke evaluations exactly
+    for structure, t in repeated_block_matrices():
+        products = []
+        shared = calculus._blaschke_product
+
+        def recording(t, b, factors):
+            products.append((b, shared(t, b, factors)))
+            return products[-1][1]
+
+        monkeypatch.setattr(calculus, "_blaschke_product", recording)
+        found = eigenstructure(t)
+        monkeypatch.undo()
+        assert sorted(p for _, p in found) == sorted(structure.values())
+        assert len(products) == 1 + len(structure)
+        for b, got in products:
+            assert np.array_equal(got, apply_blaschke(t, b))
+
+
+def test_eigenstructure_evaluates_each_factor_once(monkeypatch):
+    for structure, t in repeated_block_matrices():
+        zeros = []
+        factor = calculus._blaschke_factor
+
+        def counted(t, a):
+            zeros.append(a)
+            return factor(t, a)
+
+        monkeypatch.setattr(calculus, "_blaschke_factor", counted)
+        found = eigenstructure(t)
+        monkeypatch.undo()
+        assert len(zeros) == len(set(zeros)) and set(zeros) == {mean for mean, _ in found}
 
 
 def test_eigenstructure_uncertifiable_spectrum_raises():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from c0lat import blaschke, calculus, jordan, subspace
+from c0lat import blaschke, calculus, jordan, sampling, subspace
 from c0lat.blaschke import BlaschkeProduct, almost_equiv, elementary, equiv, monomial, multiply
 from c0lat.calculus import NotC0Error, minimal_function
 from c0lat.cli import report_render
@@ -355,7 +355,36 @@ def test_preimage_invariance_transfer():
         assert is_invariant(t1, m).invariant
 
 
+def test_pool_takes_the_norm_of_t_once(monkeypatch):
+    # every Krylov draw of one pool stops at the same scale max(1, ||T||)
+    t = similarity_pair(6)[0]
+    normed = []
+
+    def counted(m):
+        normed.append(np.array_equal(m, t))
+        return op_norm(m)
+
+    monkeypatch.setattr(sampling, "op_norm", counted)
+    monkeypatch.setattr(subspace, "op_norm", counted)
+    pool = sample_invariant_subspaces(t, 20, np.random.default_rng(3))
+    assert len(pool) == 22 and sum(normed) == 1
+
+
 # --- lattice isomorphism evidence ------------------------------------------------------
+
+def test_injectivity_maps_each_pool_member_once(monkeypatch):
+    t1, t2, q = similarity_pair(8)
+    mapped = []
+
+    def recording(x, m):
+        mapped.append(id(m))
+        return lattice_map(x, m)
+
+    monkeypatch.setattr(jordan, "lattice_map", recording)
+    evidence, pairs = jordan._injectivity_evidence(q / op_norm(q), t1, 12, np.random.default_rng(1))
+    assert evidence == 1.0
+    assert len(mapped) == len(set(mapped)) < 2 * pairs
+
 
 def test_identity_isomorphism_evidence():
     t = np.zeros((4, 4), dtype=complex)
@@ -585,9 +614,10 @@ def test_verifiers_check_each_distinct_triple_once(monkeypatch):
     t1, t2, q = similarity_pair(11, n=5)
     seen = []
 
-    def recording(l, m, n):
+    # thm97 also passes its memoised M ∨ N and L ∧ M
+    def recording(l, m, n, *known):
         seen.append((id(l), id(m), id(n)))
-        return modular(l, m, n)
+        return modular(l, m, n, *known)
 
     modular = jordan._modular
     monkeypatch.setattr(jordan, "_modular", recording)
@@ -599,6 +629,24 @@ def test_verifiers_check_each_distinct_triple_once(monkeypatch):
     theorem_x3_verifier(t1, t2, q / op_norm(q), samples=50, seed=1)
     # the source and the target side of each triple
     assert len(seen) == len(set(seen)) == 2 * len(distinct)
+
+
+def test_thm97_builds_each_sum_map_once(monkeypatch):
+    # the sum map depends on (M2, M3) alone; its rank stands for the rest
+    t = similarity_pair(11, n=5)[0]
+    ranked = []
+
+    def recording(m):
+        ranked.append(m.shape)
+        return rank(m)
+
+    rank = jordan._rank
+    monkeypatch.setattr(jordan, "_rank", recording)
+    members, draws = jordan._triples(t, 100, 5)
+    pairs = {(j, k) for _, _, j, k in draws if members[j].dim + members[k].dim}
+    theorem97_verifier(t, triples=100, seed=5)
+    # each nonzero pair needs one, so as many calls as pairs is one each
+    assert len(ranked) == len(pairs) < len({tuple(d[1:]) for d in draws})
 
 
 @pytest.mark.parametrize("residual", [float("nan"), float("inf")])

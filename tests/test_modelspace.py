@@ -153,6 +153,18 @@ def test_shift_is_lower_triangular_with_zero_diagonal_order():
     assert np.max(np.abs(np.diag(op.matrix) - np.array(space.zero_order))) < 1e-10
 
 
+def test_shift_matrix_is_fresh_and_leaves_the_divisors_alone():
+    # the space builds S(theta) once for its divisors and hands out copies
+    space = ModelSpace(THETA_MIXED)
+    phi = BlaschkeProduct((THETA_MIXED.zeros[0],))
+    before = space.divisor_subspace(phi).basis
+    handed = space.shift_matrix()
+    assert handed.flags.writeable and handed is not space.shift_matrix()
+    handed[:] = 0
+    assert np.array_equal(space.shift_matrix(), compressed_shift(THETA_MIXED).matrix)
+    assert np.array_equal(space.divisor_subspace(phi).basis, before)
+
+
 def test_shift_norm_is_contractive():
     op = compressed_shift(THETA_MIXED)
     assert op_norm(op.matrix) <= 1.0 + 1e-9
