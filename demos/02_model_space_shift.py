@@ -5,14 +5,14 @@ Model spaces and the compressed shift
 For a finite Blaschke product theta of degree d, the model space
 H^2 (-) theta H^2 is d-dimensional.  In its Takenaka-Malmquist basis the
 compressed shift is an exact, closed-form lower-triangular matrix with
-theta's zeros on the diagonal.  Uniform quadrature on the circle is used
-only for inner products of functions given by their values, such as the
-Gram matrix check below.
+theta's zeros on the diagonal, and each divisor phi of theta gives the
+invariant subspace phi H^2 (-) theta H^2 of dimension deg theta - deg phi.
+Nothing below touches a quadrature grid.
 """
 
 import numpy as np
 
-from c0lat import BlaschkeProduct, ModelSpace, compressed_shift, monomial
+from c0lat import BlaschkeProduct, ModelSpace, compressed_shift, elementary, is_invariant, monomial
 from c0lat.calculus import apply_blaschke
 
 # The simplest case: theta = z^2 gives the 2x2 nilpotent Jordan block.
@@ -23,21 +23,20 @@ print(np.round(op.matrix.real, 12))
 # A mixed symbol: a double zero and two simple ones.
 theta = BlaschkeProduct(((0.5 + 0j, 2), (-0.3 + 0.2j, 1), (0.1 - 0.6j, 1)))
 space = ModelSpace(theta)
-print("\ndegree:", theta.degree, " quadrature nodes:", space.quadrature_points)
+print("\ndegree:", theta.degree)
 
-# The basis is orthonormal under the grid inner product.
-gram = np.array(
-    [
-        [space.inner_product([int(i == k) for k in range(space.dim)],
-                             [int(j == k) for k in range(space.dim)])
-         for j in range(space.dim)]
-        for i in range(space.dim)
-    ]
-)
-print("Gram deviation from identity:", np.max(np.abs(gram - np.eye(space.dim))))
+# S(theta) is a contraction.
+s = compressed_shift(theta)
+print("||S(theta)||_2 =", np.linalg.norm(s.matrix, 2))
+
+# The divisor b_0.5 gives an invariant subspace of codimension 1.
+phi = elementary(0.5 + 0j)
+sub = space.divisor_subspace(phi)
+print("dim of phi H^2 (-) theta H^2:", sub.dim, "= deg theta - deg phi =", theta.degree - phi.degree)
+ok, residual = is_invariant(s.matrix, sub)
+print("invariant:", ok, " residual:", residual)
 
 # Lower triangular, zeros on the diagonal.
-s = compressed_shift(theta)
 print("diagonal:", np.round(np.diag(s.matrix), 6))
 print("above-diagonal mass:", np.max(np.abs(np.triu(s.matrix, 1))))
 

@@ -339,14 +339,9 @@ def divisor_count(b: BlaschkeProduct) -> int:
     return count
 
 
-def divisors(b: BlaschkeProduct, cap: int | None = None):
-    """All inner divisors of ``b`` (constant 1), sorted by degree then zeros.
-
-    Raises ``ValueError`` when the divisor count exceeds ``cap``.
-    """
-    total = divisor_count(b)
-    if cap is not None and total > cap:
-        raise ValueError(f"divisor count {total} exceeds cap {cap}")
+def divisors(b: BlaschkeProduct):
+    """All inner divisors of ``b`` (constant 1), sorted by degree then zeros;
+    callers cap the count through :func:`divisor_count` first."""
     points = [z for z, _ in b.zeros]
     ranges = [range(m + 1) for _, m in b.zeros]
     out = []

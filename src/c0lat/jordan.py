@@ -741,6 +741,19 @@ def triangularization_check(t, m: Subspace) -> TriangularizationReport:
     )
 
 
+def _distinct_eig(t):
+    """``np.linalg.eig(t)``, refusing eigenvalues closer than 1e-6: the
+    eigenvectors brute_force_lat spans, and the rule it takes them by."""
+    values, vectors = np.linalg.eig(t)
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if abs(values[i] - values[j]) < 1e-6:
+                raise ValueError(
+                    f"eigenvalues {values[i]:.8g} and {values[j]:.8g} closer than 1e-06"
+                )
+    return values, vectors
+
+
 def brute_force_lat(t) -> list[Subspace]:
     """All invariant subspaces of a matrix with distinct eigenvalues: the
     2^n spans of eigenvector subsets.
@@ -753,13 +766,7 @@ def brute_force_lat(t) -> list[Subspace]:
     n = t.shape[0]
     if n > 10:
         raise ValueError("brute_force_lat is capped at size 10")
-    values, vectors = np.linalg.eig(t)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) < 1e-6:
-                raise ValueError(
-                    f"eigenvalues {values[i]:.8g} and {values[j]:.8g} are closer than 1e-06"
-                )
+    _, vectors = _distinct_eig(t)
     out = []
     for mask in range(1 << n):
         idx = [i for i in range(n) if mask >> i & 1]

@@ -18,13 +18,6 @@ Operators*, 2016; Nikolski, *Treatise on the Shift Operator*).  A divisor
 subspace phi H^2 ⊖ theta H^2 is the one invariant subspace of the cyclic
 S(theta) with spectrum the zeros of theta/phi, so it comes from one reorder
 of the triangular S(theta) (:func:`~c0lat.calculus._spectral_basis`).
-
-A uniform N-point grid on the unit circle serves only
-:meth:`ModelSpace.inner_product`, for functions given by their values and
-for cross-checks; no other computation touches it.  The trapezoid rule converges geometrically like rmax^N
-where rmax is the largest zero modulus, so the default N is the smallest
-power of two at least max(4d, 64) *and* large enough to push rmax^N below
-1e-16 (capped at 2^15); callers may override ``quadrature_points``.
 """
 
 from dataclasses import dataclass
@@ -61,8 +54,13 @@ def _next_pow2(n: int) -> int:
     return p
 
 
+# No computation here uses a quadrature grid.  The benchmark's
+# modelspace.grid_points counter still reads ModelSpace.quadrature_points and
+# its tests call default_quadrature_points; the benchmark PR (ROADMAP item 7)
+# retires both.
 def default_quadrature_points(theta: BlaschkeProduct) -> int:
-    """Smallest admissible power-of-two node count for ``theta``."""
+    """Smallest power of two at least max(4d, 64) that pushes rmax^N below
+    1e-16 for the largest zero modulus rmax (capped at 2^15)."""
     d = theta.degree
     need = max(4 * d, _QUAD_FLOOR)
     rmax = max((abs(z) for z, _ in theta.zeros), default=0.0)
@@ -84,52 +82,21 @@ def _shift_matrix(zero_order) -> np.ndarray:
 
 class ModelSpace:
     """H(theta) with an explicit orthonormal basis, its compressed shift and
-    divisor subspaces, and a quadrature grid for inner products."""
+    divisor subspaces."""
 
-    def __init__(self, theta: BlaschkeProduct, quadrature_points: int | None = None):
+    def __init__(self, theta: BlaschkeProduct):
         if theta.degree < 1:
             raise ValueError("model space requires a nonconstant inner function")
-        n = quadrature_points if quadrature_points is not None else default_quadrature_points(theta)
-        if n < 4 * theta.degree or n & (n - 1):
-            raise ValueError(
-                f"quadrature_points must be a power of two >= 4*degree; got {n}"
-            )
         self.theta = theta
         self.zero_order = theta.zero_sequence()
         # S(theta) reversed to upper triangular, built once for every divisor
         self._flipped = _shift_matrix(self.zero_order)[::-1, ::-1]
         self._flipped.flags.writeable = False
-        self.quadrature_points = n
-        self._nodes = None
-        self._basis_values = None
+        self.quadrature_points = default_quadrature_points(theta)
 
     @property
     def dim(self) -> int:
         return len(self.zero_order)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """The uniform unit-circle quadrature nodes."""
-        if self._nodes is None:
-            n = self.quadrature_points
-            self._nodes = np.exp(2j * np.pi * np.arange(n) / n)
-        return self._nodes
-
-    def basis_values(self) -> np.ndarray:
-        """d x N matrix of basis values on the grid (row k-1 holds e_k)."""
-        if self._basis_values is None:
-            self._basis_values = self._evaluate_basis(self.nodes)
-        return self._basis_values
-
-    def _evaluate_basis(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        out = np.empty((self.dim, z.size), dtype=complex)
-        carried = np.ones_like(z)
-        for k, a in enumerate(self.zero_order):
-            denom = 1.0 - np.conj(a) * z
-            out[k] = np.sqrt(1.0 - abs(a) ** 2) / denom * carried
-            carried = carried * (z - a) / denom
-        return out
 
     def basis_eval(self, k: int, z):
         """Value of e_k (mathematical indexing, 1 <= k <= d) at ``z``."""
@@ -138,30 +105,12 @@ class ModelSpace:
         za = np.asarray(z, dtype=complex)
         if np.any(np.abs(za) > 1.0 + 1e-12):
             raise ValueError("basis evaluation point outside the closed disk")
-        vals = self._evaluate_basis(za.reshape(-1))[k - 1]
-        if za.ndim == 0:
-            return complex(vals[0])
-        return vals.reshape(za.shape)
-
-    def _values_on_grid(self, f) -> np.ndarray:
-        if callable(f):
-            return np.asarray(f(self.nodes), dtype=complex).reshape(self.quadrature_points)
-        coeffs = np.asarray(f, dtype=complex).reshape(-1)
-        if coeffs.size != self.dim:
-            raise ValueError(
-                f"coefficient vector of length {coeffs.size} for dimension {self.dim}"
-            )
-        return coeffs @ self.basis_values()
-
-    def inner_product(self, f, g) -> complex:
-        """Quadrature inner product ``(1/N) sum f(z_j) conj(g(z_j))``.
-
-        Each argument is either a callable evaluated on the grid or a
-        coefficient vector against the e-basis.
-        """
-        fv = self._values_on_grid(f)
-        gv = self._values_on_grid(g)
-        return complex(np.sum(fv * np.conj(gv)) / self.quadrature_points)
+        *before, a = self.zero_order[:k]
+        carried = np.ones_like(za)
+        for b in before:
+            carried = carried * (za - b) / (1.0 - np.conj(b) * za)
+        value = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * za) * carried
+        return complex(value) if za.ndim == 0 else value
 
     def shift_matrix(self) -> np.ndarray:
         """Matrix of the compressed shift: M[j, k] = <z e_{k+1}, e_{j+1}>."""

@@ -29,9 +29,9 @@ Each suite checks its arguments before the first trial.  A tolerance name
 the suite does not define (``_tolerances``) and an input payload of the
 wrong kind (``_inputs``: a matrix where the suite takes Blaschke products,
 a Blaschke product where it takes matrices, a matrix that is not square,
-any input to ``duality``, a repeated zero or a degree above 10 for
-``oracle-latmatch``) raise ValueError, which the command line reports
-with exit code 2.
+any input to ``duality``, a repeated zero, zeros closer than 1e-6 or a
+degree above 10 for ``oracle-latmatch``) raise ValueError, which the
+command line reports with exit code 2.
 
 ``modular-thm97`` and ``x3-transfer`` can never find a counterexample to
 modularity: in finite dimensions Lat(T) is a sublattice of the lattice of
@@ -61,6 +61,7 @@ from .calculus import (
 from .jordan import (
     VerificationReport,
     _Tally,
+    _distinct_eig,
     brute_force_lat,
     check_lattice_isomorphism,
     find_quasiaffinity,
@@ -321,18 +322,24 @@ def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> Ve
 def oracle_latmatch_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> VerificationReport:
     """For theta with 3 distinct zeros, enumerate_lattice must match the
     brute-force invariant-subspace oracle bijectively.  A given theta must
-    have simple zeros and degree at most 10, as the oracle requires."""
+    have simple zeros 1e-6 apart and degree at most 10, as the oracle
+    requires."""
     _tolerances("oracle-latmatch", tols)
     thetas = _inputs("oracle-latmatch", inputs, BlaschkeProduct)
     for k, theta in enumerate(thetas, 1):
         # the oracle spans eigenvector subsets: distinct eigenvalues, size <= 10
         repeated = [m for _, m in theta.zeros if m > 1]
-        if repeated or theta.degree > 10:
-            why = f"a zero of multiplicity {repeated[0]}" if repeated else f"degree {theta.degree}"
-            raise ValueError(
-                f"oracle-latmatch takes Blaschke products with simple zeros and degree "
-                f"at most 10; input {k} has {why}"
-            )
+        why = f"a zero of multiplicity {repeated[0]}" if repeated else f"degree {theta.degree}"
+        if not repeated and theta.degree <= 10:
+            try:
+                _distinct_eig(compressed_shift(theta).matrix)
+                continue
+            except ValueError as exc:
+                why = str(exc)
+        raise ValueError(
+            f"oracle-latmatch takes Blaschke products with simple zeros 1e-06 apart and "
+            f"degree at most 10; input {k} has {why}"
+        )
 
     def trial(i, rng, tally):
         if thetas:

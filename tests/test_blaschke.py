@@ -242,12 +242,6 @@ def test_divisor_enumeration():
     assert degrees == sorted(degrees)
 
 
-def test_divisor_cap():
-    b = BlaschkeProduct(tuple((complex(0.1 * k, 0.05), 1) for k in range(1, 6)))
-    with pytest.raises(ValueError):
-        divisors(b, cap=16)
-
-
 def test_almost_equiv():
     b1 = BlaschkeProduct(((0.5 + 0j, 2),))
     b2 = BlaschkeProduct(((0.5 + 1e-9j, 1), (0.5 - 1e-9j, 1)))

@@ -340,6 +340,10 @@ def test_verify_rejects_input_files_of_the_wrong_kind(capsys, files, suite):
     [
         ([(0.5, 2)], "a zero of multiplicity 2"),
         ([(0.8 * np.exp(2j * np.pi * k / 11), 1) for k in range(11)], "degree 11"),
+        (
+            [(0.5, 1), (0.5000001, 1), (-0.3 + 0.2j, 1)],
+            "eigenvalues 0.5000001+0j and 0.5+0j closer than 1e-06",
+        ),
     ],
 )
 def test_oracle_latmatch_rejects_inputs_the_oracle_cannot_take(capsys, files, zeros, reason):

@@ -1,7 +1,7 @@
 """Model spaces, the rational basis, and the compressed shift.
 
-The independent oracle for the uniform-grid inner product, the closed-form
-shift matrix and the divisor subspaces is adaptive quadrature
+The independent oracle for the basis, the closed-form shift matrix and the
+divisor subspaces is adaptive quadrature
 (scipy.integrate.quad) of f(e^it) conj(g(e^it)) / 2pi on [0, 2pi]; it
 shares no code with any of them.
 """
@@ -58,6 +58,8 @@ def test_monomial_basis():
     space = ModelSpace(monomial(2))
     assert space.basis_eval(1, 0.3 + 0.2j) == pytest.approx(1.0)
     assert space.basis_eval(2, 0.3 + 0.2j) == pytest.approx(0.3 + 0.2j)
+    z = np.array([[0.1, -0.2j], [0.5, 0.0]])
+    assert np.allclose(space.basis_eval(2, z), z) and space.basis_eval(2, z).shape == (2, 2)
 
 
 def test_basis_index_and_domain_checks():
@@ -68,6 +70,8 @@ def test_basis_index_and_domain_checks():
         space.basis_eval(3, 0.1)
     with pytest.raises(ValueError):
         space.basis_eval(1, 1.5)
+    with pytest.raises(ValueError):
+        ModelSpace(BlaschkeProduct(()))  # constant theta has no model space
 
 
 def test_gram_matrix_identity_against_quad_oracle():
@@ -81,31 +85,6 @@ def test_gram_matrix_identity_against_quad_oracle():
                 lambda z, k=k: space.basis_eval(k, z),
             )
             assert oracle == pytest.approx(expected, abs=1e-9)
-            grid = space.inner_product(
-                lambda z, j=j: space.basis_eval(j, z),
-                lambda z, k=k: space.basis_eval(k, z),
-            )
-            assert grid == pytest.approx(expected, abs=1e-9)
-
-
-def test_inner_product_examples():
-    space = ModelSpace(monomial(2))
-    assert space.inner_product([1, 0], [1, 0]) == pytest.approx(1.0, abs=1e-10)
-    assert space.inner_product([1, 0], [0, 1]) == pytest.approx(0.0, abs=1e-10)
-    # S e_1 = e_2 for theta = z^2
-    shifted = space.inner_product(lambda z: z * space.basis_eval(1, z), [0, 1])
-    assert shifted == pytest.approx(1.0, abs=1e-10)
-
-
-def test_quadrature_grid_validation():
-    with pytest.raises(ValueError):
-        ModelSpace(monomial(2), quadrature_points=6)  # not a power of two
-    with pytest.raises(ValueError):
-        ModelSpace(monomial(2), quadrature_points=4)  # below 4d
-    space = ModelSpace(monomial(2), quadrature_points=16)
-    assert space.quadrature_points == 16
-    with pytest.raises(ValueError):
-        ModelSpace(BlaschkeProduct(()))  # constant theta has no model space
 
 
 # --- compressed shift --------------------------------------------------------------
