@@ -370,6 +370,9 @@ def _injectivity_evidence(x, t_source, samples, rng):
     kernel = lattice_preimage(x, Subspace.zero(np.asarray(x).shape[0]))
     pool.append(kernel)
     images = cache(lambda i: lattice_map(x, pool[i]))  # X_*(M) by pool index
+    # equals is symmetric, so each verdict is kept by sorted index pair
+    same = cache(lambda i, j: equals(pool[i], pool[j]))
+    same_image = cache(lambda i, j: equals(images(i), images(j)))
     queued = []
     if kernel.dim > 0:
         queued.append((len(pool) - 1, 0))  # pool[0] is the zero subspace
@@ -382,10 +385,11 @@ def _injectivity_evidence(x, t_source, samples, rng):
             i, j = queued.pop()
         else:
             i, j = rng.integers(len(pool)), rng.integers(len(pool))
-        if i == j or equals(pool[i], pool[j]):
+        i, j = min(i, j), max(i, j)
+        if i == j or same(i, j):
             continue
         pairs += 1
-        if not equals(images(i), images(j)):
+        if not same_image(i, j):
             separated += 1
     return (separated / pairs if pairs else 1.0), pairs
 

@@ -26,14 +26,14 @@ gap, so its verdicts are the SVD's.  ``equals`` answers False for unequal
 dimensions without projecting.  Every reported residual (``distance``,
 ``is_invariant``) keeps the SVD.
 
-``closure(pairs)`` (the meets and joins of many pairs) and
-``equalities(pairs)`` (their ``equals`` verdicts) are the batched entry
-points: they group the pairs by shape and run each group through stacked
-matmuls and LAPACK calls.  They and the scalar ``meet``, ``join``,
-``from_span``, ``contains`` and ``equals`` share the private kernels
-``_meets``, ``_leading`` (the ``TOL_RANK`` cut) and ``_inside``
-(the containment rule above), so each rule lives in one place and a
-batched result is the scalar one bit for bit.
+``meet_join_verdicts`` is the batched entry point, for ``distributive``:
+for many index pairs of one member list it says whether each meet and
+join equals a named member, with stacked SVDs and no Subspace built per
+pair.  Its contract is verdict for verdict, not basis for basis.  It
+shares with the scalar ``meet``, ``join`` and ``from_span`` the private
+kernels ``_meet_svd`` and ``_meet_span`` (the meet), ``_rank`` (the
+``TOL_RANK`` cut) and ``_project``; ``_insides`` is the rule of
+``_inside`` on a stack of residuals.
 
 :mod:`c0lat.jordan` and :mod:`c0lat.suites` share three more helpers:
 ``_modular`` (both sides of the modular law, for ``check_modular_triple``
@@ -67,12 +67,10 @@ __all__ = [
     "TripleVerdict",
     "check_distributive_triple",
     "check_modular_triple",
-    "closure",
     "contains",
     "cyclic_multiplicity",
     "cyclic_subspace",
     "distance",
-    "equalities",
     "equals",
     "is_invariant",
     "join",
@@ -80,6 +78,7 @@ __all__ = [
     "lattice_is_modular",
     "law_failures",
     "meet",
+    "meet_join_verdicts",
     "op_norm",
 ]
 
@@ -160,7 +159,7 @@ class Subspace:
         if a.shape[1] == 0:
             return cls.zero(n)
         u, s, _ = np.linalg.svd(a, full_matrices=False)
-        return _leading(n, u, s)
+        return Subspace._trusted(n, u[:, :_rank(s)])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -211,20 +210,17 @@ def _check_same_ambient(a: Subspace, b: Subspace):
         )
 
 
-# The scalar operations and the batched ones (closure, equalities) share
-# the kernels below.  _leading, _project and _meets take one basis
-# (n x k) or a (P, n, k) stack of them and work slice by slice: a slice of
-# a stacked matmul or SVD is bitwise the 2-D call on that slice, so the
-# batched entry points give the scalar bits.  _inside judges one residual.
+# The scalar operations and the batched kernel meet_join_verdicts share
+# the helpers below.  _rank, _project, _meet_svd and _meet_span take one
+# basis (n x k) or a (P, n, k) stack of them and work slice by slice: a
+# slice of a stacked matmul or SVD is bitwise the 2-D call on that slice,
+# so the batched kernel decides on the scalar meets and joins.  _inside
+# judges one containment residual, _insides a stack of them.
 
-def _leading(n: int, u, s):
-    """The span of the columns of ``u`` whose singular values in ``s``
-    exceed ``TOL_RANK`` times the largest: a Subspace of C^n, or a list of
-    them for a stack."""
-    ranks = (s > TOL_RANK * s[..., :1]).sum(-1)
-    if u.ndim == 2:
-        return Subspace._trusted(n, u[:, :ranks])
-    return [Subspace._trusted(n, x[:, :r]) for x, r in zip(u, ranks)]
+def _rank(s):
+    """How many of the singular values ``s`` (last axis, largest first)
+    exceed ``TOL_RANK`` times the largest."""
+    return (s > TOL_RANK * s[..., :1]).sum(-1)
 
 
 def _project(a, v):
@@ -232,15 +228,18 @@ def _project(a, v):
     return a @ (a.conj().swapaxes(-1, -2) @ v)
 
 
-def _meets(n: int, a, b) -> list:
-    """``[A ∧ B]`` for one basis pair, or one meet per slice of a stack, each
-    from one SVD of ``R = B - P_A B``: ``B V`` over the right singular
-    vectors (the trailing rows of ``vh``) whose singular value, the sine of
-    a principal angle, is at most ``TOL_MEET_ANGLE``."""
+def _meet_svd(a, b):
+    """``(vh, kept)`` from one SVD of ``R = B - P_A B``: the right singular
+    vectors, and how many singular values, the sines of the principal
+    angles, are at most ``TOL_MEET_ANGLE``.  ``A ∧ B`` is spanned by
+    ``_meet_span(b, vh, kept)``."""
     _, sines, vh = np.linalg.svd(b - _project(a, b), full_matrices=False)
-    kept = (sines <= TOL_MEET_ANGLE).sum(-1).reshape(-1)
-    b, vh = b.reshape(-1, *b.shape[-2:]), vh.reshape(-1, *vh.shape[-2:])
-    return [Subspace._trusted(n, x @ v[len(v) - r:].conj().T) for x, v, r in zip(b, vh, kept)]
+    return vh, (sines <= TOL_MEET_ANGLE).sum(-1)
+
+
+def _meet_span(b, vh, r):
+    """``B V`` over the last ``r`` right singular vectors (trailing rows of ``vh``)."""
+    return b @ vh[..., vh.shape[-2] - r:, :].conj().swapaxes(-1, -2)
 
 
 def _inside(resid) -> bool:
@@ -259,6 +258,24 @@ def _inside(resid) -> bool:
     return op_norm(resid) <= TOL_EQUALS
 
 
+def _insides(resid) -> np.ndarray:
+    """``_inside`` for each residual of a ``(P, n, k)`` stack with ``k >= 1``:
+    the same Frobenius bracket, and one stacked SVD for the residuals in the gap."""
+    flat = resid.reshape(len(resid), 1, -1)
+    frob = np.sqrt((flat.conj() @ flat.swapaxes(-1, -2)).real.reshape(-1))
+    out = frob <= TOL_EQUALS
+    gap = ~out & (frob <= math.sqrt(resid.shape[-1]) * TOL_EQUALS)
+    if gap.any():
+        out[gap] = np.linalg.svd(resid[gap], compute_uv=False)[:, 0] <= TOL_EQUALS
+    return out
+
+
+def _equal_stacks(x, e) -> np.ndarray:
+    """``equals`` for each slice pair of two ``(P, n, k)`` stacks of
+    orthonormal bases, ``k >= 1``: containment both ways by ``_insides``."""
+    return _insides(e - _project(x, e)) & _insides(x - _project(e, x))
+
+
 def join(a: Subspace, b: Subspace) -> Subspace:
     """Closed span of the union."""
     _check_same_ambient(a, b)
@@ -267,11 +284,12 @@ def join(a: Subspace, b: Subspace) -> Subspace:
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
     """Intersection from one SVD: the directions of ``b`` whose principal
-    angle to ``a`` is at most ``TOL_MEET_ANGLE`` (``_meets``)."""
+    angle to ``a`` is at most ``TOL_MEET_ANGLE`` (``_meet_svd``)."""
     _check_same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
-    return _meets(a.ambient_dim, a.basis, b.basis)[0]
+    vh, kept = _meet_svd(a.basis, b.basis)
+    return Subspace._trusted(a.ambient_dim, _meet_span(b.basis, vh, kept))
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
@@ -294,58 +312,75 @@ def equals(a: Subspace, b: Subspace) -> bool:
     return contains(a, b) and contains(b, a)
 
 
-def _by_shape(pairs, key):
-    """Indices of ``pairs`` grouped by ``key(a, b)``, with the stacked bases
-    of each group; pairs keyed None are left out, and mismatched ambients
-    are a ValueError."""
-    groups = {}
-    for p, (a, b) in enumerate(pairs):
-        _check_same_ambient(a, b)
-        shape = key(a, b)
-        if shape is not None:
-            groups.setdefault(shape, []).append(p)
-    for shape, idx in groups.items():
-        stack_a = np.stack([pairs[p][0].basis for p in idx])
-        stack_b = np.stack([pairs[p][1].basis for p in idx])
-        yield shape, idx, stack_a, stack_b
+# Pairs per chunk of meet_join_verdicts; a 48-divisor trial (1176 pairs)
+# runs in one chunk.  One distributive trial on the 256 divisors of 8 simple
+# zeros (32896 pairs, 2 CPUs) peaked at 71, 74, 81 and 132 MiB with budgets
+# of 1024, 2048 and 4096 pairs and none; each took 1.1 to 1.5 s, a spread
+# over repeated runs wider than any difference between the budgets.
+PAIR_BUDGET = 2048
 
 
-def closure(pairs):
-    """``(meets, joins)``: the lists ``[meet(a, b) for a, b in pairs]`` and
-    ``[join(a, b) for a, b in pairs]``, bit for bit, computed with a few
-    stacked LAPACK calls for each shape ``(n, a.dim, b.dim)``."""
-    pairs = list(pairs)
-    meets, joins = [None] * len(pairs), [None] * len(pairs)
-    for (n, ka, kb), idx, stack_a, stack_b in _by_shape(
-        pairs, lambda a, b: (a.ambient_dim, a.dim, b.dim)
-    ):
-        zero = Subspace.zero(n)  # immutable, so the group's pairs may share it
-        if ka + kb == 0:
-            spans = [zero] * len(idx)
-        else:
-            u, s, _ = np.linalg.svd(np.concatenate([stack_a, stack_b], axis=-1), full_matrices=False)
-            spans = _leading(n, u, s)
-        for p, span in zip(idx, spans):
-            joins[p] = span
-        for p, span in zip(idx, _meets(n, stack_a, stack_b) if ka and kb else [zero] * len(idx)):
-            meets[p] = span
-    return meets, joins
+def meet_join_verdicts(members, rows, cols, lo, hi) -> np.ndarray:
+    """For each pair ``p``, whether ``meet(members[rows[p]], members[cols[p]])``
+    equals ``members[lo[p]]`` and their ``join`` equals ``members[hi[p]]``.
 
+    No Subspace is built per pair.  Each member basis is stacked once with
+    the others of its dimension; each chunk of ``PAIR_BUDGET`` pairs is
+    gathered from those stacks by shape ``(a.dim, b.dim)`` and takes the
+    SVDs of ``meet`` and ``join`` in stacks.  A meet or join whose rank is
+    not its member's dimension is False, as in ``equals``; the rest are
+    compared with their members in one stack per rank, both ways, by the
+    Frobenius bracket of ``contains``.  The verdicts are those of
+    ``equals(meet(a, b), E) and equals(join(a, b), F)``.  Members of
+    different ambient dimensions are a ValueError.
+    """
+    ambients = sorted({m.ambient_dim for m in members})
+    if len(ambients) > 1:
+        raise ValueError(f"ambient dimension mismatch: {ambients}")
+    dims = np.array([m.dim for m in members], dtype=int)
+    stacks = {d: np.stack([m.basis for m in members if m.dim == d]) for d in set(dims.tolist())}
+    slot = np.zeros(len(members), dtype=int)  # position in the stack of its dimension
+    for d, stack in stacks.items():
+        slot[dims == d] = np.arange(len(stack))
+    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    wants = np.array([lo, hi], dtype=int).reshape(2, -1)  # the members each meet and join must equal
+    out = np.zeros(len(rows), dtype=bool)
+    for start in range(0, len(rows), PAIR_BUDGET):
+        part = slice(start, start + PAIR_BUDGET)
+        a_idx, b_idx, want = rows[part], cols[part], wants[:, part]
+        # rank of each meet (row 0) and join (row 1); a meet with a zero
+        # member is zero, and so is the join of two
+        ranks = np.zeros(want.shape, dtype=int)
+        spans = {}  # rank r -> (positions in want.flat, bases) to compare
 
-def equalities(pairs) -> np.ndarray:
-    """``[equals(a, b) for a, b in pairs]`` as a boolean array, with the
-    containment residuals of each shape ``(n, k)`` computed in stacks."""
-    pairs = list(pairs)
-    out = np.zeros(len(pairs), dtype=bool)
-    for (_, k), idx, stack_a, stack_b in _by_shape(
-        pairs, lambda a, b: (a.ambient_dim, a.dim) if a.dim == b.dim else None
-    ):
-        if k == 0:
-            out[idx] = True
-        else:
-            forward = stack_b - _project(stack_a, stack_b)
-            backward = stack_a - _project(stack_b, stack_a)
-            out[idx] = [_inside(f) and _inside(r) for f, r in zip(forward, backward)]
+        def found(side, p, span):
+            """File for comparison the bases ``span(q, r)`` of the spaces on
+            ``side`` of pairs ``p`` whose rank ``r > 0`` is their member's
+            dimension."""
+            got = ranks[side, p]
+            fits = got == dims[want[side, p]]
+            for r in np.unique(got[fits]):
+                if r:
+                    q = np.flatnonzero(fits & (got == r))
+                    spans.setdefault(r, []).append((side * want.shape[1] + p[q], span(q, r)))
+
+        shape = np.stack([dims[a_idx], dims[b_idx]], axis=1)
+        for ka, kb in np.unique(shape, axis=0):
+            p = np.flatnonzero((shape == (ka, kb)).all(1))
+            a, b = stacks[ka][slot[a_idx[p]]], stacks[kb][slot[b_idx[p]]]
+            if ka and kb:
+                vh, ranks[0, p] = _meet_svd(a, b)
+                found(0, p, lambda q, r: _meet_span(b[q], vh[q], r))
+            if ka + kb:
+                u, s, _ = np.linalg.svd(np.concatenate([a, b], axis=-1), full_matrices=False)
+                ranks[1, p] = _rank(s)
+                found(1, p, lambda q, r: u[q, :, :r])
+        same = ranks == dims[want]
+        for r, filed in spans.items():
+            at = np.concatenate([at for at, _ in filed])
+            x = np.concatenate([x for _, x in filed])
+            same.flat[at] = _equal_stacks(x, stacks[r][slot[want.flat[at]]])
+        out[part] = same.all(0)
     return out
 
 

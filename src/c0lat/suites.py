@@ -83,13 +83,12 @@ from .sampling import (
 )
 from .subspace import (
     _direct_sum,
-    closure,
     contains,
     distance,
-    equalities,
     equals,
     join,
     meet,
+    meet_join_verdicts,
     op_norm,
 )
 
@@ -272,9 +271,10 @@ def meetjoin_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> Verif
 
 # --------------------------------------------------------------------------
 # the divisor lattice is closed under lcm/gcd, so distributive
-# a trial closes every pair of divisors at once: one trial on k simple zeros
-# 0.7 e^(2 pi i j / k) took 0.16 s at 64 divisors, 0.74 s at 128, 2.75 s and
-# 180 MiB at 256, and 12.6 s and 586 MiB at 512 (2 CPUs)
+# a trial checks every pair of divisors: one trial on k simple zeros
+# 0.7 e^(2 pi i j / k) took 0.07 s and 63 MiB at 64 divisors, 0.27 s and
+# 67 MiB at 128, 1.2 s and 73 MiB at 256, and 4 to 7 s and 108 MiB at 512
+# (2 CPUs); the time grows with the D(D+1)/2 pairs
 DISTRIBUTIVE_CAP = 256
 
 
@@ -283,10 +283,11 @@ def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> Ve
     each theta (at most ``DISTRIBUTIVE_CAP`` divisors) must equal, within the
     subspace equality tolerance, the member that lcm/gcd of the divisor
     labels predicts; Lat(S(theta)) is then a product of chains, so
-    distributive.  A trial's meets and joins come from one ``closure`` call
-    and are compared with their members by one ``equalities`` call (stacked
-    LAPACK calls with the scalar bits); the first failing pair in row-major
-    order is the reported one."""
+    distributive.  A trial decides all its pairs in one
+    ``meet_join_verdicts`` call, which stacks the divisor subspaces once and
+    runs the meets, joins and comparisons in stacked LAPACK calls, giving
+    the verdicts of the scalar ``meet``, ``join`` and ``equals``; the first
+    failing pair in row-major order is the reported one."""
     _tolerances("distributive", tols)
     thetas = _inputs("distributive", inputs, BlaschkeProduct)
     for k, theta in enumerate(thetas, 1):
@@ -304,10 +305,7 @@ def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> Ve
         rows, cols = np.triu_indices(len(entries))
         lo = [index[tuple(e)] for e in np.maximum(exps[rows], exps[cols]).tolist()]
         hi = [index[tuple(e)] for e in np.minimum(exps[rows], exps[cols]).tolist()]
-        meets, joins = closure([(spaces[a], spaces[b]) for a, b in zip(rows, cols)])
-        expected = [spaces[k] for k in lo + hi]
-        same = equalities(zip(meets + joins, expected)).reshape(2, -1)
-        failed = np.flatnonzero(~(same[0] & same[1]))
+        failed = np.flatnonzero(~meet_join_verdicts(spaces, rows, cols, lo, hi))
         if failed.size:
             first = failed[0]
             tally.flag(i, "closure", 1.0, {"pair": [int(rows[first]), int(cols[first])]})

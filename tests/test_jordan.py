@@ -386,6 +386,24 @@ def test_injectivity_maps_each_pool_member_once(monkeypatch):
     assert len(mapped) == len(set(mapped)) < 2 * pairs
 
 
+def test_injectivity_decides_each_pair_once(monkeypatch):
+    # redrawn pool pairs reuse their equals verdicts, for the members and
+    # for their images
+    t1, t2, q = similarity_pair(8)
+    decided = {}
+
+    def counting(a, b):
+        key = frozenset((id(a), id(b)))
+        decided[key] = decided.get(key, 0) + 1
+        return subspace.equals(a, b)
+
+    monkeypatch.setattr(jordan, "equals", counting)
+    for samples, seed in [(12, 1), (20, 2), (20, 3)]:
+        decided.clear()
+        jordan._injectivity_evidence(q / op_norm(q), t1, samples, np.random.default_rng(seed))
+        assert decided and max(decided.values()) == 1
+
+
 def test_identity_isomorphism_evidence():
     t = np.zeros((4, 4), dtype=complex)
     report = check_lattice_isomorphism(np.eye(4), t, t, samples=10, seed=0)

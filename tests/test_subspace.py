@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from c0lat import subspace
-from c0lat.blaschke import BlaschkeProduct, elementary
+from c0lat.blaschke import BlaschkeProduct, elementary, gcd, lcm
 from c0lat.calculus import is_c0
 from c0lat.jordan import lattice_preimage
 from c0lat.modelspace import ModelSpace, compressed_shift, enumerate_lattice
@@ -22,18 +22,17 @@ from c0lat.subspace import (
     Subspace,
     check_distributive_triple,
     check_modular_triple,
-    closure,
     contains,
     cyclic_multiplicity,
     cyclic_subspace,
     distance,
-    equalities,
     equals,
     is_invariant,
     join,
     lattice_is_distributive,
     lattice_is_modular,
     meet,
+    meet_join_verdicts,
     op_norm,
 )
 
@@ -203,12 +202,14 @@ def spectral_contains(a, b):
 def test_contains_and_equals_agree_with_the_spectral_residual():
     # residuals below TOL_EQUALS, inside the Frobenius gap (TOL, sqrt(k) TOL]
     # and above it; the verdicts must be the SVD's in all three, for the
-    # scalar equals and for one batched equalities call over every pair
+    # scalar contains and equals and for the stacked rule of
+    # meet_join_verdicts on each shape's residuals at once
     rng = np.random.default_rng(11)
     regions = set()
     zero, line_9 = Subspace.zero(9), line(9, 4)
     pairs = [(zero, zero), (zero, line_9), (line_9, zero)]
     expected = [True, False, False]
+    squares = []  # equal-dimension pairs with their equals verdicts
     for _ in range(300):
         k = int(rng.integers(1, 5))
         p = int(rng.integers(k, 6))
@@ -225,10 +226,17 @@ def test_contains_and_equals_agree_with_the_spectral_residual():
         assert equals(square, b) == same == equals(b, square)
         pairs += [(square, b), (b, square)]
         expected += [same, same]
+        squares += [(square, b, same), (b, square, same)]
     # the gap holds residuals on both sides of the tolerance
     assert regions == {(0, True), (1, True), (1, False), (2, False)}
     assert [equals(a, b) for a, b in pairs] == expected
-    assert equalities(pairs).tolist() == expected
+    for k in range(1, 5):
+        inside = [(a, b) for a, b in pairs[3:] if b.dim == k]
+        resid = np.stack([b.basis - a.project(b.basis) for a, b in inside])
+        assert subspace._insides(resid).tolist() == [spectral_contains(a, b) for a, b in inside]
+        group = [g for g in squares if g[0].dim == k]
+        stacks = [np.stack([g[side].basis for g in group]) for side in (0, 1)]
+        assert subspace._equal_stacks(*stacks).tolist() == [same for *_, same in group]
 
 
 def test_contains_decides_clear_cases_without_an_svd(monkeypatch):
@@ -251,27 +259,38 @@ def test_contains_decides_clear_cases_without_an_svd(monkeypatch):
 def test_equals_rejects_mismatched_ambients():
     with pytest.raises(ValueError):
         equals(line(2, 0), line(3, 0))
-    mixed = [(line(3, 0), line(3, 1)), (line(2, 0), line(3, 0))]
-    with pytest.raises(ValueError):
-        equalities(mixed)
-    with pytest.raises(ValueError):
-        closure(mixed)
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        meet_join_verdicts([line(3, 0), line(3, 1), line(2, 0)], [0], [1], [0], [1])
 
 
 @pytest.mark.parametrize("mults", [(1, 1, 2, 3), (1, 1, 1, 1, 2)])
-def test_closure_is_the_scalar_meet_and_join_bit_for_bit(mults):
+def test_meet_join_verdicts_are_the_scalar_equals(mults):
     # every ordered pair of an enumerated lattice, the zero (theta) and full
     # (constant) members among them, so every shape of stack and every
-    # count of kept principal directions
+    # count of kept principal directions; against the lcm/gcd members and
+    # planted wrong ones: the next member, and a member of another dimension
     rng = np.random.default_rng(len(mults))
     points = random_unit_disk_points(rng, len(mults), radius=0.85, min_separation=0.2)
-    spaces = [s for _, s in enumerate_lattice(BlaschkeProduct(tuple(zip(points, mults))))]
+    entries = enumerate_lattice(BlaschkeProduct(tuple(zip(points, mults))))
+    phis, spaces = zip(*entries)
     assert {s.dim for s in spaces} == set(range(sum(mults) + 1))
-    pairs = [(a, b) for a in spaces for b in spaces]
-    meets, joins = closure(pairs)
-    for (a, b), m, j in zip(pairs, meets, joins):
-        assert np.array_equal(m.basis, meet(a, b).basis)
-        assert np.array_equal(j.basis, join(a, b).basis)
+    index = {phi.zeros: k for k, phi in enumerate(phis)}
+    rows, cols = np.divmod(np.arange(len(spaces) ** 2), len(spaces))
+    lo = np.array([index[lcm(phis[a], phis[b]).zeros] for a, b in zip(rows, cols)])
+    hi = np.array([index[gcd(phis[a], phis[b]).zeros] for a, b in zip(rows, cols)])
+    meets = [meet(spaces[a], spaces[b]) for a, b in zip(rows, cols)]
+    joins = [join(spaces[a], spaces[b]) for a, b in zip(rows, cols)]
+    dims = np.array([s.dim for s in spaces])
+    other_dim = np.argmax(dims[None, :] != dims[:, None], axis=1)  # a member of another dimension
+    nxt = (np.arange(len(spaces)) + 1) % len(spaces)
+    assert meet_join_verdicts(spaces, rows, cols, lo, hi).all()
+    for want_lo, want_hi in [(nxt[lo], hi), (lo, nxt[hi]), (other_dim[lo], hi), (lo, other_dim[hi])]:
+        scalar = [
+            equals(m, spaces[e]) and equals(j, spaces[f])
+            for m, j, e, f in zip(meets, joins, want_lo, want_hi)
+        ]
+        assert meet_join_verdicts(spaces, rows, cols, want_lo, want_hi).tolist() == scalar
+        assert not all(scalar)
 
 
 def test_divisor_lines_of_two_zeros_meet_at_the_pseudo_hyperbolic_angle():
@@ -282,7 +301,7 @@ def test_divisor_lines_of_two_zeros_meet_at_the_pseudo_hyperbolic_angle():
     # Bounded Analytic Functions, ch. I), and the sum map [u v] of two unit
     # vectors at that angle has sigma_min = sqrt(1 - sqrt(1 - rho^2)).
     rng = np.random.default_rng(20)
-    lines, pairs = [], []
+    lines = []
     for _ in range(200):
         a, b = random_unit_disk_points(rng, 2)
         space = ModelSpace(BlaschkeProduct(((a, 1), (b, 1))))
@@ -292,9 +311,12 @@ def test_divisor_lines_of_two_zeros_meet_at_the_pseudo_hyperbolic_angle():
         sigma_min = np.linalg.svd(np.hstack([u.basis, v.basis]), compute_uv=False)[-1]
         assert abs(sigma_min - np.sqrt(1 - np.sqrt(1 - rho**2))) <= 1e-12
         assert meet(u, v).dim == 0 and join(u, v).dim == 2
-        pairs.append((u, v))
-    meets, joins = closure(pairs)
-    assert all(m.dim == 0 for m in meets) and all(j.dim == 2 for j in joins)
+        lines += [u, v]
+    # the stacked kernel puts every meet on the zero space and every join on C^2
+    members = lines + [Subspace.zero(2), Subspace.full(2)]
+    rows, cols = np.arange(0, len(lines), 2), np.arange(1, len(lines), 2)
+    lo, hi = np.full(len(rows), len(lines)), np.full(len(rows), len(lines) + 1)
+    assert meet_join_verdicts(members, rows, cols, lo, hi).all()
     with pytest.raises(ValueError):
         equals(Subspace.zero(2), line(3, 0))
 

@@ -21,11 +21,12 @@ THETA_12 = BlaschkeProduct(((0.3 + 0j, 2), (-0.2 + 0.4j, 1), (0.1 - 0.5j, 1)))
 def test_distributive_meet_must_land_on_its_lcm_member(monkeypatch):
     # join for meet still lands on members of the lattice (the gcd ones), and
     # the resulting tables are distributive, so only the lcm check catches it
-    def joins_for_meets(pairs):
-        _, joins = subspace.closure(pairs)
-        return joins, joins
+    def join_svd(a, b):
+        u, s, _ = np.linalg.svd(np.concatenate([a, b], axis=-1), full_matrices=False)
+        return u, subspace._rank(s)
 
-    monkeypatch.setattr(suites, "closure", joins_for_meets)
+    monkeypatch.setattr(subspace, "_meet_svd", join_svd)
+    monkeypatch.setattr(subspace, "_meet_span", lambda b, u, r: u[..., :r])
     report = suites.distributive_suite(trials=1, inputs=(THETA_12,))
     assert [v.kind for v in report.violations] == ["closure"]
 
@@ -61,19 +62,43 @@ def test_distributive_reads_lcm_and_gcd_from_exponent_vectors(monkeypatch):
 
 
 def test_distributive_checks_each_meet_and_join_once(monkeypatch):
-    checked = []
+    calls, compared = [], []
+    equal_stacks = subspace._equal_stacks
 
-    def counting_equalities(pairs):
-        pairs = list(pairs)
-        checked.extend(pairs)
-        return subspace.equalities(pairs)
+    def recording(members, rows, cols, lo, hi):
+        calls.append((members, rows, cols, lo, hi))
+        return subspace.meet_join_verdicts(members, rows, cols, lo, hi)
 
-    monkeypatch.setattr(suites, "equalities", counting_equalities)
+    def counting(x, e):
+        compared.append(len(x))
+        return equal_stacks(x, e)
+
+    monkeypatch.setattr(suites, "meet_join_verdicts", recording)
+    monkeypatch.setattr(subspace, "_equal_stacks", counting)
     report = suites.distributive_suite(trials=1, inputs=(THETA_12,))
     count = blaschke.divisor_count(THETA_12)
     assert report.passed and count == 12
-    # one meet and one join for each of the count * (count + 1) / 2 pairs a <= b
-    assert len(checked) == count * (count + 1)
+    # one call over the count * (count + 1) / 2 pairs a <= b, each once
+    [(members, rows, cols, lo, hi)] = calls
+    assert sorted(zip(rows.tolist(), cols.tolist())) == [(a, b) for a in range(count) for b in range(a, count)]
+    # one meet and one join for each pair; a zero-dimensional one is decided
+    # by its rank alone
+    dims = np.array([m.dim for m in members])
+    assert sum(compared) == np.count_nonzero(dims[lo]) + np.count_nonzero(dims[hi])
+
+
+def test_distributive_builds_no_subspace_per_pair(monkeypatch):
+    built = []
+    trusted = subspace.Subspace._trusted.__func__
+
+    def counting(cls, ambient_dim, basis):
+        built.append(ambient_dim)
+        return trusted(cls, ambient_dim, basis)
+
+    monkeypatch.setattr(subspace.Subspace, "_trusted", classmethod(counting))
+    assert suites.distributive_suite(trials=1, inputs=(THETA_12,)).passed
+    # the divisor subspaces themselves; the 78 pairs add none
+    assert len(built) <= 2 * blaschke.divisor_count(THETA_12)
 
 
 def test_law_failures_lists_every_failing_triple_in_row_major_order():
