@@ -114,21 +114,16 @@ def _canonical(zm) -> tuple:
 
 
 def _coerce_zeros(zeros):
-    """Normalize assorted zero inputs into a merged, canonically sorted tuple."""
+    """Merge ``(zero, multiplicity)`` pairs into a canonically sorted tuple; a
+    zero is a number or a UnitDiskPoint, a multiplicity a positive Python or
+    numpy integer (a bool, float or string is a ValueError naming the zero)."""
     counts: dict[complex, int] = {}
-    for item in zeros:
-        if isinstance(item, UnitDiskPoint):
-            z, m = item.value, 1
-        elif isinstance(item, tuple):
-            z, m = item
-            z = z.value if isinstance(z, UnitDiskPoint) else complex(z)
-        else:
-            z, m = complex(item), 1
-        m = int(m)
-        if m < 1:
-            raise ValueError(f"zero multiplicity must be a positive integer; got {m}")
+    for z, m in zeros:
+        z = z.value if isinstance(z, UnitDiskPoint) else complex(z)
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError(f"zero {z}: multiplicity must be a positive integer; got {m!r}")
         UnitDiskPoint(z)  # validates the disk invariant
-        counts[z] = counts.get(z, 0) + m
+        counts[z] = counts.get(z, 0) + int(m)
     return tuple(sorted(counts.items(), key=_canonical))
 
 

@@ -89,10 +89,6 @@ class ContractionMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class C0Certificate:
@@ -245,9 +241,6 @@ def _cluster_partition(t: np.ndarray, mean: complex, size: int, scale: float) ->
     for j in range(len(counts) - 1, -1, -1):
         extra = counts[j] - (counts[j + 1] if j + 1 < len(counts) else 0)
         sizes.extend([j + 1] * int(extra))
-    sizes.sort(reverse=True)
-    if sum(sizes) != size:
-        return None
     return tuple(sizes)
 
 

@@ -353,9 +353,7 @@ def main(argv=None) -> int:
             return _cmd_calc(args)
         if args.command == "jordan":
             return _cmd_jordan(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return _cmd_verify(args)
     except (UsageError, ValueError, OSError, KeyError) as exc:
         print(f"c0lat: error: {exc}", file=sys.stderr)
         return 2

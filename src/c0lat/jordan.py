@@ -52,7 +52,7 @@ paper's infinite-dimensional content, where a join is the closure of a
 sum, is out of their reach.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -80,6 +80,7 @@ from .subspace import (
     _direct_sum,
     _label,
     _modular,
+    _rank,
     distance,
     equals,
     is_invariant,
@@ -134,18 +135,6 @@ def _require_intertwiner(x, t1, t2):
             f"intertwining residual {resid:.3g} exceeds {TOL_INTERTWINE:g} * {scale:.3g}"
         )
     return resid
-
-
-def _ranks(stack) -> np.ndarray:
-    """The numerical rank of each matrix in a stack: its number of singular
-    values above ``TOL_RANK`` times its largest."""
-    sv = np.linalg.svd(stack, compute_uv=False)
-    return np.sum(sv > TOL_RANK * sv[:, :1], axis=1)
-
-
-def _rank(m) -> int:
-    m = np.asarray(m)
-    return int(_ranks(m[None])[0]) if m.size else 0
 
 
 @dataclass(frozen=True)
@@ -241,12 +230,12 @@ def _max_rank(stack, seed):
         return 0, None
     rng = np.random.default_rng(seed)
     candidates = np.tensordot(complex_gaussian(rng, 1, d), stack, 1)
-    ranks = _ranks(candidates)
+    ranks = _rank(np.linalg.svd(candidates, compute_uv=False))
     if ranks[0] < min(n1, n2):
         coeffs = np.array([complex_gaussian(rng, d) for _ in range(_MAX_RANK_DRAWS - 1)])
         more = np.tensordot(coeffs, stack, 1)
         candidates = np.concatenate([candidates, more])
-        ranks = np.concatenate([ranks, _ranks(more)])
+        ranks = np.concatenate([ranks, _rank(np.linalg.svd(more, compute_uv=False))])
     best = int(np.argmax(ranks))
     return int(ranks[best]), (candidates[best] if ranks[best] else None)
 
@@ -341,9 +330,6 @@ class LatticeMapReport:
     adjoint_surjective_evidence: float
     adjoint_injective_evidence: float
     max_residual: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _surjectivity_evidence(x, t_target, samples, rng):
@@ -622,7 +608,8 @@ def theorem97_verifier(
         x_mat = joined.basis.conj().T @ np.hstack([m2.basis, m3.basis])
         t23 = _direct_sum(_restriction(t, m2), _restriction(t, m3))
         resid = op_norm(x_mat @ t23 - _restriction(t, joined) @ x_mat)
-        return x_mat, resid, _rank(x_mat), max(1.0, op_norm(x_mat))
+        rank = int(_rank(np.linalg.svd(x_mat, compute_uv=False)))
+        return x_mat, resid, rank, max(1.0, op_norm(x_mat))
 
     @cache
     def checks(i, j, k):
@@ -677,7 +664,7 @@ def theorem_x3_verifier(
     if not is_c0(t1):
         raise NotC0Error("theorem_x3_verifier requires a C0 matrix T1")
     _require_intertwiner(y, t1, t2)
-    if y.shape[0] != y.shape[1] or _rank(y) != y.shape[0]:
+    if y.shape[0] != y.shape[1] or _rank(np.linalg.svd(y, compute_uv=False)) != y.shape[0]:
         raise RankDeficientError("theorem_x3_verifier requires a full-rank square Y")
     tol_invariant = TOL_INVARIANT * max(1.0, op_norm(t1))
     targets, draws = _triples(t2, samples, seed)

@@ -14,13 +14,16 @@ closed form: the zeros a_j sit on the diagonal and, below it,
     S[j, k] = d_j d_k prod_{k<i<j} (-conj a_i),    d = sqrt(1 - |a|^2)
 
 (Garcia-Mashreghi-Ross, *Introduction to Model Spaces and their
-Operators*, 2016; Nikolski, *Treatise on the Shift Operator*).  A divisor
-subspace phi H^2 ⊖ theta H^2 is the one invariant subspace of the cyclic
-S(theta) with spectrum the zeros of theta/phi, so it comes from one reorder
-of the triangular S(theta) (:func:`~c0lat.calculus._spectral_basis`).
+Operators*, 2016; Nikolski, *Treatise on the Shift Operator*).
+``ModelOperator(theta)``, which :func:`compressed_shift` returns, holds this
+matrix read-only; it takes theta alone, so it cannot pair theta with any
+other matrix.  A divisor subspace phi H^2 ⊖ theta H^2 is the one invariant
+subspace of the cyclic S(theta) with spectrum the zeros of theta/phi, so it
+comes from one reorder of the triangular S(theta)
+(:func:`~c0lat.calculus._spectral_basis`).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +43,6 @@ __all__ = [
 
 _QUAD_FLOOR = 64
 _QUAD_CAP = 1 << 15
-_SHIFT_TOL = 1e-9
 
 
 class LatticeCapError(ValueError):
@@ -112,10 +114,6 @@ class ModelSpace:
         value = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * za) * carried
         return complex(value) if za.ndim == 0 else value
 
-    def shift_matrix(self) -> np.ndarray:
-        """Matrix of the compressed shift: M[j, k] = <z e_{k+1}, e_{j+1}>."""
-        return self._flipped[::-1, ::-1].copy()
-
     def divisor_subspace(self, phi: BlaschkeProduct) -> Subspace:
         """Coordinates of ``phi H^2 ⊖ theta H^2`` inside H(theta): the invariant
         subspace of the reversed, upper triangular S(theta) over the leading
@@ -133,20 +131,16 @@ class ModelSpace:
 
 @dataclass(frozen=True)
 class ModelOperator:
-    """The compressed shift S(theta) as a concrete matrix in the e-basis."""
+    """The compressed shift S(theta) as a read-only matrix in the e-basis,
+    M[j, k] = <z e_{k+1}, e_{j+1}>, derived from theta alone."""
 
     theta: BlaschkeProduct
-    matrix: np.ndarray
+    matrix: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        d = self.theta.degree
-        if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} does not match degree {d}")
-        err = float(np.max(np.abs(m - _shift_matrix(self.theta.zero_sequence()))))
-        if err > _SHIFT_TOL:
-            raise ValueError(f"matrix is off the compressed shift of theta by {err:.3g}")
-        m = m.copy()
+        # ModelSpace refuses a constant theta and holds S(theta) reversed; the
+        # benchmark's modelspace.grid_points counter counts the one built here
+        m = ModelSpace(self.theta)._flipped[::-1, ::-1].copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -158,22 +152,10 @@ class ModelOperator:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data) -> "ModelOperator":
-        theta = BlaschkeProduct.from_json_dict(data["theta"])
-        matrix = np.array(
-            [[complex(re, im) for re, im in row] for row in data["matrix"]],
-            dtype=complex,
-        )
-        return cls(theta, matrix)
-
 
 def compressed_shift(theta: BlaschkeProduct) -> ModelOperator:
     """The compressed shift S(theta) in the Takenaka-Malmquist basis."""
-    if theta.degree < 1:
-        raise ValueError("compressed shift requires a nonconstant inner function")
-    space = ModelSpace(theta)
-    return ModelOperator(theta, space.shift_matrix())
+    return ModelOperator(theta)
 
 
 def divisor_subspace(theta: BlaschkeProduct, phi: BlaschkeProduct) -> Subspace:

@@ -158,19 +158,22 @@ def random_structured_c0(
     invariant-subspace lattice is finite with well-separated members;
     derogatory spectra carry continuum families of invariant subspaces
     whose mutual angles can be arbitrarily small, which no fixed-threshold
-    meet/join verification can decide consistently.
+    meet/join verification can decide consistently.  It then draws at most
+    4 blocks, so that their eigenvalues still fit 0.45 apart, and
+    ``n > 4 * max_block`` is a ValueError.
     """
+    if not derogatory and n > 4 * max_block:
+        raise ValueError(
+            f"a non-derogatory draw has at most 4 blocks of size {max_block}; "
+            f"n = {n} exceeds 4 * max_block = {4 * max_block}"
+        )
     sizes = []
     while sum(sizes) < n:
         cap = min(max_block, n - sum(sizes))
         floor_size = 1
         if not derogatory:
-            # keep the block count at most 4 so the points still fit
-            remaining_blocks = 4 - len(sizes)
-            if remaining_blocks <= 0 or remaining_blocks * max_block < n - sum(sizes):
-                sizes = []
-                continue
-            floor_size = max(1, int(np.ceil((n - sum(sizes)) / remaining_blocks)))
+            # each block is large enough that the rest fits in the blocks left
+            floor_size = max(1, int(np.ceil((n - sum(sizes)) / (4 - len(sizes)))))
         sizes.append(int(rng.integers(floor_size, cap + 1)))
     if derogatory:
         distinct = int(rng.integers(1, min(len(sizes), distinct_cap) + 1))

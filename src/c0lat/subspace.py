@@ -2,8 +2,10 @@
 
 Subspaces carry an ambient dimension and an orthonormal column basis; meets
 go through the principal sines, joins through rank-revealing
-orthogonalization.  A single set of tolerances lives here and is imported
-by every other module, so there is one place to tune:
+orthogonalization.  ``calculus``, ``jordan`` and ``blaschke`` keep
+thresholds of their own (the README lists them all).  The subspace
+tolerances live here; ``jordan`` imports the rank, invariance and
+intertwining ones:
 
 * ``TOL_RANK``    relative singular-value threshold for rank decisions
 * ``TOL_MEET_ANGLE`` principal-angle threshold for intersections
@@ -38,7 +40,8 @@ kernels ``_meet_svd`` and ``_meet_span`` (the meet), ``_rank`` (the
 :mod:`c0lat.jordan` and :mod:`c0lat.suites` share three more helpers:
 ``_modular`` (both sides of the modular law, for ``check_modular_triple``
 and the theorem verifiers), ``_label`` (the first ``equals`` member of a
-list, appending when there is none) and ``_direct_sum`` (block sums).
+list, appending when there is none) and ``_direct_sum`` (block sums);
+``jordan`` takes its rank decisions from ``_rank`` too.
 
 A meet takes one SVD, of the projection residual ``R = B - P_A B``
 (Bjorck and Golub, Math. Comp. 1973; Knyazev and Argentati, SIAM J. Sci.
@@ -187,17 +190,6 @@ class Subspace:
                 for j in range(self.dim)
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data) -> "Subspace":
-        n = int(data["ambient"])
-        cols = data["basis"]
-        if not cols:
-            return cls.zero(n)
-        mat = np.array(
-            [[complex(re, im) for re, im in col] for col in cols], dtype=complex
-        ).T
-        return cls(n, mat)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

@@ -298,14 +298,19 @@ def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> Ve
         theta = thetas[i % len(thetas)] if thetas else random_blaschke_with_divisor_cap(rng)
         entries = enumerate_lattice(theta)
         # Lat(S(theta)) is the divisor lattice upside down: meet is lcm, join
-        # gcd, the componentwise max and min of the divisors' exponent vectors
+        # gcd, the componentwise max and min of the divisors' exponent vectors,
+        # built a zero at a time as mixed-radix codes (digit k below m_k + 1)
         exps = np.array([[dict(phi.zeros).get(z, 0) for z, _ in theta.zeros] for phi, _ in entries])
-        index = {e: k for k, e in enumerate(map(tuple, exps.tolist()))}
+        place = np.cumprod([1] + [m + 1 for _, m in theta.zeros[:-1]])
+        entry = np.empty(len(entries), dtype=int)
+        entry[exps @ place] = np.arange(len(entries))
         spaces = [s for _, s in entries]
         rows, cols = np.triu_indices(len(entries))
-        lo = [index[tuple(e)] for e in np.maximum(exps[rows], exps[cols]).tolist()]
-        hi = [index[tuple(e)] for e in np.minimum(exps[rows], exps[cols]).tolist()]
-        failed = np.flatnonzero(~meet_join_verdicts(spaces, rows, cols, lo, hi))
+        lo = hi = 0
+        for e, p in zip(exps.T, place):
+            lo = lo + p * np.maximum(e[rows], e[cols])
+            hi = hi + p * np.minimum(e[rows], e[cols])
+        failed = np.flatnonzero(~meet_join_verdicts(spaces, rows, cols, entry[lo], entry[hi]))
         if failed.size:
             first = failed[0]
             tally.flag(i, "closure", 1.0, {"pair": [int(rows[first]), int(cols[first])]})
@@ -320,23 +325,25 @@ def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> Ve
 def oracle_latmatch_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> VerificationReport:
     """For theta with 3 distinct zeros, enumerate_lattice must match the
     brute-force invariant-subspace oracle bijectively.  A given theta must
-    have simple zeros 1e-6 apart and degree at most 10, as the oracle
-    requires."""
+    be nonconstant, with simple zeros 1e-6 apart and degree at most 10, as
+    the oracle requires."""
     _tolerances("oracle-latmatch", tols)
     thetas = _inputs("oracle-latmatch", inputs, BlaschkeProduct)
     for k, theta in enumerate(thetas, 1):
         # the oracle spans eigenvector subsets: distinct eigenvalues, size <= 10
         repeated = [m for _, m in theta.zeros if m > 1]
-        why = f"a zero of multiplicity {repeated[0]}" if repeated else f"degree {theta.degree}"
-        if not repeated and theta.degree <= 10:
+        why = f"has a zero of multiplicity {repeated[0]}" if repeated else f"has degree {theta.degree}"
+        if theta.is_constant:
+            why = "is constant"
+        elif not repeated and theta.degree <= 10:
             try:
                 _distinct_eig(compressed_shift(theta).matrix)
                 continue
             except ValueError as exc:
-                why = str(exc)
+                why = f"has {exc}"
         raise ValueError(
-            f"oracle-latmatch takes Blaschke products with simple zeros 1e-06 apart and "
-            f"degree at most 10; input {k} has {why}"
+            f"oracle-latmatch takes nonconstant Blaschke products with simple zeros 1e-06 apart "
+            f"and degree at most 10; input {k} {why}"
         )
 
     def trial(i, rng, tally):

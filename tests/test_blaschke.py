@@ -74,6 +74,19 @@ def test_degree_cap():
         BlaschkeProduct(((0j, 65),))
 
 
+def test_zeros_come_in_pairs_with_integer_multiplicities():
+    # a float multiplicity used to be truncated by int() and a string parsed
+    point = UnitDiskPoint(0.5)
+    assert BlaschkeProduct(((point, np.int64(2)),)).zeros == ((0.5 + 0j, 2),)
+    assert type(BlaschkeProduct(((0.5, np.int32(2)),)).zeros[0][1]) is int
+    for mult in (2.7, 2.0, "3", True, np.float64(2.0), 0, -1):
+        with pytest.raises(ValueError, match=r"zero \(0.5\+0j\): multiplicity must be a positive"):
+            BlaschkeProduct(((0.5, mult),))
+    for bare in (point, 0.5):
+        with pytest.raises(TypeError):
+            BlaschkeProduct((bare,))
+
+
 def test_json_round_trip():
     b = BlaschkeProduct(((0.5 + 0j, 2), (-0.3 + 0.2j, 1)), np.exp(0.4j))
     again = BlaschkeProduct.from_json_dict(b.to_json_dict())

@@ -7,6 +7,7 @@ import pytest
 
 from c0lat import cli, jordan, suites
 from c0lat.blaschke import BlaschkeProduct, elementary, monomial, multiply
+from c0lat.calculus import apply_blaschke
 from c0lat.cli import main
 from c0lat.serialize import encode_matrix, stable_json_bytes
 
@@ -123,6 +124,21 @@ def test_calc_apply_poly(capsys, files):
 def test_calc_apply_requires_exactly_one_symbol(capsys, files):
     code, _, err = run(capsys, "calc", "apply", files["diag"])
     assert code == 2
+
+
+def test_calc_apply_blaschke(capsys, files):
+    code, out, err = run(capsys, "calc", "apply", files["diag"], "--blaschke", files["z2"], "--json")
+    assert (code, err) == (0, "")
+    expected = apply_blaschke(np.diag([0.5, 0.0]), monomial(2))
+    assert out.encode() == stable_json_bytes(encode_matrix(expected))
+    code, out, _ = run(capsys, "calc", "apply", files["diag"], "--blaschke", files["z2"])
+    assert code == 0 and out == "  [+0.25+0j, +0+0j]\n  [+0+0j, +0+0j]\n"
+
+
+def test_calc_apply_bad_poly_coefficient_is_usage_error(capsys, files):
+    code, out, err = run(capsys, "calc", "apply", files["diag"], "--poly", "1,x")
+    assert code == 2 and out == ""
+    assert err == "c0lat: error: cannot parse --poly '1,x'\n"
 
 
 def test_jordan_model_and_quasisim(capsys, files):
@@ -295,6 +311,43 @@ def test_verify_bad_tol_is_usage_error(capsys, files):
         code, out, err = run(capsys, "verify", "prop14", "--tol", pair)
         assert code == 2 and out == ""
         assert err == f"c0lat: error: --tol expects NAME=VALUE, got {pair!r}\n"
+    code, out, err = run(capsys, "verify", "prop14", "--tol", "annihilate=abc")
+    assert code == 2 and out == ""
+    assert err == "c0lat: error: --tol 'annihilate=abc': could not convert string to float: 'abc'\n"
+
+
+def test_verify_seed_that_is_not_a_number_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "prop14", "--seed", "abc")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == (
+        "c0lat verify: error: argument --seed: must be a non-negative integer; got 'abc'"
+    )
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_needs_a_positive_trial_count(capsys, trials):
+    code, out, err = run(capsys, "verify", "prop14", "--trials", trials)
+    assert code == 2 and out == ""
+    assert err == "c0lat: error: trials must be positive\n"
+
+
+def test_verify_text_report_lists_twenty_violations_then_counts_the_rest(capsys):
+    # every ||phi(S)|| is at most 1 < 2, so each maximal divisor is a violation
+    code, out, _ = run(capsys, "verify", "prop14", "--trials", "30", "--tol", "floor=2")
+    assert code == 1
+    lines = out.splitlines()
+    failed = int(lines[2].split()[1][1:])
+    assert failed > 20
+    assert len([line for line in lines if line.startswith("  trial ")]) == 20
+    assert lines[-1] == f"  ... {failed - 20} more" and len(lines) == 3 + 20 + 1
+
+
+def test_verify_rejects_a_file_that_is_neither_payload(capsys, files):
+    path = files["tmp"] / "neither.json"
+    path.write_text('{"foo": 1}')
+    code, out, err = run(capsys, "verify", "prop14", str(path), "--trials", "1")
+    assert code == 2 and out == ""
+    assert err == f"c0lat: error: {path}: not a Blaschke product or matrix payload\n"
 
 
 def _one_error_line(err):
@@ -353,6 +406,23 @@ def test_oracle_latmatch_rejects_inputs_the_oracle_cannot_take(capsys, files, ze
     code, out, err = run(capsys, "verify", "oracle-latmatch", files["zb"], str(path), "--trials", "1")
     assert code == 2 and out == ""
     assert _one_error_line(err) and err.endswith(f"degree at most 10; input 2 has {reason}\n")
+
+
+def test_oracle_latmatch_runs_on_a_given_theta(capsys, files):
+    code, out, err = run(capsys, "verify", "oracle-latmatch", files["zb"], "--trials", "2", "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["passed"] is True and report["trials"] == 2
+    assert report["config"]["input_paths"] == [files["zb"]]
+
+
+def test_oracle_latmatch_says_a_constant_theta_is_constant(capsys, files):
+    # it used to relay "compressed shift requires a nonconstant inner function"
+    path = files["tmp"] / "const.json"
+    path.write_text(json.dumps(BlaschkeProduct(()).to_json_dict()))
+    code, out, err = run(capsys, "verify", "oracle-latmatch", files["zb"], str(path), "--trials", "1")
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and err.endswith("degree at most 10; input 2 is constant\n")
 
 
 def test_distributive_rejects_a_theta_with_too_many_divisors(capsys, files, monkeypatch):

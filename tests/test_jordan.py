@@ -1,6 +1,9 @@
 """Intertwiners, quasiaffinities, lattice maps, Jordan models, verifiers."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -654,9 +657,9 @@ def test_thm97_builds_each_sum_map_once(monkeypatch):
     t = similarity_pair(11, n=5)[0]
     ranked = []
 
-    def recording(m):
-        ranked.append(m.shape)
-        return rank(m)
+    def recording(s):
+        ranked.append(s.shape)
+        return rank(s)
 
     rank = jordan._rank
     monkeypatch.setattr(jordan, "_rank", recording)
@@ -734,6 +737,33 @@ def test_triangularization_random_invariant():
         report = triangularization_check(t, m)
         assert report.consistent
         assert report.restriction_is_c0 and report.compression_is_c0
+
+
+def test_non_derogatory_draw_beyond_four_blocks_is_refused():
+    # n = 13 > 4 * max_block used to loop forever; in a subprocess a hang
+    # fails the test at the timeout instead of stalling the run
+    script = (
+        "import numpy as np\n"
+        "from c0lat.sampling import random_structured_c0\n"
+        "random_structured_c0(np.random.default_rng(0), 12, derogatory=False)\n"
+        "try:\n"
+        "    random_structured_c0(np.random.default_rng(0), 13, derogatory=False)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(sampling.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "a non-derogatory draw has at most 4 blocks of size 3; n = 13 exceeds 4 * max_block = 12\n"
+    )
 
 
 def test_triangularization_uncertifiable_c0():

@@ -126,11 +126,13 @@ def test_zero_and_full():
     assert contains(Subspace.full(3), Subspace.zero(3))
 
 
-def test_json_round_trip():
-    rng = np.random.default_rng(0)
-    s = random_subspace(rng, 4, 2)
-    back = Subspace.from_json_dict(s.to_json_dict())
-    assert equals(s, back)
+def test_json_payload_lists_the_basis_column_by_column():
+    s = Subspace(3, np.array([[0.0, 1.0], [1j, 0.0], [0.0, 0.0]]))
+    assert s.to_json_dict() == {
+        "ambient": 3,
+        "basis": [[[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]],
+    }
+    assert Subspace.zero(2).to_json_dict() == {"ambient": 2, "basis": []}
 
 
 # --- join / meet / contains ----------------------------------------------------

@@ -81,6 +81,12 @@ def test_distributive_checks_each_meet_and_join_once(monkeypatch):
     # one call over the count * (count + 1) / 2 pairs a <= b, each once
     [(members, rows, cols, lo, hi)] = calls
     assert sorted(zip(rows.tolist(), cols.tolist())) == [(a, b) for a in range(count) for b in range(a, count)]
+    # the labels are the members that Blaschke lcm and gcd name
+    entries = enumerate_lattice(THETA_12)
+    index = {phi.zeros: k for k, (phi, _) in enumerate(entries)}
+    for a, b, m, j in zip(rows.tolist(), cols.tolist(), lo, hi):
+        (phi, _), (psi, _) = entries[a], entries[b]
+        assert (m, j) == (index[blaschke.lcm(phi, psi).zeros], index[blaschke.gcd(phi, psi).zeros])
     # one meet and one join for each pair; a zero-dimensional one is decided
     # by its rank alone
     dims = np.array([m.dim for m in members])
