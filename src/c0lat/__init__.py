@@ -1,6 +1,10 @@
 """Desk-scale toolkit for finite Blaschke products, model spaces with
 their compressed shifts, the matrix functional calculus, invariant-subspace
-lattices, Jordan models, and randomized lattice-law verifiers."""
+lattices, Jordan models, and randomized lattice-law verifiers.
+
+The functions that take or reorder a Schur form import ``scipy.linalg``
+inside their bodies, so ``import c0lat`` and every command that never
+takes one load numpy alone."""
 
 from .blaschke import (
     BlaschkeProduct,
@@ -19,7 +23,6 @@ from .blaschke import (
 )
 from .calculus import (
     C0Certificate,
-    ContractionMatrix,
     apply_blaschke,
     apply_polynomial,
     classify_c0,
@@ -45,7 +48,6 @@ from .jordan import (
     lattice_preimage,
     theorem97_verifier,
     theorem_x3_verifier,
-    triangularization_check,
 )
 from .modelspace import (
     ModelOperator,

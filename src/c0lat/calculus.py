@@ -26,14 +26,12 @@ search to the next finer radius.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .blaschke import BlaschkeProduct, divide
 from .subspace import op_norm
 
 __all__ = [
     "C0Certificate",
-    "ContractionMatrix",
     "NotC0Error",
     "SingularResolventError",
     "VerificationError",
@@ -67,27 +65,10 @@ class VerificationError(RuntimeError):
 
 
 def _as_matrix(t) -> np.ndarray:
-    if isinstance(t, ContractionMatrix):
-        return t.matrix
     a = np.asarray(t, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-@dataclass(frozen=True)
-class ContractionMatrix:
-    """A square complex matrix with operator norm at most 1 (+1e-9 slack)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _as_matrix(self.matrix)
-        if op_norm(m) > 1.0 + 1e-9:
-            raise ValueError(f"operator norm {op_norm(m):.17g} exceeds 1")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
@@ -208,6 +189,8 @@ def _spectral_basis(s, q, picked) -> tuple | None:
     positions ``picked`` of S: ``(V, A)``, V an orthonormal basis and A the
     leading block of the reordered S (T V = V A), from one LAPACK ``ztrsen``
     reorder (Bai and Demmel, LAA 186, 1993); None when the reorder fails."""
+    import scipy.linalg
+
     select = np.zeros(s.shape[0], dtype=np.int32)
     select[picked] = 1
     ts, qs, _, m, _, _, info = scipy.linalg.lapack.ztrsen(select, s, q, job="N")

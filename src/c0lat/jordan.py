@@ -56,7 +56,6 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-import scipy.linalg
 
 from . import blaschke
 from .blaschke import BlaschkeProduct
@@ -95,7 +94,6 @@ __all__ = [
     "LatticeMapReport",
     "NonIntertwinerError",
     "RankDeficientError",
-    "TriangularizationReport",
     "VerificationReport",
     "Violation",
     "are_quasisimilar",
@@ -108,7 +106,6 @@ __all__ = [
     "lattice_preimage",
     "theorem97_verifier",
     "theorem_x3_verifier",
-    "triangularization_check",
 ]
 
 SIZE_CAP = 16
@@ -200,6 +197,8 @@ def _split_null(t1, t2, threshold) -> np.ndarray | None:
     n1, n2 = t1.shape[0], t2.shape[0]
     if n1 * n2 == 0:
         return None
+    import scipy.linalg
+
     (s1, q1), (s2, q2) = (scipy.linalg.schur(t, output="complex") for t in (t1, t2))
     clusters = _single_linkage_clusters(
         np.concatenate([np.diag(s1), np.diag(s2)]), CLUSTER_LADDER[0]
@@ -694,42 +693,6 @@ def theorem_x3_verifier(
     for trial, *labels in draws:
         tally.absorb(checks(*labels), trial)
     return tally.report("x3-transfer", seed, samples)
-
-
-@dataclass(frozen=True)
-class TriangularizationReport:
-    """2x2 block triangularization of T against an invariant M and its
-    orthogonal complement, with C0 classification of the two corners."""
-
-    restriction_is_c0: bool
-    compression_is_c0: bool
-    whole_is_c0: bool
-    consistent: bool
-    lower_left_residual: float
-
-
-def triangularization_check(t, m: Subspace) -> TriangularizationReport:
-    """Classify T|M and the compression to the complement; at matrix scale
-    T is C0 exactly when both corners are."""
-    t = _as_matrix(t)
-    inv = is_invariant(t, m)
-    if not inv.invariant:
-        raise ValueError(f"subspace is not invariant (residual {inv.residual:.3g})")
-    basis = m.basis
-    complement = scipy.linalg.null_space(basis.conj().T) if m.dim < m.ambient_dim else np.zeros(
-        (m.ambient_dim, 0)
-    )
-    u = np.hstack([basis, complement])
-    tt = u.conj().T @ t @ u
-    k = m.dim
-    c1, c2, whole = is_c0(tt[:k, :k]), is_c0(tt[k:, k:]), is_c0(t)
-    return TriangularizationReport(
-        restriction_is_c0=c1,
-        compression_is_c0=c2,
-        whole_is_c0=whole,
-        consistent=whole == (c1 and c2),
-        lower_left_residual=op_norm(tt[k:, :k]),
-    )
 
 
 def _distinct_eig(t):

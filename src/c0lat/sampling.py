@@ -8,7 +8,6 @@ decomposition (exactly invariant even for defective matrices).
 """
 
 import numpy as np
-import scipy.linalg
 
 from .blaschke import BlaschkeProduct
 from .subspace import Subspace, _krylov, join, meet, op_norm
@@ -246,6 +245,8 @@ def certifiable_c0(
 
 
 def _schur_prefixes(t: np.ndarray) -> list[np.ndarray]:
+    import scipy.linalg
+
     schur_t, z = scipy.linalg.schur(np.asarray(t, dtype=complex), output="complex")
     return [z[:, :k] for k in range(1, t.shape[0])]
 

@@ -13,7 +13,6 @@ import scipy.linalg
 from c0lat import blaschke, calculus
 from c0lat.blaschke import BlaschkeProduct, almost_equiv, divisors, elementary, equiv, monomial, multiply
 from c0lat.calculus import (
-    ContractionMatrix,
     NotC0Error,
     SingularResolventError,
     VerificationError,
@@ -157,12 +156,6 @@ def test_radial_rejects_bad_radii():
 
 
 # --- classification ---------------------------------------------------------------------
-
-def test_contraction_matrix_validation():
-    ContractionMatrix(np.diag([0.5, -0.5]))
-    with pytest.raises(ValueError):
-        ContractionMatrix(np.diag([1.5, 0.0]))
-
 
 @pytest.mark.parametrize(
     "matrix, expected",

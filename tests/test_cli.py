@@ -1,10 +1,14 @@
 """Command-line behavior: subcommands, exit codes, deterministic reports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import c0lat
 from c0lat import cli, jordan, suites
 from c0lat.blaschke import BlaschkeProduct, elementary, monomial, multiply
 from c0lat.calculus import apply_blaschke
@@ -26,6 +30,7 @@ def files(tmp_path):
         p.write_text(json.dumps(encode_matrix(matrix)))
         return str(p)
 
+    paths["z"] = blaschke_file("z.json", monomial(1))
     paths["z2"] = blaschke_file("z2.json", monomial(2))
     paths["zb"] = blaschke_file("zb.json", multiply(monomial(1), elementary(0.5)))
     paths["diag"] = matrix_file("diag.json", np.diag([0.5, 0.0]).astype(complex))
@@ -527,6 +532,48 @@ def test_help_lists_suites(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "modular-thm97" in out and "duality" in out
+
+
+# --- cold start -------------------------------------------------------------------
+
+def _fresh(*args):
+    """Run ``python -X importtime *args`` in a fresh interpreter with the package
+    on its path: (exit code, stdout, names of the modules it imported)."""
+    package_root = os.path.dirname(os.path.dirname(c0lat.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    lines = done.stderr.decode().splitlines()
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    return done.returncode, done.stdout, imported
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("-c", "import c0lat"),
+        ("-m", "c0lat.cli", "inner", "gcd", "z2", "zb"),
+        ("-m", "c0lat.cli", "model", "shift", "--theta", "zb"),
+        ("-m", "c0lat.cli", "calc", "minfun", "diag"),
+    ],
+    ids=["import", "inner-gcd", "model-shift", "calc-minfun"],
+)
+def test_cold_path_leaves_scipy_linalg_unloaded(files, args):
+    code, _, imported = _fresh(*(files.get(a, a) for a in args))
+    assert code == 0 and "numpy" in imported
+    assert "scipy.linalg" not in imported
+
+
+def test_divisor_subspace_loads_scipy_on_first_use(capsys, files):
+    argv = ["model", "divisor-subspace", "--theta", files["zb"], "--phi", files["z"]]
+    code, out, imported = _fresh("-m", "c0lat.cli", *argv, "--json")
+    assert code == 0 and "scipy.linalg" in imported
+    assert main([*argv, "--json"]) == 0
+    assert out == capsys.readouterr().out.encode()
 
 
 # --- stable json emitter ------------------------------------------------------------------

@@ -29,7 +29,6 @@ from c0lat.jordan import (
     lattice_preimage,
     theorem97_verifier,
     theorem_x3_verifier,
-    triangularization_check,
 )
 from c0lat.modelspace import compressed_shift, enumerate_lattice
 from c0lat.sampling import (
@@ -714,31 +713,6 @@ def test_x3_rejects_rank_deficient():
         theorem_x3_verifier(np.diag([0.1, 0.2]), np.diag([0.3, 0.4]), np.eye(2), samples=2)
 
 
-# --- triangularization ---------------------------------------------------------------------
-
-def test_triangularization_full_space_degenerate():
-    report = triangularization_check(NILPOTENT, Subspace.full(2))
-    assert report.consistent and report.compression_is_c0
-
-
-def test_triangularization_shift_example():
-    s = compressed_shift(monomial(2)).matrix
-    e2 = Subspace(2, np.array([[0.0], [1.0]], dtype=complex))
-    report = triangularization_check(s, e2)
-    assert report.restriction_is_c0 and report.compression_is_c0 and report.consistent
-    assert report.lower_left_residual <= 1e-10
-
-
-def test_triangularization_random_invariant():
-    rng = np.random.default_rng(12)
-    t = certifiable_c0(rng, 5, structured=True, derogatory=False)
-    pool = sample_invariant_subspaces(t, 6, rng)
-    for m in pool:
-        report = triangularization_check(t, m)
-        assert report.consistent
-        assert report.restriction_is_c0 and report.compression_is_c0
-
-
 def test_non_derogatory_draw_beyond_four_blocks_is_refused():
     # n = 13 > 4 * max_block used to loop forever; in a subprocess a hang
     # fails the test at the timeout instead of stalling the run
@@ -764,19 +738,6 @@ def test_non_derogatory_draw_beyond_four_blocks_is_refused():
     assert done.stdout == (
         "a non-derogatory draw has at most 4 blocks of size 3; n = 13 exceeds 4 * max_block = 12\n"
     )
-
-
-def test_triangularization_uncertifiable_c0():
-    # C0, but too close a pair of eigenvalues for a certified eigenstructure
-    t = np.diag([0.5, 0.5001]).astype(complex)
-    report = triangularization_check(t, Subspace(2, np.array([[1.0], [0.0]], dtype=complex)))
-    assert report.consistent
-    assert report.restriction_is_c0 and report.compression_is_c0 and report.whole_is_c0
-
-
-def test_triangularization_rejects_non_invariant():
-    with pytest.raises(ValueError):
-        triangularization_check(NILPOTENT, Subspace(2, np.array([[1.0], [0.0]], dtype=complex)))
 
 
 # --- brute force lattice ---------------------------------------------------------------------
