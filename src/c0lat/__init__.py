@@ -2,9 +2,9 @@
 their compressed shifts, the matrix functional calculus, invariant-subspace
 lattices, Jordan models, and randomized lattice-law verifiers.
 
-The functions that take or reorder a Schur form import ``scipy.linalg``
-inside their bodies, so ``import c0lat`` and every command that never
-takes one load numpy alone."""
+SciPy enters only as ``scipy.linalg``, and only inside the functions that
+take or reorder a Schur form, so ``import c0lat`` and every command that
+never takes one load numpy alone."""
 
 from .blaschke import (
     BlaschkeProduct,

@@ -14,7 +14,9 @@ multisets agree, i.e. when they differ by a unimodular constant only.
 Zero equality is exact complex equality: nearby-but-distinct zeros are
 never merged, because silent merging corrupts divisibility.  Code that
 compares products coming out of two independent numerical computations
-should use :func:`almost_equiv` instead of :func:`equiv`.
+should use :func:`almost_equiv` instead of :func:`equiv`; it asks for a
+one-to-one matching of the two zero sequences with every pair within a
+tolerance, decided by augmenting paths on the within-tolerance pairs.
 """
 
 import itertools
@@ -308,7 +310,7 @@ def divide(numerator: BlaschkeProduct, divisor: BlaschkeProduct) -> BlaschkeProd
 
 
 def almost_equiv(b1: BlaschkeProduct, b2: BlaschkeProduct, tol: float = 1e-7) -> bool:
-    """Numerical equivalence: same degree and an optimal matching of the two
+    """Numerical equivalence: same degree and a one-to-one matching of the two
     zero sequences with every matched pair within ``tol``.
 
     This is the comparison to use across independent numerical computations,
@@ -317,13 +319,64 @@ def almost_equiv(b1: BlaschkeProduct, b2: BlaschkeProduct, tol: float = 1e-7) ->
     s1, s2 = b1.zero_sequence(), b2.zero_sequence()
     if len(s1) != len(s2):
         return False
-    if not s1:
-        return True
-    from scipy.optimize import linear_sum_assignment
+    close = np.abs(np.subtract.outer(np.array(s1), np.array(s2))) <= tol
+    return _has_perfect_matching(close)
 
-    cost = np.abs(np.subtract.outer(np.array(s1), np.array(s2)))
-    rows, cols = linear_sum_assignment(cost)
-    return bool(np.max(cost[rows, cols]) <= tol)
+
+def _has_perfect_matching(adjacent: np.ndarray) -> bool:
+    """Whether the square boolean matrix ``adjacent`` (rows against columns)
+    admits a perfect matching.
+
+    Hopcroft and Karp (SIAM J. Comput. 1973): each phase layers the rows by
+    a breadth-first search from the free ones, then augments along
+    vertex-disjoint shortest paths by depth-first search on those layers;
+    the search keeps an explicit stack, so no zero sequence reaches the
+    recursion limit.
+    """
+    n = len(adjacent)
+    neighbours = [[j for j, near in enumerate(row) if near] for row in adjacent.tolist()]
+    col_of = [-1] * n  # the column matched to each row
+    row_of = [-1] * n  # the row matched to each column
+    while True:
+        layer = [-1] * n
+        queue = [i for i in range(n) if col_of[i] < 0]
+        for i in queue:
+            layer[i] = 0
+        free_layer = None  # the length of a shortest augmenting path
+        for i in queue:  # the queue grows as it is read
+            if free_layer is not None and layer[i] >= free_layer:
+                break
+            for j in neighbours[i]:
+                k = row_of[j]
+                if k < 0:
+                    free_layer = layer[i] + 1
+                elif layer[k] < 0:
+                    layer[k] = layer[i] + 1
+                    queue.append(k)
+        if free_layer is None:
+            return -1 not in col_of
+        tried = [0] * n  # how many of each row's neighbours this phase has tried
+        for root in range(n):
+            if col_of[root] >= 0:
+                continue
+            path = [root]
+            while path:
+                i = path[-1]
+                if tried[i] == len(neighbours[i]):
+                    layer[i] = -1  # a dead end for the rest of the phase
+                    path.pop()
+                    continue
+                j = neighbours[i][tried[i]]
+                tried[i] += 1
+                k = row_of[j]
+                if k < 0 and layer[i] + 1 == free_layer:
+                    # each row on the path takes the column it stepped through
+                    for row in path:
+                        col = neighbours[row][tried[row] - 1]
+                        col_of[row], row_of[col] = col, row
+                    break
+                if k >= 0 and layer[k] == layer[i] + 1:
+                    path.append(k)
 
 
 def divisor_count(b: BlaschkeProduct) -> int:

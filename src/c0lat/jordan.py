@@ -607,8 +607,8 @@ def theorem97_verifier(
         x_mat = joined.basis.conj().T @ np.hstack([m2.basis, m3.basis])
         t23 = _direct_sum(_restriction(t, m2), _restriction(t, m3))
         resid = op_norm(x_mat @ t23 - _restriction(t, joined) @ x_mat)
-        rank = int(_rank(np.linalg.svd(x_mat, compute_uv=False)))
-        return x_mat, resid, rank, max(1.0, op_norm(x_mat))
+        sv = np.linalg.svd(x_mat, compute_uv=False)
+        return x_mat, resid, int(_rank(sv)), max(1.0, float(sv[0]))
 
     @cache
     def checks(i, j, k):
@@ -667,18 +667,25 @@ def theorem_x3_verifier(
         raise RankDeficientError("theorem_x3_verifier requires a full-rank square Y")
     tol_invariant = TOL_INVARIANT * max(1.0, op_norm(t1))
     targets, draws = _triples(t2, samples, seed)
-    sources = [lattice_preimage(y, n_i) for n_i in targets]
+    scale = max(1.0, op_norm(y))
+    sources = [_preimage(y, n_i, scale) for n_i in targets]
     invariance = [is_invariant(t1, m_i).residual for m_i in sources]
     onto = [distance(lattice_map(y, m_i), n_i) for m_i, n_i in zip(sources, targets)]
+    spaces = (sources, targets)
+    # M2 ∨ M3 and M1 ∧ M2 by side (0 for T1, 1 for T2) and label pair
+    joins = cache(lambda s, j, k: join(spaces[s][j], spaces[s][k]))
+    meets = cache(lambda s, i, j: meet(spaces[s][i], spaces[s][j]))
 
     @cache
-    def checks(*labels):
-        ns, ms = [targets[a] for a in labels], [sources[a] for a in labels]
+    def checks(i, j, k):
         tally = _Tally()
-        for index, a in enumerate(labels, 1):
+        for index, a in enumerate((i, j, k), 1):
             tally.check(None, "preimage-invariance", invariance[a], tol_invariant, {"index": index})
             tally.check(None, "onto-instance", onto[a], tol, {"index": index})
-        sides = [_modular(*side) for side in (ms, ns)]
+        sides = [
+            _modular(c[i], c[j], c[k], joins(s, j, k), meets(s, i, j))
+            for s, c in enumerate(spaces)
+        ]
         # the product identity Y_*(M1 ∩ M2) = N1 ∩ N2 on each side's L ∧ M
         image = lattice_map(y, sides[0][3])
         tally.check(None, "product-identity", distance(image, sides[1][3]), tol)

@@ -1,5 +1,8 @@
 """Blaschke-product arithmetic: examples, lattice laws, boundary behavior."""
 
+import cmath
+import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -262,3 +265,70 @@ def test_almost_equiv():
     assert not almost_equiv(b1, b2, 1e-12)
     assert not almost_equiv(b1, monomial(2))
     assert almost_equiv(BlaschkeProduct(()), BlaschkeProduct((), np.exp(1j)))
+
+
+def _product(zeros) -> BlaschkeProduct:
+    return BlaschkeProduct(tuple((z, 1) for z in zeros))
+
+
+def _matched_within(b1, b2, tol) -> bool:
+    """The oracle: some ordering of b2's zeros puts each within ``tol`` of b1's."""
+    s1, s2 = b1.zero_sequence(), b2.zero_sequence()
+    return len(s1) == len(s2) and any(
+        all(abs(a - b) <= tol for a, b in zip(s1, perm)) for perm in itertools.permutations(s2)
+    )
+
+
+def test_almost_equiv_matches_permutation_oracle():
+    # zeros at three points, half of them jittered: exact repeats, near
+    # repeats and unequal degrees, with tolerances on both sides of the verdict
+    rng = np.random.default_rng(5)
+    points = (0.1 + 0.2j, -0.3 + 0j, 0.25 - 0.35j)
+
+    def near(labels):
+        jitter = rng.normal(0, 0.05, (len(labels), 2)) * (rng.random((len(labels), 1)) < 0.5)
+        return [points[p] + complex(*d) for p, d in zip(labels, jitter)]
+
+    verdicts = Counter()
+    for _ in range(400):
+        labels = rng.integers(3, size=int(rng.integers(0, 7)))
+        b1 = _product(near(labels))
+        if rng.random() < 0.8:  # the same points, jittered and reordered
+            labels = rng.permutation(labels)
+        else:  # fresh points, of any degree
+            labels = rng.integers(3, size=int(rng.integers(0, 7)))
+        b2 = _product(near(labels))
+        tol = float(rng.uniform(0, 0.15))
+        verdict = almost_equiv(b1, b2, tol)
+        assert verdict == _matched_within(b1, b2, tol), (b1, b2, tol)
+        verdicts[verdict] += 1
+    assert min(verdicts[True], verdicts[False]) >= 100
+
+
+def test_almost_equiv_is_not_a_min_sum_assignment():
+    # the identity pairing has the least total distance (0 + 0.6) but a pair
+    # at 0.6; the crossed pairing's two pairs are both at 0.4
+    b1 = _product([0j, 0.4 * cmath.exp(2j * math.asin(0.75))])
+    b2 = _product([0j, 0.4 + 0j])
+    assert almost_equiv(b1, b2, 0.45)
+    assert not almost_equiv(b1, b2, 0.39)
+
+
+def test_almost_equiv_edges():
+    half = _product([0.5 + 0j])
+    assert not almost_equiv(half, _product([0.5 + 0j, 0.5 + 0j]), 1.0)
+    assert not almost_equiv(BlaschkeProduct(()), half, 1.0)
+    assert almost_equiv(BlaschkeProduct(()), BlaschkeProduct(()), 0.0)
+    # a pair at exactly tol is within it: 0.5 - 0.25 is exact in binary
+    assert almost_equiv(half, _product([0.25 + 0j]), 0.25)
+    assert not almost_equiv(half, _product([0.25 + 0j]), np.nextafter(0.25, 0))
+
+
+def test_almost_equiv_at_the_degree_cap():
+    rng = np.random.default_rng(2)
+    radii, angles = rng.random((2, blaschke.DEGREE_CAP))
+    zeros = 0.9 * radii * np.exp(2j * np.pi * angles)
+    moved = rng.permutation(zeros) + 1e-9
+    assert almost_equiv(_product(zeros), _product(moved), 1e-8)
+    moved[0] = -moved[0]
+    assert not almost_equiv(_product(zeros), _product(moved), 1e-8)

@@ -568,6 +568,15 @@ def test_cold_path_leaves_scipy_linalg_unloaded(files, args):
     assert "scipy.linalg" not in imported
 
 
+def test_jordan_model_suite_loads_scipy_linalg_alone():
+    # almost_equiv matches zero sequences without scipy.optimize, whose import
+    # also brings in scipy.sparse and scipy.spatial
+    run = "from c0lat import suites; suites.jordan_model_suite(trials=2, seed=0)"
+    code, _, imported = _fresh("-c", run)
+    assert code == 0 and "scipy.linalg" in imported
+    assert not imported & {"scipy.optimize", "scipy.sparse", "scipy.spatial"}
+
+
 def test_divisor_subspace_loads_scipy_on_first_use(capsys, files):
     argv = ["model", "divisor-subspace", "--theta", files["zb"], "--phi", files["z"]]
     code, out, imported = _fresh("-m", "c0lat.cli", *argv, "--json")
