@@ -327,56 +327,23 @@ def _has_perfect_matching(adjacent: np.ndarray) -> bool:
     """Whether the square boolean matrix ``adjacent`` (rows against columns)
     admits a perfect matching.
 
-    Hopcroft and Karp (SIAM J. Comput. 1973): each phase layers the rows by
-    a breadth-first search from the free ones, then augments along
-    vertex-disjoint shortest paths by depth-first search on those layers;
-    the search keeps an explicit stack, so no zero sequence reaches the
-    recursion limit.
+    Kuhn's augmenting paths: each row in turn takes a free column, or one
+    whose row can move to another.  A path visits each column at most once,
+    so the recursion is at most ``DEGREE_CAP`` deep.
     """
-    n = len(adjacent)
     neighbours = [[j for j, near in enumerate(row) if near] for row in adjacent.tolist()]
-    col_of = [-1] * n  # the column matched to each row
-    row_of = [-1] * n  # the row matched to each column
-    while True:
-        layer = [-1] * n
-        queue = [i for i in range(n) if col_of[i] < 0]
-        for i in queue:
-            layer[i] = 0
-        free_layer = None  # the length of a shortest augmenting path
-        for i in queue:  # the queue grows as it is read
-            if free_layer is not None and layer[i] >= free_layer:
-                break
-            for j in neighbours[i]:
-                k = row_of[j]
-                if k < 0:
-                    free_layer = layer[i] + 1
-                elif layer[k] < 0:
-                    layer[k] = layer[i] + 1
-                    queue.append(k)
-        if free_layer is None:
-            return -1 not in col_of
-        tried = [0] * n  # how many of each row's neighbours this phase has tried
-        for root in range(n):
-            if col_of[root] >= 0:
-                continue
-            path = [root]
-            while path:
-                i = path[-1]
-                if tried[i] == len(neighbours[i]):
-                    layer[i] = -1  # a dead end for the rest of the phase
-                    path.pop()
-                    continue
-                j = neighbours[i][tried[i]]
-                tried[i] += 1
-                k = row_of[j]
-                if k < 0 and layer[i] + 1 == free_layer:
-                    # each row on the path takes the column it stepped through
-                    for row in path:
-                        col = neighbours[row][tried[row] - 1]
-                        col_of[row], row_of[col] = col, row
-                    break
-                if k >= 0 and layer[k] == layer[i] + 1:
-                    path.append(k)
+    row_of = [-1] * len(neighbours)  # the row matched to each column
+
+    def try_row(i, seen):
+        for j in neighbours[i]:
+            if j not in seen:
+                seen.add(j)
+                if row_of[j] < 0 or try_row(row_of[j], seen):
+                    row_of[j] = i
+                    return True
+        return False
+
+    return all(try_row(i, set()) for i in range(len(neighbours)))
 
 
 def divisor_count(b: BlaschkeProduct) -> int:

@@ -684,15 +684,16 @@ def test_non_finite_residual_is_a_violation_that_renders(residual):
 def test_x3_pulls_each_subspace_back_once(monkeypatch):
     pulled = []
 
-    def recording(x, n):
+    def recording(x, n, scale):
         pulled.append((n.basis.shape, n.basis.tobytes()))
-        return lattice_preimage(x, n)
+        return preimage(x, n, scale)
 
-    monkeypatch.setattr(jordan, "lattice_preimage", recording)
+    preimage = jordan._preimage
+    monkeypatch.setattr(jordan, "_preimage", recording)
     t1, t2, q = similarity_pair(11, n=5)
     samples = 50
     theorem_x3_verifier(t1, t2, q / op_norm(q), samples=samples, seed=1)
-    assert len(set(pulled)) == len(pulled)
+    assert pulled and len(set(pulled)) == len(pulled)
     assert len(pulled) < 3 * samples
 
 
