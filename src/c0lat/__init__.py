@@ -41,6 +41,7 @@ from .jordan import (
     are_quasisimilar,
     brute_force_lat,
     check_lattice_isomorphism,
+    cyclic_multiplicity,
     find_quasiaffinity,
     intertwiner_space,
     jordan_model,
@@ -62,7 +63,6 @@ from .subspace import (
     check_distributive_triple,
     check_modular_triple,
     contains,
-    cyclic_multiplicity,
     cyclic_subspace,
     distance,
     equals,

@@ -99,6 +99,7 @@ __all__ = [
     "are_quasisimilar",
     "brute_force_lat",
     "check_lattice_isomorphism",
+    "cyclic_multiplicity",
     "find_quasiaffinity",
     "intertwiner_space",
     "jordan_model",
@@ -467,6 +468,14 @@ def jordan_model(t, seed: int = 0, verify: bool = True) -> JordanModel:
             "could not certify quasisimilarity between the matrix and its model"
         )
     return model
+
+
+def cyclic_multiplicity(t) -> int:
+    """Smallest number of vectors whose joint orbit spans the space: for a
+    C0 matrix, the number of functions in its certified Jordan model
+    (Bercovici, *Operator Theory and Arithmetic in H-infinity*, 1988), with
+    :func:`jordan_model`'s size cap and :class:`~c0lat.calculus.NotC0Error`."""
+    return len(jordan_model(t).thetas)
 
 
 def _finite(x):

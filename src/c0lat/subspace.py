@@ -14,12 +14,15 @@ intertwining ones:
 * ``TOL_INTERTWINE`` intertwining residual scale
 
 The public constructor ``Subspace(n, basis)`` checks that the basis is
-orthonormal to ``TOL_ORTHO``.  Internal builders whose bases are
-orthonormal by construction (``from_span``, ``zero``, ``full``, ``meet``,
-``join``, ``cyclic_subspace``, the Schur prefixes of
+orthonormal to ``TOL_ORTHO``, which a NaN basis fails.  Internal builders
+whose bases are orthonormal by construction (``from_span``, ``zero``,
+``full``, ``meet``, ``join``, ``cyclic_subspace``, the Schur prefixes of
 :func:`~c0lat.sampling.sample_invariant_subspaces` and the reorder kernel
 ``calculus._spectral_basis`` behind ``ModelSpace.divisor_subspace``) skip
 that Gram check; the test suite holds them to ``TOL_ORTHO`` instead.
+``cyclic_subspace`` refuses a non-square or non-finite operator and a
+vector of the wrong shape; the Krylov kernel ``_krylov`` behind it, which
+the sampler calls on its own draws, checks nothing.
 
 ``contains`` decides ``||B - P_A B||_2 <= TOL_EQUALS`` from the Frobenius
 norm of the residual, which brackets the spectral norm within a factor
@@ -71,7 +74,6 @@ __all__ = [
     "check_distributive_triple",
     "check_modular_triple",
     "contains",
-    "cyclic_multiplicity",
     "cyclic_subspace",
     "distance",
     "equals",
@@ -129,7 +131,7 @@ class Subspace:
             raise ValueError(f"basis has {k} columns in ambient dimension {ambient_dim}")
         if k:
             gram = basis.conj().T @ basis
-            if np.max(np.abs(gram - np.eye(k))) > TOL_ORTHO:
+            if not np.max(np.abs(gram - np.eye(k))) <= TOL_ORTHO:  # NaN fails too
                 raise ValueError("basis columns are not orthonormal")
         self._store(ambient_dim, basis)
 
@@ -432,8 +434,18 @@ def is_invariant(t, m: Subspace) -> InvarianceVerdict:
 
 
 def cyclic_subspace(t, x) -> Subspace:
-    """Krylov span ``{x, Tx, T^2 x, ...}``, stopped when the rank stabilizes."""
+    """Krylov span ``{x, Tx, T^2 x, ...}``, stopped when the rank stabilizes.
+
+    Raises ValueError unless ``t`` is a finite square matrix and ``x`` a
+    finite vector of its size."""
     t = _complex_matrix(t)
+    x = np.asarray(x, dtype=complex)
+    if t.shape[0] != t.shape[1]:
+        raise ValueError(f"operator must be square, got shape {t.shape}")
+    if x.shape != (t.shape[0],):
+        raise ValueError(f"vector of shape {x.shape} for an operator of size {t.shape[0]}")
+    if not (np.isfinite(t).all() and np.isfinite(x).all()):
+        raise ValueError("operator and vector must be finite")
     return _krylov(t, x, max(1.0, op_norm(t)))
 
 
@@ -457,33 +469,6 @@ def _krylov(t: np.ndarray, x, scale: float) -> Subspace:
         basis[:, k] = w / nw
         k += 1
     return Subspace._trusted(n, basis[:, :k])
-
-
-def cyclic_multiplicity(t) -> int:
-    """Smallest number of vectors whose joint orbit spans the space.
-
-    Scans m = 1, 2, ... and returns the first m for which one of 20 seeded
-    draws of m Gaussian vectors has cyclic subspaces joining to the full
-    space (a spanning draw is a constructive witness; the failed draws at
-    m - 1 support minimality).
-    """
-    t = _complex_matrix(t)
-    n = t.shape[0]
-    if n > 12:
-        raise ValueError("cyclic_multiplicity is capped at ambient dimension 12")
-    if n == 0:
-        return 0
-    scale = max(1.0, op_norm(t))
-    for m in range(1, n + 1):
-        for draw in range(20):
-            rng = np.random.default_rng(1000 * m + draw)
-            space = Subspace.zero(n)
-            for _ in range(m):
-                v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                space = join(space, _krylov(t, v, scale))
-            if space.dim == n:
-                return m
-    return n
 
 
 def _modular(l: Subspace, m: Subspace, n: Subspace, joined=None, lm=None) -> tuple:

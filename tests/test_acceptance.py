@@ -7,7 +7,9 @@ line per criterion.
 import time
 
 import numpy as np
+import pytest
 
+from c0lat import jordan, subspace
 from c0lat.blaschke import almost_equiv
 from c0lat.jordan import theorem97_verifier
 from c0lat.subspace import (
@@ -204,3 +206,18 @@ def test_theorem97_chain_triples_exact():
         report.passed and report.max_residual <= 1e-8,
         f"max residual {report.max_residual:.3g}",
     )
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_modular_gates_catch_a_planted_meet_fault(monkeypatch):
+    # a meet that returns its smaller argument is wrong on any two
+    # incomparable members, but the pools behind criteria 5 and 7 are
+    # chains, so both gates pass it with no violation
+    def smaller(a, b):
+        return a if a.dim <= b.dim else b
+
+    monkeypatch.setattr(jordan, "meet", smaller)
+    monkeypatch.setattr(subspace, "meet", smaller)
+    thm97 = thm97_suite(trials=50, seed=SEED, triples=100)
+    x3 = x3_suite(trials=20, seed=SEED, triples=50)
+    assert not thm97.passed and not x3.passed

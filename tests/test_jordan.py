@@ -22,6 +22,7 @@ from c0lat.jordan import (
     are_quasisimilar,
     brute_force_lat,
     check_lattice_isomorphism,
+    cyclic_multiplicity,
     find_quasiaffinity,
     intertwiner_space,
     jordan_model,
@@ -46,7 +47,6 @@ from c0lat.subspace import (
     TOL_ORTHO,
     TOL_RANK,
     Subspace,
-    cyclic_multiplicity,
     equals,
     is_invariant,
     op_norm,
@@ -512,8 +512,6 @@ def test_model_operator_head_is_minimal_function():
 
 
 def test_compressed_shift_is_multiplicity_free():
-    from c0lat.subspace import cyclic_multiplicity
-
     theta = BlaschkeProduct(((0.3 + 0j, 2), (-0.2 + 0.4j, 1)))
     assert cyclic_multiplicity(compressed_shift(theta).matrix) == 1
 
@@ -779,15 +777,35 @@ def test_brute_force_matches_enumeration():
 def test_multiplicity_counts_the_nonconstant_jordan_model_functions():
     # the multiplicity of a C0 operator is the number of nonconstant
     # functions in its Jordan model (Bercovici, Operator Theory and
-    # Arithmetic in H-infinity, 1988), an oracle independent of the
-    # cyclic-vector search behind cyclic_multiplicity
+    # Arithmetic in H-infinity, 1988), which is the largest number of
+    # Jordan blocks at one eigenvalue: T = Q J Q^-1 is built from chosen
+    # partitions, so the expected count never comes from jordan_model
     rng = np.random.default_rng(2026)
-    seen = []
-    for _ in range(20):
-        t = certifiable_c0(rng, int(rng.integers(2, 8)), structured=True)
-        seen.append(cyclic_multiplicity(t))
-        assert seen[-1] == len(jordan_model(t, verify=False).thetas)
-    assert len(set(seen)) > 1
+    spectra = (
+        {0.3: (3,)},
+        {0.3: (2, 1), -0.4j: (1,)},
+        {0.0: (1, 1, 1), 0.5: (2, 2)},
+        {0.2 + 0.3j: (2, 1, 1, 1), -0.5: (3, 1), 0.6j: (1,)},
+        {-0.1: (3, 3), 0.5 - 0.2j: (2, 2, 1, 1)},
+    )
+    for partitions in spectra:
+        blocks = [(lam, size) for lam, sizes in partitions.items() for size in sizes]
+        n = sum(size for _, size in blocks)
+        j = np.zeros((n, n), dtype=complex)
+        pos = 0
+        for lam, size in blocks:
+            j[pos : pos + size, pos : pos + size] = lam * np.eye(size) + 0.3 * np.eye(size, k=-1)
+            pos += size
+        q = random_well_conditioned(rng, n, cond_cap=3.0)
+        t = q @ j @ np.linalg.inv(q)
+        t *= min(1.0, 0.95 / op_norm(t))
+        expected = max(len(sizes) for sizes in partitions.values())
+        assert cyclic_multiplicity(t) == expected, partitions
+
+
+def test_cyclic_multiplicity_refuses_a_matrix_that_is_not_c0():
+    with pytest.raises(NotC0Error):
+        cyclic_multiplicity(2 * np.eye(2))
 
 
 # --- report plumbing ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import scipy.linalg
 from c0lat import subspace
 from c0lat.blaschke import BlaschkeProduct, elementary, gcd, lcm
 from c0lat.calculus import is_c0
-from c0lat.jordan import lattice_preimage
+from c0lat.jordan import cyclic_multiplicity, lattice_preimage
 from c0lat.modelspace import ModelSpace, compressed_shift, enumerate_lattice
 from c0lat.sampling import (
     certifiable_c0,
@@ -23,7 +23,6 @@ from c0lat.subspace import (
     check_distributive_triple,
     check_modular_triple,
     contains,
-    cyclic_multiplicity,
     cyclic_subspace,
     distance,
     equals,
@@ -62,6 +61,8 @@ NILPOTENT = np.array([[0, 0], [1, 0]], dtype=complex)  # e1 -> e2 -> 0
 def test_orthonormality_enforced():
     with pytest.raises(ValueError):
         Subspace(2, np.array([[1.0], [1.0]]))
+    with pytest.raises(ValueError):  # a NaN Gram entry is not within TOL_ORTHO
+        Subspace(2, np.array([[np.nan], [0.0]]))
     Subspace(2, np.array([[1.0], [0.0]]))
 
 
@@ -361,6 +362,22 @@ def test_cyclic_subspace_examples():
         x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         s = cyclic_subspace(t, x)
         assert is_invariant(t, s).invariant
+
+
+@pytest.mark.parametrize(
+    "t, x, message",
+    [
+        (np.zeros((2, 3)), np.ones(2), "must be square"),
+        (NILPOTENT, np.ones(3), "operator of size 2"),
+        (NILPOTENT, np.ones((2, 1)), "operator of size 2"),
+        (NILPOTENT, [np.nan, 1.0], "must be finite"),
+        (np.array([[np.inf, 0], [0, 0]]), np.ones(2), "must be finite"),
+    ],
+    ids=["non-square", "wrong-size", "column", "nan-vector", "inf-operator"],
+)
+def test_cyclic_subspace_rejects_bad_input(t, x, message):
+    with pytest.raises(ValueError, match=message):
+        cyclic_subspace(t, x)
 
 
 def test_cyclic_subspace_is_the_krylov_span():
