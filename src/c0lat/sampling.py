@@ -216,11 +216,11 @@ def certifiable_c0(
     derogatory=True,
 ):
     """A random C0 matrix whose spectrum keeps the maximality certificate
-    at or above 3e-3, resampling up to 500 times until it does.
-
-    The certificate shrinks with the norm cap (pseudo-hyperbolic distances
-    scale roughly linearly); callers that need hard scaling should also
-    tighten ``distinct_cap``/``max_block``.
+    at or above 3e-3, resampling up to 500 times, then a RuntimeError.
+    Unstructured draws fail at n >= 10: n eigenvalues within the default
+    radius 0.8 leave it below 3e-3.  It shrinks with the norm cap too
+    (pseudo-hyperbolic distances scale roughly linearly); callers that need
+    hard scaling should also tighten ``distinct_cap``/``max_block``.
     """
     for _ in range(500):
         if structured:
@@ -241,7 +241,7 @@ def certifiable_c0(
             points = [(complex(lam), 1) for lam in np.linalg.eigvals(t)]
         if maximality_floor(points) >= 3e-3:
             return t
-    raise RuntimeError("could not draw a certifiable C0 spectrum")
+    raise RuntimeError(f"could not draw a certifiable C0 spectrum of size {n} (maximality floor 3e-3)")
 
 
 def _schur_prefixes(t: np.ndarray) -> list[np.ndarray]:

@@ -1,25 +1,22 @@
 """Numerical subspace-lattice operations and finite abstract lattices.
 
-Subspaces carry an ambient dimension and an orthonormal column basis; meets
-go through the principal sines, joins through rank-revealing
-orthogonalization.  ``calculus``, ``jordan`` and ``blaschke`` keep
-thresholds of their own (the README lists them all).  The subspace
-tolerances live here; ``jordan`` imports the rank, invariance and
-intertwining ones:
+Subspaces carry an ambient dimension and an orthonormal column basis.
+``calculus``, ``jordan`` and ``blaschke`` keep thresholds of their own
+(the README lists them all).  The subspace tolerances live here;
+``jordan`` imports the rank, invariance and intertwining ones:
 
-* ``TOL_RANK``    relative singular-value threshold for rank decisions
-* ``TOL_MEET_ANGLE`` principal-angle threshold for intersections
-* ``TOL_EQUALS``  containment / equality of subspaces
+* ``TOL_EQUALS``  the one scale of the lattice: order, meet and join
+* ``TOL_RANK``    relative singular-value cut ``_rank`` of spans and null spaces
 * ``TOL_INVARIANT`` invariance residual scale
 * ``TOL_INTERTWINE`` intertwining residual scale
 
 The public constructor ``Subspace(n, basis)`` checks that the basis is
-orthonormal to ``TOL_ORTHO``, which a NaN basis fails.  Internal builders
-whose bases are orthonormal by construction (``from_span``, ``zero``,
-``full``, ``meet``, ``join``, ``cyclic_subspace``, the Schur prefixes of
+finite and orthonormal to ``TOL_ORTHO``.  Internal builders whose bases
+are orthonormal by construction (``from_span``, ``zero``, ``full``,
+``meet``, ``join``, ``cyclic_subspace``, the Schur prefixes of
 :func:`~c0lat.sampling.sample_invariant_subspaces` and the reorder kernel
 ``calculus._spectral_basis`` behind ``ModelSpace.divisor_subspace``) skip
-that Gram check; the test suite holds them to ``TOL_ORTHO`` instead.
+that check; the test suite holds them to ``TOL_ORTHO`` instead.
 ``cyclic_subspace`` refuses a non-square or non-finite operator and a
 vector of the wrong shape; the Krylov kernel ``_krylov`` behind it, which
 the sampler calls on its own draws, checks nothing.
@@ -34,24 +31,23 @@ dimensions without projecting.  Every reported residual (``distance``,
 ``meet_join_verdicts`` is the batched entry point, for ``distributive``:
 for many index pairs of one member list it says whether each meet and
 join equals a named member, with stacked SVDs and no Subspace built per
-pair.  Its contract is verdict for verdict, not basis for basis.  It
-shares with the scalar ``meet``, ``join`` and ``from_span`` the private
-kernels ``_meet_svd`` and ``_meet_span`` (the meet), ``_rank`` (the
-``TOL_RANK`` cut) and ``_project``; ``_insides`` is the rule of
-``_inside`` on a stack of residuals.
+pair, verdict for verdict, not basis for basis.  It shares with ``meet``
+and ``join`` the kernels ``_meet_svd``, ``_meet_span``, ``_join_svd`` and
+``_project``; ``_insides`` is ``_inside`` on a stack of residuals.
 
 :mod:`c0lat.jordan` and :mod:`c0lat.suites` share three more helpers:
 ``_modular`` (both sides of the modular law, for ``check_modular_triple``
 and the theorem verifiers), ``_label`` (the first ``equals`` member of a
-list, appending when there is none) and ``_direct_sum`` (block sums);
-``jordan`` takes its rank decisions from ``_rank`` too.
+list, appending when there is none) and ``_direct_sum`` (block sums).
 
 A meet takes one SVD, of the projection residual ``R = B - P_A B``
 (Bjorck and Golub, Math. Comp. 1973; Knyazev and Argentati, SIAM J. Sci.
-Comput. 2002): its singular values are the principal sines, and ``B V``
-over the right singular vectors with sine at most ``TOL_MEET_ANGLE`` is an
-orthonormal basis of ``A ∧ B``, off by about eps/rho for the smallest
-discarded sine rho (eps/rho^2 from the cosines of ``A^H B``).
+Comput. 2002): its singular values are the principal sines s, and ``B V``
+over the right singular vectors with s <= ``TOL_EQUALS`` spans ``A ∧ B``,
+off by about eps/rho for the smallest discarded sine rho.  A join takes
+one SVD, of ``[A B]``, with singular values ``sqrt(1 ± sqrt(1 - s^2))``,
+cut at s = ``TOL_EQUALS`` (``_JOIN_CUT``).  So ``a <= b`` iff ``a ∧ b = a``
+iff ``a ∨ b = b``, and ``dim(a ∧ b) + dim(a ∨ b) = dim a + dim b``.
 """
 
 import math
@@ -63,7 +59,6 @@ __all__ = [
     "TOL_EQUALS",
     "TOL_INTERTWINE",
     "TOL_INVARIANT",
-    "TOL_MEET_ANGLE",
     "TOL_ORTHO",
     "TOL_RANK",
     "FiniteLattice",
@@ -89,8 +84,8 @@ __all__ = [
 
 TOL_RANK = 1e-10
 TOL_ORTHO = 1e-10
-TOL_MEET_ANGLE = 1e-8
-TOL_EQUALS = 1e-7
+TOL_EQUALS = 1e-8
+_JOIN_CUT = TOL_EQUALS / math.sqrt(1 + math.sqrt(1 - TOL_EQUALS**2))
 TOL_INVARIANT = 1e-8
 TOL_INTERTWINE = 1e-9
 
@@ -129,10 +124,10 @@ class Subspace:
         k = basis.shape[1]
         if k > ambient_dim:
             raise ValueError(f"basis has {k} columns in ambient dimension {ambient_dim}")
-        if k:
-            gram = basis.conj().T @ basis
-            if not np.max(np.abs(gram - np.eye(k))) <= TOL_ORTHO:  # NaN fails too
-                raise ValueError("basis columns are not orthonormal")
+        if not np.isfinite(basis).all():
+            raise ValueError("basis entries must be finite")
+        if k and np.max(np.abs(basis.conj().T @ basis - np.eye(k))) > TOL_ORTHO:
+            raise ValueError("basis columns are not orthonormal")
         self._store(ambient_dim, basis)
 
     def _store(self, ambient_dim: int, basis: np.ndarray):
@@ -205,7 +200,7 @@ def _check_same_ambient(a: Subspace, b: Subspace):
 
 
 # The scalar operations and the batched kernel meet_join_verdicts share
-# the helpers below.  _rank, _project, _meet_svd and _meet_span take one
+# the helpers below.  _project, _meet_svd, _meet_span and _join_svd take one
 # basis (n x k) or a (P, n, k) stack of them and work slice by slice: a
 # slice of a stacked matmul or SVD is bitwise the 2-D call on that slice,
 # so the batched kernel decides on the scalar meets and joins.  _inside
@@ -225,15 +220,22 @@ def _project(a, v):
 def _meet_svd(a, b):
     """``(vh, kept)`` from one SVD of ``R = B - P_A B``: the right singular
     vectors, and how many singular values, the sines of the principal
-    angles, are at most ``TOL_MEET_ANGLE``.  ``A ∧ B`` is spanned by
+    angles, are at most ``TOL_EQUALS``.  ``A ∧ B`` is spanned by
     ``_meet_span(b, vh, kept)``."""
     _, sines, vh = np.linalg.svd(b - _project(a, b), full_matrices=False)
-    return vh, (sines <= TOL_MEET_ANGLE).sum(-1)
+    return vh, (sines <= TOL_EQUALS).sum(-1)
 
 
 def _meet_span(b, vh, r):
     """``B V`` over the last ``r`` right singular vectors (trailing rows of ``vh``)."""
     return b @ vh[..., vh.shape[-2] - r:, :].conj().swapaxes(-1, -2)
+
+
+def _join_svd(a, b):
+    """``(u, kept)`` from one SVD of ``[A B]``: ``A ∨ B`` is spanned by the
+    first ``kept`` left singular vectors, those above ``_JOIN_CUT``."""
+    u, s, _ = np.linalg.svd(np.concatenate([a, b], axis=-1), full_matrices=False)
+    return u, (s > _JOIN_CUT).sum(-1)
 
 
 def _inside(resid) -> bool:
@@ -271,14 +273,15 @@ def _equal_stacks(x, e) -> np.ndarray:
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
-    """Closed span of the union."""
+    """Closed span of the union, from one SVD (``_join_svd``)."""
     _check_same_ambient(a, b)
-    return Subspace.from_span(np.hstack([a.basis, b.basis]), a.ambient_dim)
+    u, kept = _join_svd(a.basis, b.basis)
+    return Subspace._trusted(a.ambient_dim, u[:, :kept])
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
     """Intersection from one SVD: the directions of ``b`` whose principal
-    angle to ``a`` is at most ``TOL_MEET_ANGLE`` (``_meet_svd``)."""
+    angle to ``a`` is at most ``TOL_EQUALS`` (``_meet_svd``)."""
     _check_same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
@@ -342,8 +345,7 @@ def meet_join_verdicts(members, rows, cols, lo, hi) -> np.ndarray:
     for start in range(0, len(rows), PAIR_BUDGET):
         part = slice(start, start + PAIR_BUDGET)
         a_idx, b_idx, want = rows[part], cols[part], wants[:, part]
-        # rank of each meet (row 0) and join (row 1); a meet with a zero
-        # member is zero, and so is the join of two
+        # rank of each meet (row 0) and join (row 1); a meet with a zero member is zero
         ranks = np.zeros(want.shape, dtype=int)
         spans = {}  # rank r -> (positions in want.flat, bases) to compare
 
@@ -365,10 +367,8 @@ def meet_join_verdicts(members, rows, cols, lo, hi) -> np.ndarray:
             if ka and kb:
                 vh, ranks[0, p] = _meet_svd(a, b)
                 found(0, p, lambda q, r: _meet_span(b[q], vh[q], r))
-            if ka + kb:
-                u, s, _ = np.linalg.svd(np.concatenate([a, b], axis=-1), full_matrices=False)
-                ranks[1, p] = _rank(s)
-                found(1, p, lambda q, r: u[q, :, :r])
+            u, ranks[1, p] = _join_svd(a, b)
+            found(1, p, lambda q, r: u[q, :, :r])
         same = ranks == dims[want]
         for r, filed in spans.items():
             at = np.concatenate([at for at, _ in filed])

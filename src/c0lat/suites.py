@@ -31,7 +31,10 @@ wrong kind (``_inputs``: a matrix where the suite takes Blaschke products,
 a Blaschke product where it takes matrices, a matrix that is not square,
 any input to ``duality``, a repeated zero, zeros closer than 1e-6 or a
 degree above 10 for ``oracle-latmatch``) raise ValueError, which the
-command line reports with exit code 2.
+command line reports with exit code 2.  A theta given to ``propq-meetjoin``
+or ``distributive`` whose zeros' ``maximality_floor`` is below
+``2 TOL_EQUALS`` may have divisor subspaces at principal sines the lattice
+cannot tell from 0: a VerificationError, exit code 3.
 
 ``modular-thm97`` and ``x3-transfer`` can never find a counterexample to
 modularity: in finite dimensions Lat(T) is a sublattice of the lattice of
@@ -72,6 +75,7 @@ from .jordan import (
 from .modelspace import ModelSpace, compressed_shift, enumerate_lattice
 from .sampling import (
     certifiable_c0,
+    maximality_floor,
     random_blaschke,
     random_blaschke_with_divisor_cap,
     random_contraction,
@@ -82,6 +86,7 @@ from .sampling import (
     random_well_conditioned,
 )
 from .subspace import (
+    TOL_EQUALS,
     _direct_sum,
     contains,
     distance,
@@ -156,16 +161,20 @@ def _tolerances(suite, tols, **defaults) -> tuple:
 _KINDS = {BlaschkeProduct: "Blaschke product", np.ndarray: "matrix"}
 
 
-def _inputs(suite, inputs, kind=None) -> tuple:
+def _inputs(suite, inputs, kind=None, separated=False) -> tuple:
     """The suite's input payloads, each checked to be a ``kind``
     (BlaschkeProduct or np.ndarray, which must be square; None for a suite
-    that takes none)."""
+    that takes none).  A ``separated`` Blaschke product whose zeros'
+    ``maximality_floor`` is below ``2 TOL_EQUALS`` is a VerificationError."""
     inputs = tuple(inputs)
     for k, x in enumerate(inputs):
         if not (kind and isinstance(x, kind)):
             wanted = f"{_KINDS[kind]} inputs" if kind else "no inputs"
             got = _KINDS.get(type(x), type(x).__name__)
             raise ValueError(f"{suite} takes {wanted}; input {k + 1} is a {got}")
+        if separated and (sep := maximality_floor(x.zeros)) < 2 * TOL_EQUALS:
+            raise VerificationError(f"{suite} input {k + 1} has zero separation {sep:.3g} "
+                                    f"(maximality_floor), below 2 TOL_EQUALS = {2 * TOL_EQUALS:g}")
         if kind is np.ndarray and (x.ndim != 2 or x.shape[0] != x.shape[1]):
             raise ValueError(f"{suite} takes square matrices; input {k + 1} has shape {x.shape}")
     return inputs
@@ -252,7 +261,7 @@ def meetjoin_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> Verif
     """Numerical meet/join of two divisor subspaces equals the lcm/gcd
     divisor subspaces; inclusion between them reverses divisibility."""
     (tol,) = _tolerances("propq-meetjoin", tols, distance=1e-7)
-    thetas = _inputs("propq-meetjoin", inputs, BlaschkeProduct)
+    thetas = _inputs("propq-meetjoin", inputs, BlaschkeProduct, separated=True)
 
     def trial(i, rng, tally):
         theta = thetas[i % len(thetas)] if thetas else random_blaschke(rng, 5, radius=0.85)
@@ -289,7 +298,7 @@ def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> Ve
     the verdicts of the scalar ``meet``, ``join`` and ``equals``; the first
     failing pair in row-major order is the reported one."""
     _tolerances("distributive", tols)
-    thetas = _inputs("distributive", inputs, BlaschkeProduct)
+    thetas = _inputs("distributive", inputs, BlaschkeProduct, separated=True)
     for k, theta in enumerate(thetas, 1):
         if (count := blaschke.divisor_count(theta)) > DISTRIBUTIVE_CAP:
             raise ValueError(f"distributive takes at most {DISTRIBUTIVE_CAP} divisors; input {k} has {count}")

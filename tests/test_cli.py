@@ -413,6 +413,22 @@ def test_oracle_latmatch_rejects_inputs_the_oracle_cannot_take(capsys, files, ze
     assert _one_error_line(err) and err.endswith(f"degree at most 10; input 2 has {reason}\n")
 
 
+@pytest.mark.parametrize("suite", ["distributive", "propq-meetjoin"])
+def test_zeros_below_the_separation_floor_exit_three(capsys, files, suite):
+    # 0.5 and 0.5 + 4e-8 keep a maximality floor of 5.3e-8, above
+    # 2 TOL_EQUALS; 0.5 and 0.5 + 1e-9 have 1.3e-9 and are refused
+    paths = []
+    for d in (4e-8, 1e-9):
+        path = files["tmp"] / f"pair-{d}.json"
+        path.write_text(json.dumps(BlaschkeProduct(((0.5, 1), (0.5 + d, 1))).to_json_dict()))
+        paths.append(str(path))
+    code, out, err = run(capsys, "verify", suite, paths[0], "--trials", "20")
+    assert (code, err) == (0, "") and "PASSED" in out
+    code, out, err = run(capsys, "verify", suite, files["zb"], paths[1], "--trials", "1")
+    assert code == 3 and out == ""
+    assert _one_error_line(err) and f"{suite} input 2 has zero separation 1.33e-09" in err
+
+
 def test_oracle_latmatch_runs_on_a_given_theta(capsys, files):
     code, out, err = run(capsys, "verify", "oracle-latmatch", files["zb"], "--trials", "2", "--json")
     assert (code, err) == (0, "")

@@ -1,5 +1,7 @@
 """Subspace lattice numerics and the abstract finite-lattice checkers."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -59,11 +61,19 @@ NILPOTENT = np.array([[0, 0], [1, 0]], dtype=complex)  # e1 -> e2 -> 0
 # --- construction -------------------------------------------------------------
 
 def test_orthonormality_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not orthonormal"):
         Subspace(2, np.array([[1.0], [1.0]]))
-    with pytest.raises(ValueError):  # a NaN Gram entry is not within TOL_ORTHO
-        Subspace(2, np.array([[np.nan], [0.0]]))
     Subspace(2, np.array([[1.0], [0.0]]))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_non_finite_basis_is_refused_before_the_gram_product(entry):
+    # the Gram product of an infinite basis is inf * 0 = NaN, which numpy
+    # reports as a RuntimeWarning; the finiteness check comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            Subspace(2, np.array([[entry], [0.0]]))
 
 
 def test_from_span_drops_dependent_columns():
@@ -322,6 +332,54 @@ def test_divisor_lines_of_two_zeros_meet_at_the_pseudo_hyperbolic_angle():
     assert meet_join_verdicts(members, rows, cols, lo, hi).all()
     with pytest.raises(ValueError):
         equals(Subspace.zero(2), line(3, 0))
+
+
+def one_scale_holds(a, b):
+    """The order, meet and join of ``a`` and ``b`` at one scale: ``b <= a``
+    iff ``a ∧ b = b`` iff ``a ∨ b = a``, and the dimension formula."""
+    m, j = meet(a, b), join(a, b)
+    assert contains(a, b) == equals(m, b) == equals(j, a)
+    assert m.dim + j.dim == a.dim + b.dim
+    return contains(a, b), m.dim, j.dim
+
+
+def test_order_meet_and_join_decide_at_one_scale():
+    # B leans off A at principal sines whose largest sits 1 % above or below
+    # TOL_EQUALS; contains, meet and join must draw the line at the same
+    # sine, in both argument orders, and the batched kernel with them
+    rng = np.random.default_rng(25)
+    members, verdicts = [], []
+    for _ in range(200):
+        k = int(rng.integers(1, 5))
+        p = int(rng.integers(k, 6))
+        sines = TOL_EQUALS * rng.uniform(0.0, 0.98, k)
+        sines[rng.integers(k)] = TOL_EQUALS * (1 + 1e-2 * rng.choice([-1, 1]))
+        if rng.random() < 0.5:  # more sines at the border
+            sines = np.where(rng.random(k) < 0.5, TOL_EQUALS * (1 + 1e-2 * rng.choice([-1, 1], k)), sines)
+        a, b = planted(rng, 9, p, sines)
+        below = int(np.sum(sines <= TOL_EQUALS))
+        assert one_scale_holds(a, b) == (below == k, below, p + k - below)
+        assert one_scale_holds(b, a) == (below == k == p, below, p + k - below)
+        members += [a, b]
+        verdicts.append(below == k)
+    assert 0 < sum(verdicts) < len(verdicts)
+    rows, cols = np.arange(0, len(members), 2), np.arange(1, len(members), 2)
+    # meet(a, b) = b and join(a, b) = a exactly when b <= a
+    assert meet_join_verdicts(members, rows, cols, cols, rows).tolist() == verdicts
+
+
+def test_divisor_lines_of_close_zeros_decide_at_one_scale():
+    # the divisor lines u, v of b_a b_(a + d) sit at principal sine
+    # rho(a, a + d); through the band around TOL_EQUALS the order, meet and
+    # join of the two lines must agree, u = v exactly when rho <= TOL_EQUALS
+    for d in [1e-6, 1e-7, 4e-8, 2e-8, 1e-8, 7e-9, 3e-9, 1e-9, 1e-10]:
+        a = 0.5 + 0j
+        space = ModelSpace(BlaschkeProduct(((a, 1), (a + d, 1))))
+        u = space.divisor_subspace(elementary(a))
+        v = space.divisor_subspace(elementary(a + d))
+        same = pseudo_hyperbolic(a, a + d) <= TOL_EQUALS
+        assert one_scale_holds(u, v) == (same, int(same), 2 - same)
+        assert equals(u, v) == same
 
 
 def test_distance():

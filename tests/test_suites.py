@@ -8,9 +8,10 @@ import pytest
 
 from c0lat import blaschke, subspace, suites
 from c0lat.blaschke import BlaschkeProduct
+from c0lat.calculus import VerificationError
 from c0lat.jordan import theorem97_verifier
 from c0lat.modelspace import enumerate_lattice
-from c0lat.sampling import certifiable_c0
+from c0lat.sampling import certifiable_c0, maximality_floor
 from c0lat.serialize import stable_json_bytes
 from c0lat.subspace import FiniteLattice, law_failures
 
@@ -21,11 +22,7 @@ THETA_12 = BlaschkeProduct(((0.3 + 0j, 2), (-0.2 + 0.4j, 1), (0.1 - 0.5j, 1)))
 def test_distributive_meet_must_land_on_its_lcm_member(monkeypatch):
     # join for meet still lands on members of the lattice (the gcd ones), and
     # the resulting tables are distributive, so only the lcm check catches it
-    def join_svd(a, b):
-        u, s, _ = np.linalg.svd(np.concatenate([a, b], axis=-1), full_matrices=False)
-        return u, subspace._rank(s)
-
-    monkeypatch.setattr(subspace, "_meet_svd", join_svd)
+    monkeypatch.setattr(subspace, "_meet_svd", subspace._join_svd)
     monkeypatch.setattr(subspace, "_meet_span", lambda b, u, r: u[..., :r])
     report = suites.distributive_suite(trials=1, inputs=(THETA_12,))
     assert [v.kind for v in report.violations] == ["closure"]
@@ -49,6 +46,38 @@ def test_close_zeros_meet_on_their_lcm_members(d):
             gram = m.basis.conj().T @ m.basis
             assert np.max(np.abs(gram - np.eye(m.dim)), initial=0.0) <= subspace.TOL_ORTHO
             assert subspace.distance(m, entries[index[blaschke.lcm(phi, psi).zeros]][1]) <= 1e-8
+
+
+CLOSE_ZERO_TAILS = [(), ((-0.3 + 0.2j, 1),), ((-0.3 + 0.2j, 1), (0.1 - 0.6j, 2))]
+
+
+@pytest.mark.parametrize("tail", CLOSE_ZERO_TAILS, ids=["pair", "three", "five"])
+def test_close_zeros_pass_or_are_refused_never_violated(tail):
+    # theta = b(0.5) b(0.5 + d) times a tail, with d across the band around
+    # TOL_EQUALS: each theta passes both lattice suites, or its zeros'
+    # maximality floor is below 2 TOL_EQUALS and both refuse it before the
+    # first trial; none reports a violation
+    outcomes = []
+    for d in [1e-6, 1e-7, 4e-8, 2e-8, 1e-8, 3e-9, 1e-9, 1e-10]:
+        theta = BlaschkeProduct(((0.5 + 0j, 1), (0.5 + d + 0j, 1)) + tail)
+        refused = maximality_floor(theta.zeros) < 2 * subspace.TOL_EQUALS
+        for suite, trials in ((suites.distributive_suite, 1), (suites.meetjoin_suite, 20)):
+            if refused:
+                with pytest.raises(VerificationError, match="input 1 has zero separation"):
+                    suite(trials=trials, inputs=(theta,))
+            else:
+                report = suite(trials=trials, inputs=(theta,))
+                assert report.passed, (d, report.violations[:1])
+        outcomes.append(refused)
+    assert outcomes == sorted(outcomes) and 0 < sum(outcomes) < len(outcomes)
+
+
+def test_unstructured_certifiable_c0_names_its_size_and_floor_at_twelve():
+    # n eigenvalues of a random contraction within radius 0.8 leave the
+    # maximality floor below 3e-3 from n = 10 on; structured draws still work
+    with pytest.raises(RuntimeError, match=r"spectrum of size 12 \(maximality floor 3e-3\)"):
+        certifiable_c0(np.random.default_rng(12), 12)
+    assert certifiable_c0(np.random.default_rng(12), 12, structured=True).shape == (12, 12)
 
 
 def test_distributive_reads_lcm_and_gcd_from_exponent_vectors(monkeypatch):
