@@ -91,10 +91,7 @@ class C0Certificate:
 
 
 def spectral_radius(t) -> float:
-    t = _as_matrix(t)
-    if t.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(t))))
+    return float(np.max(np.abs(np.linalg.eigvals(_as_matrix(t))), initial=0.0))
 
 
 def is_c0(t) -> bool:
@@ -227,12 +224,19 @@ def _cluster_partition(t: np.ndarray, mean: complex, size: int, scale: float) ->
     return tuple(sizes)
 
 
+def _model_function(structure, j=0) -> BlaschkeProduct:
+    """The product of b_lambda to the (j + 1)-th largest block size over the
+    clusters of ``structure`` that have one; j = 0 is the minimal function."""
+    return BlaschkeProduct(tuple((mean, sizes[j]) for mean, sizes in structure if j < len(sizes)))
+
+
 def eigenstructure(t) -> list[tuple[complex, tuple]]:
     """Eigenvalue clusters with descending Jordan block sizes.
 
     Deterministic for a given matrix; used by both the minimal function
     and the Jordan model so the two agree exactly.  Raises
-    :class:`VerificationError` when no clustering radius on the ladder
+    :class:`NotC0Error`, before the ladder, at spectral radius 1 or more,
+    and :class:`VerificationError` when no clustering radius on the ladder
     yields a certified structure; in particular, distinct spectral
     clusters whose pseudo-hyperbolic separation is below the maximality
     floor (1e-3) are not certifiable, by design.  Each factor b_a(T) is
@@ -244,6 +248,8 @@ def eigenstructure(t) -> list[tuple[complex, tuple]]:
     if n == 0:
         return []
     eig = np.linalg.eigvals(t)
+    if np.max(np.abs(eig)) >= 1.0:  # apply_blaschke's guard, on this spectrum
+        raise NotC0Error("eigenstructure requires spectral radius < 1")
     scale = max(1.0, op_norm(t))
     factors = {}  # b_a(T) by zero a, shared by every product below
     for radius in CLUSTER_LADDER:
@@ -258,25 +264,14 @@ def eigenstructure(t) -> list[tuple[complex, tuple]]:
             structure.append((mean, partition))
         if structure is None:
             continue
-        candidate = BlaschkeProduct(
-            tuple((mean, sizes[0]) for mean, sizes in structure)
-        )
-        # apply_blaschke's guard, on the spectrum already computed
-        if np.max(np.abs(eig)) >= 1.0:
-            raise NotC0Error("apply_blaschke requires spectral radius < 1")
+        candidate = _model_function(structure)
         if op_norm(_blaschke_product(t, candidate, factors)) > ANNIHILATION_TOL * scale:
             continue
-        maximal_ok = True
-        for mean, _ in structure:
-            trimmed = divide(candidate, BlaschkeProduct(((mean, 1),)))
-            if op_norm(_blaschke_product(t, trimmed, factors)) <= MAXIMALITY_FLOOR:
-                maximal_ok = False
-                break
-        if maximal_ok:
+        # every maximal proper divisor must leave ||phi(T)|| above the floor
+        trimmed = (divide(candidate, BlaschkeProduct(((mean, 1),))) for mean, _ in structure)
+        if all(op_norm(_blaschke_product(t, phi, factors)) > MAXIMALITY_FLOOR for phi in trimmed):
             return structure
-    raise VerificationError(
-        "could not certify an eigenstructure on the clustering ladder"
-    )
+    raise VerificationError("could not certify an eigenstructure on the clustering ladder")
 
 
 def minimal_function(t) -> BlaschkeProduct:
@@ -292,15 +287,16 @@ def minimal_function(t) -> BlaschkeProduct:
             f"minimal_function requires a C0 matrix (norm <= 1, spectral radius < 1); "
             f"got norm {op_norm(t):.6g}, radius {spectral_radius(t):.6g}"
         )
-    structure = eigenstructure(t)
-    return BlaschkeProduct(tuple((mean, sizes[0]) for mean, sizes in structure))
+    return _model_function(eigenstructure(t))
 
 
 def classify_c0(t) -> C0Certificate:
     """Contraction with spectrum inside the disk?  If so, attach the minimal
-    function and its annihilation residual."""
+    function and its annihilation residual, from one :func:`eigenstructure`
+    call past the C0 test."""
     t = _as_matrix(t)
+    radius = spectral_radius(t)
     if not is_c0(t):
-        return C0Certificate(False, spectral_radius(t), None, float("inf"))
-    mf = minimal_function(t)
-    return C0Certificate(True, spectral_radius(t), mf, float(op_norm(apply_blaschke(t, mf))))
+        return C0Certificate(False, radius, None, float("inf"))
+    mf = _model_function(eigenstructure(t))
+    return C0Certificate(True, radius, mf, float(op_norm(_blaschke_product(t, mf, {}))))

@@ -58,12 +58,12 @@ from functools import cache
 import numpy as np
 
 from . import blaschke
-from .blaschke import BlaschkeProduct
 from .calculus import (
     CLUSTER_LADDER,
     NotC0Error,
     VerificationError,
     _as_matrix,
+    _model_function,
     _single_linkage_clusters,
     _spectral_basis,
     eigenstructure,
@@ -456,13 +456,7 @@ def jordan_model(t, seed: int = 0, verify: bool = True) -> JordanModel:
         raise NotC0Error("jordan_model requires a C0 matrix")
     structure = eigenstructure(t)
     depth = max((len(sizes) for _, sizes in structure), default=0)
-    thetas = []
-    for j in range(depth):
-        zeros = tuple(
-            (mean, sizes[j]) for mean, sizes in structure if j < len(sizes)
-        )
-        thetas.append(BlaschkeProduct(zeros))
-    model = JordanModel(tuple(thetas))
+    model = JordanModel(tuple(_model_function(structure, j) for j in range(depth)))
     if verify and not are_quasisimilar(t, model.operator(), seed=seed):
         raise VerificationError(
             "could not certify quasisimilarity between the matrix and its model"

@@ -58,7 +58,7 @@ def _next_pow2(n: int) -> int:
 
 # No computation here uses a quadrature grid.  The benchmark's
 # modelspace.grid_points counter still reads ModelSpace.quadrature_points and
-# its tests call default_quadrature_points; the benchmark PR (ROADMAP item 7)
+# its tests call default_quadrature_points; the benchmark PR (ROADMAP item 4)
 # retires both.
 def default_quadrature_points(theta: BlaschkeProduct) -> int:
     """Smallest power of two at least max(4d, 64) that pushes rmax^N below

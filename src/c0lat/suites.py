@@ -2,17 +2,20 @@
 command line and the acceptance tests.
 
 Each suite hands a trial function ``trial(i, rng, tally)`` to
-``_run_trials``, which owns the seed policy (trial i draws from the
-generator seeded with seed + i), gives each trial its own tally
-(``jordan._Tally``, the recorder the theorem verifiers use too), runs the
-trials and builds the :class:`~c0lat.jordan.VerificationReport`.  A trial
-records into its tally and returns nothing: ``check`` folds a residual
-into the maximum and flags it above its tolerance, ``flag`` records a
-violation alone, ``fold`` a residual alone, and ``absorb`` merges an inner
-verifier's report.  Trials are independent given the seed, so they may
-run in parallel; the C0LAT_THREADS environment variable sets the worker
-count and the tallies merge in trial order, keeping reports
-byte-identical regardless of parallelism.
+``_run_trials``, which owns the seed policy: trial i of suite S draws
+from ``default_rng([seed, key, i])``, key the integer whose little-endian
+bytes spell S, so a new seed draws new instances (keyed streams, as in
+Salmon et al., SC'11), and a seed that a trial hands to a library call
+is drawn from that stream.  Each trial has its own tally
+(``jordan._Tally``, the recorder the theorem verifiers use too), and
+``_run_trials`` builds the :class:`~c0lat.jordan.VerificationReport`.  A
+trial records into its tally and returns nothing: ``check`` folds a
+residual into the maximum and flags it above its tolerance, ``flag``
+records a violation alone, ``fold`` a residual alone, and ``absorb``
+merges an inner verifier's report.  Trials are independent given the
+seed, so they may run in parallel; the C0LAT_THREADS environment variable
+sets the worker count and the tallies merge in trial order, keeping
+reports byte-identical regardless of parallelism.
 
 The default is one worker.  Trials are chains of small numpy calls that
 hold the interpreter lock for much of their time, so threads contend
@@ -124,16 +127,17 @@ def thread_count() -> int:
 
 
 def _run_trials(suite, seed, trials, trial_fn, counted=None) -> VerificationReport:
-    """Run trial_fn(i, rng, tally), rng seeded with seed + i and a tally of
-    its own, for i below ``trials``, possibly in parallel, and merge the
-    tallies in index order into a report of ``counted`` trials (default
-    ``trials``); a negative seed is a ValueError."""
+    """Run trial_fn(i, rng, tally), rng keyed by (seed, suite, i) and a
+    tally of its own, for i below ``trials``, possibly in parallel, and
+    merge the tallies in index order into a report of ``counted`` trials
+    (default ``trials``); a negative seed is a ValueError."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative; got {seed}")
+    key = int.from_bytes(suite.encode(), "little")
 
     def run(i):
         tally = _Tally()
-        trial_fn(i, np.random.default_rng(seed + i), tally)
+        trial_fn(i, np.random.default_rng([seed, key, i]), tally)
         return tally
 
     workers = min(thread_count(), max(1, trials))
@@ -146,6 +150,11 @@ def _run_trials(suite, seed, trials, trial_fn, counted=None) -> VerificationRepo
     for part in parts:
         total.absorb(part)
     return total.report(suite, seed, trials if counted is None else counted)
+
+
+def _inner_seed(rng) -> int:
+    """A seed for a library call, drawn from the trial's own stream."""
+    return int(rng.integers(2**63))
 
 
 def _tolerances(suite, tols, **defaults) -> tuple:
@@ -402,21 +411,21 @@ def _random_c0_instance(rng, i, n_max=8, spectral_radius=0.9):
 
 def _per_matrix(suite, seed, trials, triples, matrices, verify, draw) -> VerificationReport:
     """The files x trials policy of the matrix suites, one
-    ``verify(t, rng, count, inner_seed)`` call per matrix.  Given
-    ``matrices``, file k is verified with ``trials`` sampled triples seeded
-    seed + k, its violations keep their own triple indices, and the report
-    counts files x trials.  Without, trial i verifies ``draw(rng, i)`` with
-    ``triples`` sampled triples seeded seed + 1000 (i + 1), its violations
-    are tagged with trial i, and the report counts trials x triples."""
+    ``verify(t, rng, count, inner_seed)`` call per matrix, the inner seed
+    drawn from the trial's stream.  Given ``matrices``, trial k verifies
+    file k with ``trials`` sampled triples, its violations keep their own
+    triple indices, and the report counts files x trials.  Without, trial i
+    verifies ``draw(rng, i)`` with ``triples`` sampled triples, its
+    violations are tagged with trial i, and the report counts trials x triples."""
     if matrices:
         def given(k, rng, tally):
-            tally.absorb(verify(matrices[k], rng, trials, seed + k))
+            tally.absorb(verify(matrices[k], rng, trials, _inner_seed(rng)))
 
         count = len(matrices)
         return _run_trials(suite, seed, count, given, counted=count * trials)
 
     def trial(i, rng, tally):
-        tally.absorb(verify(draw(rng, i), rng, triples, seed + 1000 * (i + 1)), trial=i)
+        tally.absorb(verify(draw(rng, i), rng, triples, _inner_seed(rng)), trial=i)
 
     return _run_trials(suite, seed, trials, trial, counted=trials * triples)
 
@@ -462,11 +471,8 @@ def x3_suite(
         y = q / op_norm(q)
         return theorem_x3_verifier(t1, t2, y, samples=samples, seed=inner_seed, tol=tol)
 
-    def draw(rng, i):
-        rng.integers(3, 9)  # an unused size draw, kept so the stream is unchanged
-        return _random_c0_instance(rng, i, spectral_radius=0.8)
-
-    return _per_matrix("x3-transfer", seed, trials, triples, matrices, transfer, draw)
+    return _per_matrix("x3-transfer", seed, trials, triples, matrices, transfer,
+                       lambda rng, i: _random_c0_instance(rng, i, spectral_radius=0.8))
 
 
 # --------------------------------------------------------------------------
@@ -536,7 +542,7 @@ def duality_suite(trials: int = 20, seed: int = 0, inputs=(), samples: int = 15,
     def trial(i, rng, tally):
         deficient = i % 2 == 1
         t1, t2, x = _duality_instance(rng, deficient)
-        report = check_lattice_isomorphism(x, t1, t2, samples=samples, seed=seed + 500 + i)
+        report = check_lattice_isomorphism(x, t1, t2, samples=samples, seed=_inner_seed(rng))
         tally.fold(report.max_residual)
         surj, adj_inj = report.surjective_evidence, report.adjoint_injective_evidence
         evidence = {"surjective": surj, "adjoint_injective": adj_inj}
@@ -578,7 +584,7 @@ def jordan_model_suite(trials: int = 50, seed: int = 0, **tols) -> VerificationR
         for draw in range(_MODEL_DRAWS):
             t = certifiable_c0(rng, n, **shape)
             try:
-                model = jordan_model(t, seed=seed + i, verify=False)
+                model = jordan_model(t, verify=False)
                 break
             except VerificationError:
                 if draw == _MODEL_DRAWS - 1:
@@ -590,7 +596,7 @@ def jordan_model_suite(trials: int = 50, seed: int = 0, **tols) -> VerificationR
             tally.flag(i, "head-minimal-function", 1.0)
         op = model.operator()
         for a, b, direction in ((t, op, "forward"), (op, t, "backward")):
-            x = find_quasiaffinity(a, b, seed=seed + i)
+            x = find_quasiaffinity(a, b, seed=_inner_seed(rng))
             if x is None:
                 tally.flag(i, f"certificate-{direction}", 1.0)
                 continue
@@ -598,7 +604,7 @@ def jordan_model_suite(trials: int = 50, seed: int = 0, **tols) -> VerificationR
             tally.check(i, f"certificate-{direction}", resid, tol_resid)
         q = random_unitary(rng, n) if cond == 1.0 else random_well_conditioned(rng, n, cond_cap=cond)
         conjugate = q @ t @ np.linalg.inv(q)
-        model2 = jordan_model(conjugate, seed=seed + i, verify=False)
+        model2 = jordan_model(conjugate, verify=False)
         same = len(model.thetas) == len(model2.thetas) and all(
             blaschke.almost_equiv(a, b, 1e-7)
             for a, b in zip(model.thetas, model2.thetas)

@@ -219,6 +219,15 @@ def test_minimal_function_requires_c0():
         minimal_function(np.eye(2))
 
 
+def test_eigenstructure_refuses_a_spectrum_on_the_circle_before_the_ladder(monkeypatch):
+    def unused(*args):
+        raise AssertionError("eigenstructure clustered a spectrum of radius 1.5")
+
+    monkeypatch.setattr(calculus, "_single_linkage_clusters", unused)
+    with pytest.raises(NotC0Error, match="spectral radius < 1"):
+        eigenstructure(np.diag([1.5, 0.2]))
+
+
 def test_minimal_function_similarity_invariance():
     # wide spectra, small sizes, condition number up to 10
     rng = np.random.default_rng(4)

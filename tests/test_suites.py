@@ -1,19 +1,21 @@
 """Suite machinery: the divisor-indexed distributive suite, the shared
-lattice-law checker, thm97's input-file path and the per-trial tally."""
+lattice-law checker, thm97's input-file path, the per-trial tally, the
+keyed trial streams and planted faults for the proof-object checks."""
 
+import itertools
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from c0lat import blaschke, subspace, suites
+from c0lat import blaschke, jordan, subspace, suites
 from c0lat.blaschke import BlaschkeProduct
 from c0lat.calculus import VerificationError
 from c0lat.jordan import theorem97_verifier
 from c0lat.modelspace import enumerate_lattice
 from c0lat.sampling import certifiable_c0, maximality_floor
 from c0lat.serialize import stable_json_bytes
-from c0lat.subspace import FiniteLattice, law_failures
+from c0lat.subspace import FiniteLattice, Subspace, law_failures
 
 # 3 * 2 * 2 = 12 divisors
 THETA_12 = BlaschkeProduct(((0.3 + 0j, 2), (-0.2 + 0.4j, 1), (0.1 - 0.5j, 1)))
@@ -153,7 +155,10 @@ def test_thm97_inputs_run_one_verifier_call_per_matrix(tols):
     a, b = certifiable_c0(rng, 4, derogatory=False), certifiable_c0(rng, 5, derogatory=False)
     report = suites.thm97_suite(inputs=(a, b), trials=6, seed=7, **tols)
     inner = {f"tol_{name}": value for name, value in tols.items()}
-    parts = [theorem97_verifier(a, 6, 7, **inner), theorem97_verifier(b, 6, 8, **inner)]
+    # file k is trial k: its inner seed is the first draw of stream (7, suite, k)
+    key = int.from_bytes(b"modular-thm97", "little")
+    seeds = [suites._inner_seed(np.random.default_rng([7, key, k])) for k in (0, 1)]
+    parts = [theorem97_verifier(a, 6, seeds[0], **inner), theorem97_verifier(b, 6, seeds[1], **inner)]
     assert (report.suite, report.seed, report.trials) == ("modular-thm97", 7, 12)
     # in input order and untagged: each violation keeps its own triple index
     assert report.violations == parts[0].violations + parts[1].violations
@@ -189,3 +194,118 @@ def test_threaded_trials_give_the_serial_bytes(monkeypatch):
     serial = report_bytes()
     monkeypatch.setenv("C0LAT_THREADS", "2")
     assert report_bytes() == serial
+
+
+# per suite: a run at a given seed, the suites-module call that each trial
+# hands its instance to, how often a trial makes that call, and the
+# (instance, inner seed) the call receives or returns
+STREAM_PROBES = {
+    "prop14": (lambda seed: suites.prop14_suite(trials=10, seed=seed),
+               "compressed_shift", 1, lambda args, kwargs, result: (args[0], None)),
+    "calculus": (lambda seed: suites.calculus_suite(trials=10, seed=seed),
+                 "random_contraction", 1, lambda args, kwargs, result: (result, None)),
+    "modular-thm97": (lambda seed: suites.thm97_suite(trials=10, seed=seed, triples=2),
+                      "theorem97_verifier", 1, lambda args, kwargs, result: (args[0], args[2])),
+    "x3-transfer": (lambda seed: suites.x3_suite(trials=10, seed=seed, triples=2),
+                    "theorem_x3_verifier", 1, lambda args, kwargs, result: (args[0], kwargs["seed"])),
+    "duality": (lambda seed: suites.duality_suite(trials=10, seed=seed, samples=3),
+                "check_lattice_isomorphism", 1, lambda args, kwargs, result: (args[1], kwargs["seed"])),
+    # the forward certificate (T, model operator) comes first
+    "jordan-model": (lambda seed: suites.jordan_model_suite(trials=10, seed=seed),
+                     "find_quasiaffinity", 2, lambda args, kwargs, result: (args[0], kwargs["seed"])),
+}
+
+
+@pytest.mark.parametrize("suite", list(STREAM_PROBES))
+def test_each_seed_and_trial_draws_its_own_instance_and_inner_seeds(monkeypatch, suite):
+    # trial i of seed s used to draw from default_rng(s + i), so seed 8
+    # replayed seed 7's trial i + 1; keyed by (seed, suite, trial), no two
+    # pairs share a first instance or a seed handed to a library call
+    run, name, per_trial, read = STREAM_PROBES[suite]
+    real, records = getattr(suites, name), []
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        records.append(read(args, kwargs, result))
+        return result
+
+    monkeypatch.delenv("C0LAT_THREADS", raising=False)
+    monkeypatch.setattr(suites, name, recording)
+    instances, seeds = set(), set()
+    for seed in (7, 8, 9):
+        records.clear()
+        assert run(seed).passed
+        assert len(records) == 10 * per_trial
+        for i in range(10):
+            trial = records[i * per_trial:(i + 1) * per_trial]
+            first = trial[0][0]
+            instances.add(first.tobytes() if isinstance(first, np.ndarray) else repr(first))
+            inner = {s for _, s in trial if s is not None}
+            assert not inner & seeds, (seed, i)
+            seeds |= inner
+    assert len(instances) == 30
+
+
+def _alternate(real, fault, parity):
+    """``fault`` on the calls whose index has ``parity``, ``real`` on the others."""
+    calls = itertools.count()
+    return lambda *args, **kwargs: (fault if next(calls) % 2 == parity else real)(*args, **kwargs)
+
+
+def _unequal_sides(l, m, n, joined=None, lm=None):
+    """``_modular`` with its right side moved off its left side."""
+    inter, _, joined, lm = subspace._modular(l, m, n, joined, lm)
+    k = inter.ambient_dim
+    return inter, Subspace.zero(k) if inter.dim else Subspace.full(k), joined, lm
+
+
+def _duality(seed):
+    return suites.duality_suite(trials=2, seed=seed, samples=6)
+
+
+def _jordan_models(seed):
+    return suites.jordan_model_suite(trials=1, seed=seed)
+
+
+# per violation kind: the trial it must first appear in, the suite run, the
+# patched kernel and the fault planted there, made from the real kernel.
+# duality trial 0 is full rank and trial 1 deficient; jordan-model makes
+# its forward certificate call before its backward one, and x3 builds the
+# T1 side of the modular law before the T2 side.  divisibility-chain has no
+# case: JordanModel's constructor makes the same blaschke.divides call on the
+# same pairs and raises before the suite could flag it.
+PLANTED = {
+    "deficient-evidence": (1, _duality, (jordan, "_surjectivity_evidence"),
+                           lambda real: lambda *a: (1.0, 0.0)),
+    "full-rank-evidence": (0, _duality, (jordan, "_injectivity_evidence"),
+                           lambda real: lambda *a: (0.5, 1)),
+    "duality-agreement": (0, _duality, (jordan, "_surjectivity_evidence"),
+                          lambda real: lambda *a: (0.5, 0.0)),
+    "head-minimal-function": (0, _jordan_models, (suites, "minimal_function"),
+                              lambda real: lambda t: blaschke.multiply(real(t), blaschke.monomial(1))),
+    "certificate-forward": (0, _jordan_models, (suites, "find_quasiaffinity"),
+                            lambda real: _alternate(real, lambda *a, **k: None, 0)),
+    "certificate-backward": (0, _jordan_models, (suites, "find_quasiaffinity"),
+                             lambda real: _alternate(real, lambda *a, **k: None, 1)),
+    "similarity-invariance": (0, _jordan_models, (blaschke, "almost_equiv"),
+                              lambda real: lambda *a: False),
+    "sum-map-range": (0, lambda seed: suites.thm97_suite(trials=1, seed=seed, triples=5),
+                      (jordan, "_rank"), lambda real: lambda s: real(s) - 1),
+    "transfer": (0, lambda seed: suites.x3_suite(trials=1, seed=seed, triples=5),
+                 (jordan, "_modular"), lambda real: _alternate(real, _unequal_sides, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", list(PLANTED))
+def test_a_planted_fault_is_flagged_in_its_trial_and_replays(monkeypatch, kind):
+    trial, run, (module, name), plant = PLANTED[kind]
+    assert run(3).passed
+    real = getattr(module, name)
+    payloads = []
+    for _ in range(2):
+        monkeypatch.setattr(module, name, plant(real))
+        report = run(3)
+        first = next((v for v in report.violations if v.kind == kind), None)
+        assert first is not None and first.trial == trial, report.violations[:3]
+        payloads.append(stable_json_bytes(report.to_json_dict()))
+    assert payloads[0] == payloads[1]
