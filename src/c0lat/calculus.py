@@ -97,8 +97,16 @@ def spectral_radius(t) -> float:
 def is_c0(t) -> bool:
     """Contraction (norm <= 1 + 1e-9) with spectral radius < 1 - 1e-9; the
     0x0 matrix is C0."""
-    t = _as_matrix(t)
-    return t.shape[0] == 0 or (op_norm(t) <= 1.0 + 1e-9 and spectral_radius(t) < 1.0 - 1e-9)
+    return _is_c0(_as_matrix(t))
+
+
+def _is_c0(t: np.ndarray, radius: float | None = None) -> bool:
+    """:func:`is_c0` of a square array, given its spectral radius or taking
+    it only past the norm test."""
+    return t.shape[0] == 0 or (
+        op_norm(t) <= 1.0 + 1e-9
+        and (spectral_radius(t) if radius is None else radius) < 1.0 - 1e-9
+    )
 
 
 def apply_polynomial(t, coefficients) -> np.ndarray:
@@ -243,15 +251,18 @@ def eigenstructure(t) -> list[tuple[complex, tuple]]:
     evaluated once per call, and each product multiplies the shared factors
     in its own zero order, so its bits are :func:`apply_blaschke`'s.
     """
-    t = _as_matrix(t)
-    n = t.shape[0]
-    if n == 0:
+    return _eigenstructure(_as_matrix(t), {})
+
+
+def _eigenstructure(t: np.ndarray, factors: dict) -> list[tuple[complex, tuple]]:
+    """:func:`eigenstructure` of a square array, evaluating each factor
+    b_a(T) into ``factors`` (keyed by zero) or taking it from there."""
+    if t.shape[0] == 0:
         return []
     eig = np.linalg.eigvals(t)
     if np.max(np.abs(eig)) >= 1.0:  # apply_blaschke's guard, on this spectrum
         raise NotC0Error("eigenstructure requires spectral radius < 1")
     scale = max(1.0, op_norm(t))
-    factors = {}  # b_a(T) by zero a, shared by every product below
     for radius in CLUSTER_LADDER:
         clusters = _single_linkage_clusters(eig, radius)
         structure = []
@@ -293,10 +304,11 @@ def minimal_function(t) -> BlaschkeProduct:
 def classify_c0(t) -> C0Certificate:
     """Contraction with spectrum inside the disk?  If so, attach the minimal
     function and its annihilation residual, from one :func:`eigenstructure`
-    call past the C0 test."""
+    call past the C0 test whose factors b_a(T) the residual reuses."""
     t = _as_matrix(t)
     radius = spectral_radius(t)
-    if not is_c0(t):
+    if not _is_c0(t, radius):
         return C0Certificate(False, radius, None, float("inf"))
-    mf = _model_function(eigenstructure(t))
-    return C0Certificate(True, radius, mf, float(op_norm(_blaschke_product(t, mf, {}))))
+    factors = {}
+    mf = _model_function(_eigenstructure(t, factors))
+    return C0Certificate(True, radius, mf, float(op_norm(_blaschke_product(t, mf, factors))))

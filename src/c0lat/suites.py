@@ -558,8 +558,8 @@ def duality_suite(trials: int = 20, seed: int = 0, inputs=(), samples: int = 15,
 
 
 # --------------------------------------------------------------------------
-# Jordan models: chain, head, certificates, similarity invariance
-# (acceptance-only; not registered as a CLI suite)
+# Jordan models: head, certificates, similarity invariance; JordanModel's
+# constructor checks the divisibility chain (acceptance-only; not a CLI suite)
 
 _MODEL_DRAWS = 10
 
@@ -589,9 +589,6 @@ def jordan_model_suite(trials: int = 50, seed: int = 0, **tols) -> VerificationR
             except VerificationError:
                 if draw == _MODEL_DRAWS - 1:
                     raise
-        for cur, nxt in zip(model.thetas, model.thetas[1:]):
-            if not blaschke.divides(nxt, cur):
-                tally.flag(i, "divisibility-chain", 1.0)
         if not model.thetas or not blaschke.equiv(model.thetas[0], minimal_function(t)):
             tally.flag(i, "head-minimal-function", 1.0)
         op = model.operator()
@@ -632,18 +629,6 @@ SUITES = {
     "calculus": calculus_suite,
     "duality": duality_suite,
     "oracle-latmatch": oracle_latmatch_suite,
-}
-
-SUITE_SUMMARIES = {
-    "lattice-laws": "gcd/lcm lattice laws, degree formula, boundary unimodularity",
-    "prop14": "S(theta) is annihilated by theta and by no maximal proper divisor",
-    "propq-meetjoin": "divisor-subspace meet/join match the lcm/gcd divisor subspaces",
-    "distributive": "the enumerated invariant lattice of S(theta) is distributive",
-    "modular-thm97": "modular law on sampled invariant triples of C0 matrices, with sum-map proof objects",
-    "x3-transfer": "modularity transfers along an onto quasiaffinity (preimage and product identities)",
-    "calculus": "multiplicativity/contractivity of the matrix calculus and the radial limit",
-    "duality": "sampled surjectivity of X_* agrees with sampled injectivity of the adjoint map",
-    "oracle-latmatch": "enumerated divisor lattice matches the eigenvector-subset brute-force oracle",
 }
 
 

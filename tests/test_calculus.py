@@ -196,6 +196,28 @@ def test_classify_diag_example_with_oracle():
     assert equiv(cert.minimal_function, multiply(monomial(1), elementary(0.5)))
 
 
+def test_classify_takes_the_spectrum_and_each_factor_once(monkeypatch):
+    # one eigvals for the radius and one in eigenstructure; the residual
+    # reuses eigenstructure's factors b(0.3)(T) and b(-0.4)(T)
+    t = np.array([[0.3, 0.5, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, -0.4]], dtype=complex)
+    mf = minimal_function(t)
+    residual = op_norm(calculus.apply_blaschke(t, mf))  # every factor anew
+    calls = dict.fromkeys(("eigvals", "svd"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    cert = classify_c0(t)
+    assert calls == {"eigvals": 2, "svd": 11}
+    assert cert.minimal_function == mf and cert.annihilation_residual == residual
+
+
 # --- minimal functions --------------------------------------------------------------------
 
 def test_minimal_function_monomial_shift():

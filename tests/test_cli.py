@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, deterministic reports."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -580,8 +581,87 @@ def _fresh(*args):
 )
 def test_cold_path_leaves_scipy_linalg_unloaded(files, args):
     code, _, imported = _fresh(*(files.get(a, a) for a in args))
-    assert code == 0 and "numpy" in imported
+    if args[0] == "-c":
+        # import c0lat loads no submodule and no numpy until a name is used
+        assert code == 0 and not {m for m in imported if m.startswith(("c0lat.", "numpy"))}
+    else:
+        assert code == 0 and "numpy" in imported
     assert "scipy.linalg" not in imported
+
+
+_LOADED = """
+import runpy, sys
+sys.argv[0] = "c0lat"
+try:
+    runpy.run_module("c0lat.cli", run_name="__main__")
+finally:
+    print(*(m.removeprefix("c0lat.") for m in sys.modules if m.startswith("c0lat.")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (("inner", "gcd", "z2", "zb"), {"blaschke", "serialize"}),
+        (("--help",), {"blaschke", "serialize"}),
+        (("verify", "--help"), {"blaschke", "serialize"}),
+        (("model", "shift", "--theta", "zb"),
+         {"blaschke", "serialize", "modelspace", "calculus", "subspace"}),
+        (("calc", "minfun", "diag"), {"blaschke", "serialize", "calculus", "subspace"}),
+    ],
+    ids=["inner-gcd", "help", "verify-help", "model-shift", "calc-minfun"],
+)
+def test_command_loads_only_the_modules_it_uses(files, argv, modules):
+    # the last line is sys.modules of a fresh launch, which sees every import
+    code, out, _ = _fresh("-c", _LOADED, *(files.get(a, a) for a in argv))
+    assert code == 0 and set(out.decode().splitlines()[-1].split()) == modules
+
+
+# the names `import c0lat` bound when it loaded every module, by home module
+PUBLIC = {
+    "blaschke": "BlaschkeProduct UnitDiskPoint almost_equiv divide divides divisors "
+    "elementary equiv evaluate gcd lcm monomial multiply",
+    "calculus": "C0Certificate apply_blaschke apply_polynomial classify_c0 eigenstructure "
+    "is_c0 minimal_function radial_validate spectral_radius",
+    "jordan": "IntertwinerSpace JordanModel LatticeMapReport VerificationReport Violation "
+    "are_quasisimilar brute_force_lat check_lattice_isomorphism cyclic_multiplicity "
+    "find_quasiaffinity intertwiner_space jordan_model lattice_map lattice_preimage "
+    "theorem97_verifier theorem_x3_verifier",
+    "modelspace": "ModelOperator ModelSpace compressed_shift divisor_subspace enumerate_lattice",
+    "subspace": "FiniteLattice Subspace check_distributive_triple check_modular_triple "
+    "contains cyclic_subspace distance equals is_invariant join lattice_is_distributive "
+    "lattice_is_modular meet",
+}
+PACKAGE_MODULES = ("blaschke", "calculus", "jordan", "modelspace", "sampling", "subspace")
+
+
+def test_package_names_resolve_to_their_home_objects():
+    homes = {name: module for module, names in PUBLIC.items() for name in names.split()}
+    assert len(homes) == 56 and sorted(c0lat.__all__) == sorted(homes)
+    star = {}
+    exec("from c0lat import *", star)
+    for name, module in homes.items():
+        home = getattr(importlib.import_module(f"c0lat.{module}"), name)
+        assert getattr(c0lat, name) is home and star[name] is home
+    assert set(homes) | set(PACKAGE_MODULES) <= set(dir(c0lat))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        c0lat.no_such_name
+
+
+def test_package_loads_a_submodule_on_first_use():
+    run = (
+        "import sys, c0lat\n"
+        f"for m in {PACKAGE_MODULES!r}:\n"
+        "    assert getattr(c0lat, m) is sys.modules['c0lat.' + m]\n"
+        "from c0lat import jordan_model\n"
+        "assert jordan_model is c0lat.jordan.jordan_model"
+    )
+    code, _, imported = _fresh("-c", run)
+    assert code == 0 and {f"c0lat.{m}" for m in PACKAGE_MODULES} <= imported
+
+
+def test_help_summaries_cover_the_suites():
+    assert set(cli.SUITE_SUMMARIES) == set(suites.SUITES)
 
 
 def test_jordan_model_suite_loads_scipy_linalg_alone():

@@ -695,6 +695,25 @@ def test_x3_pulls_each_subspace_back_once(monkeypatch):
     assert len(pulled) < 3 * samples
 
 
+def test_x3_maps_each_label_pair_once(monkeypatch):
+    # onto-instance maps each target's preimage once; the product identity
+    # Y_*(M1 ∧ M2) against N1 ∧ N2 depends on the label pair (i, j) alone
+    mapped = []
+
+    def recording(x, m):
+        mapped.append(m)
+        return image(x, m)
+
+    image = jordan.lattice_map
+    monkeypatch.setattr(jordan, "lattice_map", recording)
+    t1, t2, q = similarity_pair(11, n=5)
+    targets, draws = jordan._triples(t2, 50, 1)
+    pairs = {(i, j) for _, i, j, _ in draws}
+    theorem_x3_verifier(t1, t2, q / op_norm(q), samples=50, seed=1)
+    assert len(mapped) == len(targets) + len(pairs)
+    assert len(pairs) < len({tuple(d[1:]) for d in draws})
+
+
 def test_x3_requires_c0_t1():
     # T1 = diag(2, 0.1) is no contraction; T2 = Q T1 Q^{-1} is only checked
     # through the intertwining

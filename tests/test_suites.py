@@ -271,9 +271,9 @@ def _jordan_models(seed):
 # patched kernel and the fault planted there, made from the real kernel.
 # duality trial 0 is full rank and trial 1 deficient; jordan-model makes
 # its forward certificate call before its backward one, and x3 builds the
-# T1 side of the modular law before the T2 side.  divisibility-chain has no
-# case: JordanModel's constructor makes the same blaschke.divides call on the
-# same pairs and raises before the suite could flag it.
+# T1 side of the modular law before the T2 side.  jordan-model has no
+# divisibility-chain kind: JordanModel's constructor checks the chain with
+# blaschke.divides and raises instead.
 PLANTED = {
     "deficient-evidence": (1, _duality, (jordan, "_surjectivity_evidence"),
                            lambda real: lambda *a: (1.0, 0.0)),
