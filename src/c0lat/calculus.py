@@ -6,7 +6,9 @@ in closed form,
 
     b_a(T) = (|a|/a) (aI - T)(I - conj(a) T)^{-1},      b_0(T) = T,
 
-and the factors commute, so products are order-independent.  A square
+and the factors commute, so products are order-independent.  Every
+public function takes its matrix (and ``apply_polynomial`` its coefficients)
+through ``subspace._matrix``: finite and square, or a ValueError.  A square
 matrix is C0 exactly when it is a contraction with spectral radius
 strictly below 1 (:func:`is_c0`, a norm-and-spectrum test that needs no
 certification).  The minimal function of a C0 matrix is the Blaschke
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BlaschkeProduct, divide
-from .subspace import op_norm
+from .subspace import _matrix, op_norm
 
 __all__ = [
     "C0Certificate",
@@ -64,13 +66,6 @@ class VerificationError(RuntimeError):
     """Internal certification failed; signals eigenstructure numerical trouble."""
 
 
-def _as_matrix(t) -> np.ndarray:
-    a = np.asarray(t, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 @dataclass(frozen=True)
 class C0Certificate:
     is_c0: bool
@@ -91,13 +86,14 @@ class C0Certificate:
 
 
 def spectral_radius(t) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(_as_matrix(t))), initial=0.0))
+    t = _matrix(t, "operator", square=True)
+    return float(np.max(np.abs(np.linalg.eigvals(t)), initial=0.0))
 
 
 def is_c0(t) -> bool:
     """Contraction (norm <= 1 + 1e-9) with spectral radius < 1 - 1e-9; the
     0x0 matrix is C0."""
-    return _is_c0(_as_matrix(t))
+    return _is_c0(_matrix(t, "operator", square=True))
 
 
 def _is_c0(t: np.ndarray, radius: float | None = None) -> bool:
@@ -111,8 +107,8 @@ def _is_c0(t: np.ndarray, radius: float | None = None) -> bool:
 
 def apply_polynomial(t, coefficients) -> np.ndarray:
     """Horner evaluation of ``sum a_k T^k`` (coefficients in ascending order)."""
-    t = _as_matrix(t)
-    coeffs = np.asarray(coefficients, dtype=complex).reshape(-1)
+    t = _matrix(t, "operator", square=True)
+    coeffs = _matrix(np.reshape(coefficients, (1, -1)), "coefficients")[0]
     n = t.shape[0]
     if coeffs.size == 0:
         return np.zeros_like(t)
@@ -143,7 +139,7 @@ def apply_blaschke(t, b: BlaschkeProduct) -> np.ndarray:
     :class:`SingularResolventError` when a resolvent is numerically
     singular.
     """
-    t = _as_matrix(t)
+    t = _matrix(t, "operator", square=True)
     if t.shape[0] and spectral_radius(t) >= 1.0:
         raise NotC0Error("apply_blaschke requires spectral radius < 1")
     return _blaschke_product(t, b, {})
@@ -167,7 +163,7 @@ def radial_validate(t, b: BlaschkeProduct, r_sequence) -> list[float]:
     For inner B the residuals decrease to 0 as r -> 1; suites assert the
     decrease (with 10% slack) rather than this function.
     """
-    t = _as_matrix(t)
+    t = _matrix(t, "operator", square=True)
     rs = [float(r) for r in r_sequence]
     if any(not 0.0 < r < 1.0 for r in rs):
         raise ValueError("radii must lie in (0, 1)")
@@ -251,7 +247,7 @@ def eigenstructure(t) -> list[tuple[complex, tuple]]:
     evaluated once per call, and each product multiplies the shared factors
     in its own zero order, so its bits are :func:`apply_blaschke`'s.
     """
-    return _eigenstructure(_as_matrix(t), {})
+    return _eigenstructure(_matrix(t, "operator", square=True), {})
 
 
 def _eigenstructure(t: np.ndarray, factors: dict) -> list[tuple[complex, tuple]]:
@@ -292,7 +288,7 @@ def minimal_function(t) -> BlaschkeProduct:
     The certification (annihilation at 1e-7, no proper divisor below 1e-3)
     happens inside :func:`eigenstructure`.
     """
-    t = _as_matrix(t)
+    t = _matrix(t, "operator", square=True)
     if not is_c0(t):
         raise NotC0Error(
             f"minimal_function requires a C0 matrix (norm <= 1, spectral radius < 1); "
@@ -305,7 +301,7 @@ def classify_c0(t) -> C0Certificate:
     """Contraction with spectrum inside the disk?  If so, attach the minimal
     function and its annihilation residual, from one :func:`eigenstructure`
     call past the C0 test whose factors b_a(T) the residual reuses."""
-    t = _as_matrix(t)
+    t = _matrix(t, "operator", square=True)
     radius = spectral_radius(t)
     if not _is_c0(t, radius):
         return C0Certificate(False, radius, None, float("inf"))

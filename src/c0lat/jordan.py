@@ -62,7 +62,6 @@ from .calculus import (
     CLUSTER_LADDER,
     NotC0Error,
     VerificationError,
-    _as_matrix,
     _model_function,
     _single_linkage_clusters,
     _spectral_basis,
@@ -78,6 +77,7 @@ from .subspace import (
     Subspace,
     _direct_sum,
     _label,
+    _matrix,
     _modular,
     _rank,
     distance,
@@ -125,7 +125,11 @@ class RankDeficientError(ValueError):
     """A full-rank (quasiaffinity) operator was required."""
 
 
-def _require_intertwiner(x, t1, t2):
+def _require_intertwiner(x, t1, t2, what):
+    """``||X T1 - T2 X||`` for ``what``, an n2 x n1 intertwiner within tolerance."""
+    n1, n2 = t1.shape[0], t2.shape[0]
+    if x.shape != (n2, n1):
+        raise ValueError(f"{what} has shape {x.shape}; an intertwiner from T1 to T2 is {n2} x {n1}")
     scale = max(1.0, op_norm(t1), op_norm(t2))
     resid = op_norm(x @ t1 - t2 @ x)
     if resid > TOL_INTERTWINE * scale:
@@ -145,8 +149,6 @@ class IntertwinerSpace:
     orthogonal, within a cluster or across clusters.
     """
 
-    t1: np.ndarray
-    t2: np.ndarray
     basis: tuple
     max_rank: int
     rank_witness: np.ndarray | None
@@ -253,7 +255,7 @@ def intertwiner_space(t1, t2, seed: int = 0) -> IntertwinerSpace:
     ``SIZE_CAP`` (16), because a single-cluster pair still builds that
     system.
     """
-    t1, t2 = _as_matrix(t1), _as_matrix(t2)
+    t1, t2 = _matrix(t1, "T1", square=True), _matrix(t2, "T2", square=True)
     n1, n2 = t1.shape[0], t2.shape[0]
     if n1 > SIZE_CAP or n2 > SIZE_CAP:
         raise ValueError(f"matrix sizes {n1}, {n2} exceed cap {SIZE_CAP}")
@@ -263,7 +265,7 @@ def intertwiner_space(t1, t2, seed: int = 0) -> IntertwinerSpace:
     stack = _split_null(t1, t2, threshold)
     if stack is None:
         stack = _sylvester_null(t1, t2, threshold)
-    return IntertwinerSpace(t1, t2, tuple(stack), *_max_rank(stack, seed))
+    return IntertwinerSpace(tuple(stack), *_max_rank(stack, seed))
 
 
 def find_quasiaffinity(t1, t2, seed: int = 0) -> np.ndarray | None:
@@ -273,7 +275,7 @@ def find_quasiaffinity(t1, t2, seed: int = 0) -> np.ndarray | None:
     invertible, so this requires equal sizes and a max rank equal to them;
     on the zero space it is the empty identity.
     """
-    t1, t2 = _as_matrix(t1), _as_matrix(t2)
+    t1, t2 = _matrix(t1, "T1", square=True), _matrix(t2, "T2", square=True)
     if t1.shape[0] != t2.shape[0]:
         return None
     if t1.shape[0] == 0:  # the identity of the zero space
@@ -295,7 +297,7 @@ def are_quasisimilar(t1, t2, seed: int = 0) -> bool:
 
 def lattice_map(x, m: Subspace) -> Subspace:
     """X_*(M): the (automatically closed) image of M under X."""
-    x = np.asarray(x, dtype=complex)
+    x = _matrix(x, "X")
     if x.shape[1] != m.ambient_dim:
         raise ValueError("column count of X does not match the ambient of M")
     return Subspace.from_span(x @ m.basis, x.shape[0])
@@ -303,7 +305,7 @@ def lattice_map(x, m: Subspace) -> Subspace:
 
 def lattice_preimage(x, n: Subspace) -> Subspace:
     """X^{-1}(N): the null space of (I - P_N) X."""
-    x = np.asarray(x, dtype=complex)
+    x = _matrix(x, "X")
     if x.shape[0] != n.ambient_dim:
         raise ValueError("row count of X does not match the ambient of N")
     return _preimage(x, n, max(1.0, op_norm(x)))
@@ -353,7 +355,7 @@ def _injectivity_evidence(x, t_source, samples, rng):
     kernel is nontrivial; random pool pairs fill the remaining samples.
     """
     pool = sample_invariant_subspaces(t_source, samples, rng)
-    kernel = lattice_preimage(x, Subspace.zero(np.asarray(x).shape[0]))
+    kernel = lattice_preimage(x, Subspace.zero(x.shape[0]))
     pool.append(kernel)
     images = cache(lambda i: lattice_map(x, pool[i]))  # X_*(M) by pool index
     # equals is symmetric, so each verdict is kept by sorted index pair
@@ -384,9 +386,9 @@ def check_lattice_isomorphism(x, t1, t2, samples: int = 20, seed: int = 0) -> La
     """Sampled surjectivity/injectivity evidence for X_*, plus the adjoint
     duality: X_* onto pairs with (X*)_* one-to-one and vice versa, so the
     report carries both directions for comparison."""
-    x = np.asarray(x, dtype=complex)
-    t1, t2 = _as_matrix(t1), _as_matrix(t2)
-    resid = _require_intertwiner(x, t1, t2)
+    x = _matrix(x, "X")
+    t1, t2 = _matrix(t1, "T1", square=True), _matrix(t2, "T2", square=True)
+    resid = _require_intertwiner(x, t1, t2, "X")
     rng = np.random.default_rng(seed)
     surj, worst = _surjectivity_evidence(x, t2, samples, rng)
     inj, _ = _injectivity_evidence(x, t1, samples, rng)
@@ -448,7 +450,7 @@ def jordan_model(t, seed: int = 0, verify: bool = True) -> JordanModel:
     quasiaffinity search against the model operator; a failed search
     raises :class:`~c0lat.calculus.VerificationError` too.
     """
-    t = _as_matrix(t)
+    t = _matrix(t, "operator", square=True)
     n = t.shape[0]
     if n > 12:
         raise ValueError("jordan_model is capped at size 12")
@@ -593,7 +595,7 @@ def theorem97_verifier(
     (T|M2) (+) (T|M3) with T|M2∨M3 and is onto; and that the X-preimage
     of M1 ∩ (M2 ∨ M3) is (M1 ∩ M2) (+) M3.
     """
-    t = _as_matrix(t)
+    t = _matrix(t, "operator", square=True)
     n = t.shape[0]
     if n > 10:
         raise ValueError("theorem97_verifier is capped at size 10")
@@ -662,11 +664,12 @@ def theorem_x3_verifier(
     the T2 side.  T1 must be C0; T2, similar to T1, need not be a
     contraction.
     """
-    t1, t2, y = _as_matrix(t1), _as_matrix(t2), np.asarray(y, dtype=complex)
+    t1, t2 = _matrix(t1, "T1", square=True), _matrix(t2, "T2", square=True)
+    y = _matrix(y, "Y", square=True)
     if not is_c0(t1):
         raise NotC0Error("theorem_x3_verifier requires a C0 matrix T1")
-    _require_intertwiner(y, t1, t2)
-    if y.shape[0] != y.shape[1] or _rank(np.linalg.svd(y, compute_uv=False)) != y.shape[0]:
+    _require_intertwiner(y, t1, t2, "Y")
+    if _rank(np.linalg.svd(y, compute_uv=False)) != y.shape[0]:
         raise RankDeficientError("theorem_x3_verifier requires a full-rank square Y")
     tol_invariant = TOL_INVARIANT * max(1.0, op_norm(t1))
     targets, draws = _triples(t2, samples, seed)
@@ -726,7 +729,7 @@ def brute_force_lat(t) -> list[Subspace]:
     it refuses matrices with (numerically) repeated eigenvalues, closer
     than 1e-6, where the eigenvector-subset description is wrong.
     """
-    t = _as_matrix(t)
+    t = _matrix(t, "operator", square=True)
     n = t.shape[0]
     if n > 10:
         raise ValueError("brute_force_lat is capped at size 10")

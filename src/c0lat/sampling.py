@@ -10,7 +10,7 @@ decomposition (exactly invariant even for defective matrices).
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .subspace import Subspace, _krylov, join, meet, op_norm
+from .subspace import Subspace, _krylov, _matrix, join, meet, op_norm
 
 __all__ = [
     "certifiable_c0",
@@ -247,7 +247,7 @@ def certifiable_c0(
 def _schur_prefixes(t: np.ndarray) -> list[np.ndarray]:
     import scipy.linalg
 
-    schur_t, z = scipy.linalg.schur(np.asarray(t, dtype=complex), output="complex")
+    schur_t, z = scipy.linalg.schur(t, output="complex")
     return [z[:, :k] for k in range(1, t.shape[0])]
 
 
@@ -259,7 +259,7 @@ def sample_invariant_subspaces(t, count, rng) -> list[Subspace]:
     pool members (composition depth capped at 3), and Schur leading-column
     spans.
     """
-    t = np.asarray(t, dtype=complex)
+    t = _matrix(t, "operator", square=True)
     n = t.shape[0]
     prefixes = _schur_prefixes(t) if n > 1 else []
     scale = max(1.0, op_norm(t))  # the Krylov stopping scale of every draw

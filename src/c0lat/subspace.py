@@ -17,9 +17,10 @@ are orthonormal by construction (``from_span``, ``zero``, ``full``,
 :func:`~c0lat.sampling.sample_invariant_subspaces` and the reorder kernel
 ``calculus._spectral_basis`` behind ``ModelSpace.divisor_subspace``) skip
 that check; the test suite holds them to ``TOL_ORTHO`` instead.
-``cyclic_subspace`` refuses a non-square or non-finite operator and a
-vector of the wrong shape; the Krylov kernel ``_krylov`` behind it, which
-the sampler calls on its own draws, checks nothing.
+One rule admits a matrix: every public function of the package takes its
+operators, X, Y, bases and spans through ``_matrix`` (complex, 2-d, finite,
+square for an operator), which raises a ValueError naming the argument.
+Kernels on checked arrays, such as ``_krylov``, check nothing.
 
 ``contains`` decides ``||B - P_A B||_2 <= TOL_EQUALS`` from the Frobenius
 norm of the residual, which brackets the spectral norm within a factor
@@ -98,10 +99,14 @@ def op_norm(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def _complex_matrix(m) -> np.ndarray:
+def _matrix(m, what: str, square: bool = False) -> np.ndarray:
+    """``m`` as a complex 2-d array with finite entries, square when
+    ``square`` is set; otherwise a ValueError that names ``what``."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
+    if a.ndim != 2 or square and a.shape[0] != a.shape[1]:
+        raise ValueError(f"{what} must be {'square' if square else '2-d'}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
     return a
 
 
@@ -116,7 +121,7 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, basis):
-        basis = _complex_matrix(basis)
+        basis = _matrix(basis, "basis")
         if basis.shape[0] != ambient_dim:
             raise ValueError(
                 f"basis has {basis.shape[0]} rows for ambient dimension {ambient_dim}"
@@ -124,8 +129,6 @@ class Subspace:
         k = basis.shape[1]
         if k > ambient_dim:
             raise ValueError(f"basis has {k} columns in ambient dimension {ambient_dim}")
-        if not np.isfinite(basis).all():
-            raise ValueError("basis entries must be finite")
         if k and np.max(np.abs(basis.conj().T @ basis - np.eye(k))) > TOL_ORTHO:
             raise ValueError("basis columns are not orthonormal")
         self._store(ambient_dim, basis)
@@ -152,7 +155,7 @@ class Subspace:
     def from_span(cls, columns, ambient_dim: int | None = None) -> "Subspace":
         """Orthonormalize the column span, dropping directions with singular
         value below ``TOL_RANK * sigma_max``."""
-        a = _complex_matrix(columns)
+        a = _matrix(columns, "columns")
         n = ambient_dim if ambient_dim is not None else a.shape[0]
         if a.shape[0] != n:
             raise ValueError("column length does not match ambient dimension")
@@ -423,8 +426,8 @@ class LatticeVerdict(NamedTuple):
 
 def is_invariant(t, m: Subspace) -> InvarianceVerdict:
     """Residual ``||(I - P_M) T P_M||`` and the verdict at ``TOL_INVARIANT * max(1, ||T||)``."""
-    t = _complex_matrix(t)
-    if t.shape[0] != t.shape[1] or t.shape[0] != m.ambient_dim:
+    t = _matrix(t, "operator", square=True)
+    if t.shape[0] != m.ambient_dim:
         raise ValueError("operator size does not match ambient dimension")
     if m.dim == 0:
         return InvarianceVerdict(True, 0.0)
@@ -438,14 +441,11 @@ def cyclic_subspace(t, x) -> Subspace:
 
     Raises ValueError unless ``t`` is a finite square matrix and ``x`` a
     finite vector of its size."""
-    t = _complex_matrix(t)
+    t = _matrix(t, "operator", square=True)
     x = np.asarray(x, dtype=complex)
-    if t.shape[0] != t.shape[1]:
-        raise ValueError(f"operator must be square, got shape {t.shape}")
     if x.shape != (t.shape[0],):
         raise ValueError(f"vector of shape {x.shape} for an operator of size {t.shape[0]}")
-    if not (np.isfinite(t).all() and np.isfinite(x).all()):
-        raise ValueError("operator and vector must be finite")
+    _matrix(x[None], "vector")
     return _krylov(t, x, max(1.0, op_norm(t)))
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,18 @@ def test_calc_apply_bad_poly_coefficient_is_usage_error(capsys, files):
     code, out, err = run(capsys, "calc", "apply", files["diag"], "--poly", "1,x")
     assert code == 2 and out == ""
     assert err == "c0lat: error: cannot parse --poly '1,x'\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["--poly", "nan"], ["--poly", "1,inf"], ["--poly", "nan", "--json"]],
+    ids=["nan", "inf", "nan-json"],
+)
+def test_calc_apply_non_finite_poly_coefficient_is_input_error(capsys, files, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "calc", "apply", files["diag"], *argv)
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "coefficients must be finite" in err
 
 
 def test_jordan_model_and_quasisim(capsys, files):

@@ -267,6 +267,14 @@ def _jordan_models(seed):
     return suites.jordan_model_suite(trials=1, seed=seed)
 
 
+def _oracle_matches(seed):
+    return suites.oracle_latmatch_suite(trials=2, seed=seed)
+
+
+def _calculus(seed):
+    return suites.calculus_suite(trials=2, seed=seed)
+
+
 # per violation kind: the trial it must first appear in, the suite run, the
 # patched kernel and the fault planted there, made from the real kernel.
 # duality trial 0 is full rank and trial 1 deficient; jordan-model makes
@@ -293,6 +301,18 @@ PLANTED = {
                       (jordan, "_rank"), lambda real: lambda s: real(s) - 1),
     "transfer": (0, lambda seed: suites.x3_suite(trials=1, seed=seed, triples=5),
                  (jordan, "_modular"), lambda real: _alternate(real, _unequal_sides, 1)),
+    "absorption": (0, lambda seed: suites.lattice_laws_suite(trials=2, seed=seed),
+                   (blaschke, "gcd"), lambda real: lambda b1, b2: BlaschkeProduct(())),
+    "inclusion-reversal": (0, lambda seed: suites.meetjoin_suite(trials=2, seed=seed),
+                           (suites, "contains"), lambda real: lambda a, b: not real(a, b)),
+    "count-mismatch": (0, _oracle_matches, (suites, "brute_force_lat"),
+                       lambda real: lambda t: real(t)[1:]),
+    "unmatched-subspace": (0, _oracle_matches, (suites, "brute_force_lat"),
+                           lambda real: lambda t: real(t)[:-1] + [Subspace.zero(len(t))]),
+    "radial-limit": (0, _calculus, (suites, "radial_validate"),
+                     lambda real: lambda *a: [r + 1.0 for r in real(*a)]),
+    "radial-monotone": (0, _calculus, (suites, "radial_validate"),
+                        lambda real: lambda *a: real(*a)[::-1]),
 }
 
 
