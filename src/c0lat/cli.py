@@ -5,13 +5,16 @@ Exit codes: 0 success / suite passed, 1 a property violation was found,
 2 input or usage error, 3 a result could not be certified.  JSON output is
 byte-stable for fixed inputs and seed; reports embed the full suite
 configuration.
+
+The parser and ``inner gcd|lcm|divides`` need only the standard library,
+``blaschke`` and ``serialize``: a launch for them, for ``--help`` or for
+a usage error loads no numpy.  Every other handler imports the modules
+it calls, numpy with them.
 """
 
 import argparse
 import math
 import sys
-
-import numpy as np
 
 from . import blaschke
 from .serialize import (
@@ -221,6 +224,8 @@ def _output(args, payload, text: str) -> int:
 
 
 def _matrix_text(matrix) -> str:
+    import numpy as np  # loaded already by the handler that built the matrix
+
     return "\n".join(
         "  [" + ", ".join(f"{x.real:+.6g}{x.imag:+.6g}j" for x in row) + "]"
         for row in np.asarray(matrix)

@@ -79,6 +79,7 @@ from .subspace import (
     _label,
     _matrix,
     _modular,
+    _project,
     _rank,
     distance,
     equals,
@@ -313,7 +314,7 @@ def lattice_preimage(x, n: Subspace) -> Subspace:
 
 def _preimage(x: np.ndarray, n: Subspace, scale: float) -> Subspace:
     """:func:`lattice_preimage` of a checked complex X, given ``scale = max(1, ||X||)``."""
-    resid = x - n.project(x)
+    resid = x - _project(n.basis, x)
     _, sv, vh = np.linalg.svd(resid)
     mask = np.ones(x.shape[1], dtype=bool)
     mask[: sv.size] = sv <= TOL_RANK * scale

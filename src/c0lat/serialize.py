@@ -7,8 +7,7 @@ bytes.
 """
 
 import json
-
-import numpy as np
+import numbers
 
 from .blaschke import BlaschkeProduct, _json_field
 
@@ -31,16 +30,18 @@ def decode_blaschke_file(path) -> BlaschkeProduct:
     return BlaschkeProduct.from_json_dict(load_json(path))
 
 
-def decode_matrix_file(path) -> np.ndarray:
+def decode_matrix_file(path):
     """The matrix of an ``encode_matrix`` payload file."""
     return decode_matrix(load_json(path))
 
 
-def decode_matrix(data) -> np.ndarray:
-    """The ``rows x cols`` matrix of a parsed ``encode_matrix`` payload.  A
-    payload of the wrong shape (not an object, a non-integer ``rows`` or
-    ``cols``, an entry that is not a ``[re, im]`` pair of numbers) is a
-    ValueError naming the field."""
+def decode_matrix(data):
+    """The ``rows x cols`` complex ndarray of a parsed ``encode_matrix``
+    payload.  A payload of the wrong shape (not an object, a non-integer
+    ``rows`` or ``cols``, an entry that is not a ``[re, im]`` pair of
+    numbers) is a ValueError naming the field."""
+    import numpy as np
+
     rows = _json_field(data, "rows", int, "matrix payload")
     cols = _json_field(data, "cols", int, "matrix payload")
     entries = _json_field(data, "entries", list, "matrix payload")
@@ -69,6 +70,8 @@ def _matrix_entry(entry, i: int, j: int) -> complex:
 
 
 def encode_matrix(matrix) -> dict:
+    import numpy as np
+
     matrix = np.asarray(matrix, dtype=complex)
     return {
         "rows": matrix.shape[0],
@@ -96,9 +99,9 @@ def _emit(obj) -> str:
         return "false"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return _format_float(float(obj))
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: kv[0])
@@ -106,6 +109,12 @@ def _emit(obj) -> str:
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_emit(v) for v in obj) + "]"
+    # numpy scalars, without importing numpy: np.integer registers as
+    # Integral and np.floating as Real; np.bool_ is neither
+    if isinstance(obj, numbers.Integral):
+        return str(int(obj))
+    if isinstance(obj, numbers.Real):
+        return _format_float(float(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

@@ -20,7 +20,11 @@ that check; the test suite holds them to ``TOL_ORTHO`` instead.
 One rule admits a matrix: every public function of the package takes its
 operators, X, Y, bases and spans through ``_matrix`` (complex, 2-d, finite,
 square for an operator), which raises a ValueError naming the argument.
-Kernels on checked arrays, such as ``_krylov``, check nothing.
+``op_norm``, which runs on checked arrays far more often than on a
+caller's, takes the same ValueError from ``_matrix`` only when its input
+is not 2-d or its SVD fails or comes back non-finite; ``Subspace.project``
+checks its vectors.  Kernels on checked arrays, such as ``_krylov`` and
+``_project``, check nothing.
 
 ``contains`` decides ``||B - P_A B||_2 <= TOL_EQUALS`` from the Frobenius
 norm of the residual, which brackets the spectral norm within a factor
@@ -92,11 +96,22 @@ TOL_INTERTWINE = 1e-9
 
 
 def op_norm(m) -> float:
-    """Spectral norm; 0 for empty matrices."""
+    """Spectral norm; 0 for empty matrices.  A matrix that is not 2-d or
+    not finite is the contract's ValueError, decided on the result: a
+    finite matrix pays no scan of its entries."""
     m = np.asarray(m)
+    if m.ndim != 2:
+        _matrix(m, "matrix")
     if m.size == 0:
         return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    try:
+        top = float(np.linalg.svd(m, compute_uv=False)[0])
+    except np.linalg.LinAlgError:
+        _matrix(m, "matrix")
+        raise
+    if not math.isfinite(top):
+        _matrix(m, "matrix")
+    return top
 
 
 def _matrix(m, what: str, square: bool = False) -> np.ndarray:
@@ -180,7 +195,16 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
     def project(self, vectors) -> np.ndarray:
-        return _project(self.basis, np.asarray(vectors, dtype=complex))
+        """``P_M v`` for a finite vector of the ambient length, or for each
+        column of a finite matrix with ambient rows."""
+        v = np.asarray(vectors, dtype=complex)
+        if v.ndim not in (1, 2) or v.shape[0] != self.ambient_dim:
+            raise ValueError(
+                f"vectors must have {self.ambient_dim} rows, got shape {v.shape}"
+            )
+        if not np.isfinite(v).all():
+            raise ValueError("vectors must be finite")
+        return _project(self.basis, v)
 
     def to_json_dict(self) -> dict:
         return {
@@ -432,7 +456,7 @@ def is_invariant(t, m: Subspace) -> InvarianceVerdict:
     if m.dim == 0:
         return InvarianceVerdict(True, 0.0)
     tb = t @ m.basis
-    resid = op_norm(tb - m.project(tb))
+    resid = op_norm(tb - _project(m.basis, tb))
     return InvarianceVerdict(resid <= TOL_INVARIANT * max(1.0, op_norm(t)), resid)
 
 

@@ -71,6 +71,14 @@ def test_inner_eval(capsys, files):
     assert complex(out.strip()) == pytest.approx(0.0)
 
 
+def test_inner_eval_json_bytes(capsys, tmp_path):
+    # evaluate keeps numpy's complex arithmetic: Python's differs in the last bits
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(elementary(0.5).to_json_dict()))
+    code, out, _ = run(capsys, "inner", "eval", str(path), "0.3+0.1j", "--json")
+    assert code == 0 and out == '{"im":-0.10344827586206898,"re":0.24137931034482762}\n'
+
+
 def test_inner_eval_bad_point(capsys, files):
     code, _, err = run(capsys, "inner", "eval", files["zb"], "zzz")
     assert code == 2 and "error" in err
@@ -598,8 +606,29 @@ def test_cold_path_leaves_scipy_linalg_unloaded(files, args):
         # import c0lat loads no submodule and no numpy until a name is used
         assert code == 0 and not {m for m in imported if m.startswith(("c0lat.", "numpy"))}
     else:
-        assert code == 0 and "numpy" in imported
+        # inner's gcd is multiset arithmetic on zeros: it starts without numpy
+        assert code == 0 and ("numpy" in imported) == (args[2] != "inner")
     assert "scipy.linalg" not in imported
+
+
+@pytest.mark.parametrize(
+    "args, exit_code",
+    [
+        (("-m", "c0lat.cli", "inner", "lcm", "z2", "zb"), 0),
+        (("-m", "c0lat.cli", "inner", "divides", "z2", "zb"), 0),
+        (("-m", "c0lat.cli", "--help"), 0),
+        (("-m", "c0lat.cli", "inner", "--help"), 0),
+        (("-m", "c0lat.cli", "verify", "--help"), 0),
+        (("-m", "c0lat.cli", "inner", "gcd", "z2"), 2),
+        (("-c", "import c0lat.blaschke, c0lat.serialize"), 0),
+    ],
+    ids=["inner-lcm", "inner-divides", "help", "inner-help", "verify-help", "usage-error",
+         "import-blaschke-serialize"],
+)
+def test_arithmetic_and_help_start_without_numpy(files, args, exit_code):
+    # inner gcd is held to this by test_cold_path_leaves_scipy_linalg_unloaded
+    code, _, imported = _fresh(*(files.get(a, a) for a in args))
+    assert code == exit_code and not {m for m in imported if m.split(".")[0] == "numpy"}
 
 
 _LOADED = """
@@ -702,6 +731,19 @@ def test_stable_json_bytes_deterministic_and_sorted():
     second = stable_json_bytes({"a": [1, 2.25, {"y": None, "z": True}], "b": 1.5})
     assert first == second
     assert json.loads(first) == payload
+
+
+def test_stable_json_numpy_scalars():
+    # serialize tells numpy scalars apart without importing numpy
+    payload = {"i": np.int64(-7), "u": np.uint8(255), "h": np.float16(1.5), "s": np.float32(0.1),
+               "d": np.float64(0.1), "w": np.float64(3.0), "l": [np.int32(2), np.float32(2.0)]}
+    assert stable_json_bytes(payload) == (
+        b'{"d":0.10000000000000001,"h":1.5,"i":-7,"l":[2,2.0],"s":0.10000000149011612,'
+        b'"u":255,"w":3.0}\n'
+    )
+    for value in (np.True_, np.complex128(1)):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            stable_json_bytes(value)
 
 
 def test_stable_json_float_formatting():

@@ -9,7 +9,7 @@ import pytest
 
 from c0lat import calculus, jordan, sampling
 from c0lat.blaschke import BlaschkeProduct
-from c0lat.subspace import Subspace, is_invariant
+from c0lat.subspace import Subspace, is_invariant, op_norm
 
 T = np.diag([0.3, -0.2]).astype(complex)
 B = BlaschkeProduct(((0.5, 1),))
@@ -24,6 +24,9 @@ VALID = {
     "Y": np.eye(2),
     "columns": [[1.0], [0.0]],
     "coefficients": [1.0, 0.5],
+    "matrix": np.eye(2),
+    # three vectors of C^2: its first row is no vector of C^2
+    "vectors": np.ones((2, 3)),
 }
 
 # per entry point: a call taking its matrices in order, and for each, by its
@@ -69,6 +72,8 @@ ENTRY_POINTS = {
     ),
     "is_invariant": (lambda operator: is_invariant(operator, E1), {"operator": (True, None)}),
     "Subspace.from_span": (Subspace.from_span, {"columns": (False, None)}),
+    "Subspace.project": (E1.project, {"vectors": (False, (3, 2))}),
+    "op_norm": (op_norm, {"matrix": (False, None)}),
     "sample_invariant_subspaces": (
         lambda operator: sampling.sample_invariant_subspaces(operator, 3, np.random.default_rng(0)),
         {"operator": (True, None)},
@@ -121,3 +126,26 @@ def test_a_bad_matrix_is_a_value_error_that_names_it(entry, name, bad):
             _call(entry, name, bad)
     assert not isinstance(info.value, np.linalg.LinAlgError)
     assert re.search(rf"\b{name}\b", str(info.value)), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: op_norm([[np.inf, 0], [0, 1]]), "matrix must be finite"),
+        (lambda: op_norm(np.ones((2, 2, 2))), r"matrix must be 2-d, got shape \(2, 2, 2\)"),
+        (lambda: Subspace.full(2).project(np.ones((2, 2, 2))),
+         r"vectors must have 2 rows, got shape \(2, 2, 2\)"),
+    ],
+    ids=["op_norm-real-inf", "op_norm-3-d", "project-3-d"],
+)
+def test_norm_and_projection_refuse_real_inf_and_stacks(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_project_takes_a_vector_or_columns():
+    v = np.array([0.5, 2.0])
+    assert np.array_equal(E1.project(v), [0.5, 0.0])
+    assert np.array_equal(E1.project(np.column_stack([v, v])), [[0.5, 0.5], [0.0, 0.0]])
