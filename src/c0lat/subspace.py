@@ -35,10 +35,9 @@ dimensions without projecting.  Every reported residual (``distance``,
 
 ``meet_join_verdicts`` is the batched entry point, for ``distributive``:
 for many index pairs of one member list it says whether each meet and
-join equals a named member, with stacked SVDs and no Subspace built per
-pair, verdict for verdict, not basis for basis.  It shares with ``meet``
-and ``join`` the kernels ``_meet_svd``, ``_meet_span``, ``_join_svd`` and
-``_project``; ``_insides`` is ``_inside`` on a stack of residuals.
+join equals a named member, from the meet's dimension (``meet``'s own
+``_meet_svd``, stacked) and one order matrix over the members
+(``_order``, with ``_insides``, ``_inside`` on a stack of residuals).
 
 :mod:`c0lat.jordan` and :mod:`c0lat.suites` share three more helpers:
 ``_modular`` (both sides of the modular law, for ``check_modular_triple``
@@ -227,11 +226,11 @@ def _check_same_ambient(a: Subspace, b: Subspace):
 
 
 # The scalar operations and the batched kernel meet_join_verdicts share
-# the helpers below.  _project, _meet_svd, _meet_span and _join_svd take one
-# basis (n x k) or a (P, n, k) stack of them and work slice by slice: a
-# slice of a stacked matmul or SVD is bitwise the 2-D call on that slice,
-# so the batched kernel decides on the scalar meets and joins.  _inside
-# judges one containment residual, _insides a stack of them.
+# the helpers below.  _project and _meet_svd take one basis (n x k) or a
+# (P, n, k) stack of them and work slice by slice: a slice of a stacked
+# matmul or SVD is bitwise the 2-D call on that slice, so the batched
+# kernel reads the scalar meet's dimension.  _inside judges one
+# containment residual, _insides a stack of them.
 
 def _rank(s):
     """How many of the singular values ``s`` (last axis, largest first)
@@ -247,22 +246,10 @@ def _project(a, v):
 def _meet_svd(a, b):
     """``(vh, kept)`` from one SVD of ``R = B - P_A B``: the right singular
     vectors, and how many singular values, the sines of the principal
-    angles, are at most ``TOL_EQUALS``.  ``A ∧ B`` is spanned by
-    ``_meet_span(b, vh, kept)``."""
+    angles, are at most ``TOL_EQUALS``.  ``A ∧ B`` is spanned by ``B V``
+    over the last ``kept`` right singular vectors."""
     _, sines, vh = np.linalg.svd(b - _project(a, b), full_matrices=False)
     return vh, (sines <= TOL_EQUALS).sum(-1)
-
-
-def _meet_span(b, vh, r):
-    """``B V`` over the last ``r`` right singular vectors (trailing rows of ``vh``)."""
-    return b @ vh[..., vh.shape[-2] - r:, :].conj().swapaxes(-1, -2)
-
-
-def _join_svd(a, b):
-    """``(u, kept)`` from one SVD of ``[A B]``: ``A ∨ B`` is spanned by the
-    first ``kept`` left singular vectors, those above ``_JOIN_CUT``."""
-    u, s, _ = np.linalg.svd(np.concatenate([a, b], axis=-1), full_matrices=False)
-    return u, (s > _JOIN_CUT).sum(-1)
 
 
 def _inside(resid) -> bool:
@@ -293,17 +280,12 @@ def _insides(resid) -> np.ndarray:
     return out
 
 
-def _equal_stacks(x, e) -> np.ndarray:
-    """``equals`` for each slice pair of two ``(P, n, k)`` stacks of
-    orthonormal bases, ``k >= 1``: containment both ways by ``_insides``."""
-    return _insides(e - _project(x, e)) & _insides(x - _project(e, x))
-
-
 def join(a: Subspace, b: Subspace) -> Subspace:
-    """Closed span of the union, from one SVD (``_join_svd``)."""
+    """Closed span of the union: the left singular vectors of ``[A B]``
+    whose singular values exceed ``_JOIN_CUT``."""
     _check_same_ambient(a, b)
-    u, kept = _join_svd(a.basis, b.basis)
-    return Subspace._trusted(a.ambient_dim, u[:, :kept])
+    u, s, _ = np.linalg.svd(np.concatenate([a.basis, b.basis], axis=1), full_matrices=False)
+    return Subspace._trusted(a.ambient_dim, u[:, :(s > _JOIN_CUT).sum()])
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
@@ -313,7 +295,7 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
     vh, kept = _meet_svd(a.basis, b.basis)
-    return Subspace._trusted(a.ambient_dim, _meet_span(b.basis, vh, kept))
+    return Subspace._trusted(a.ambient_dim, b.basis @ vh[vh.shape[0] - kept:].conj().T)
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
@@ -336,72 +318,78 @@ def equals(a: Subspace, b: Subspace) -> bool:
     return contains(a, b) and contains(b, a)
 
 
-# Pairs per chunk of meet_join_verdicts; a 48-divisor trial (1176 pairs)
-# runs in one chunk.  One distributive trial on the 256 divisors of 8 simple
-# zeros (32896 pairs, 2 CPUs) peaked at 71, 74, 81 and 132 MiB with budgets
-# of 1024, 2048 and 4096 pairs and none; each took 1.1 to 1.5 s, a spread
-# over repeated runs wider than any difference between the budgets.
+# Pairs per chunk of the meet SVDs of meet_join_verdicts.  One distributive
+# trial on the 256 divisors of 8 simple zeros (32896 pairs, 2 CPUs) peaked
+# at 62.9, 63.0, 63.4, 65.1 and 71.0 MiB with budgets of 512, 1024, 2048 and
+# 4096 pairs and none, each in 0.43 to 0.52 s; a 48-divisor trial (1176
+# pairs) runs in one chunk.
 PAIR_BUDGET = 2048
+
+
+def _stack(members) -> tuple:
+    """``(dims, slot, stacks)`` for ``members`` of one ambient dimension:
+    ``stacks[d]`` stacks the bases of dimension ``d`` and member ``i`` is
+    ``stacks[dims[i]][slot[i]]``.  Members of different ambient dimensions
+    are a ValueError."""
+    ambients = sorted({m.ambient_dim for m in members})
+    if len(ambients) > 1:
+        raise ValueError(f"ambient dimension mismatch: {ambients}")
+    dims = np.array([m.dim for m in members], dtype=int)
+    stacks = {d: np.stack([m.basis for m in members if m.dim == d]) for d in set(dims.tolist())}
+    slot = np.zeros(len(members), dtype=int)
+    for d, stack in stacks.items():
+        slot[dims == d] = np.arange(len(stack))
+    return dims, slot, stacks
+
+
+def _order(stacked, asked) -> np.ndarray:
+    """The ``(D, D)`` order matrix of the members ``_stack`` holds:
+    ``leq[e, a]`` is ``contains(members[a], members[e])`` at each pair of
+    the index arrays ``(e, a)`` in ``asked``, each distinct pair decided
+    once, and False elsewhere.  The zero member lies inside every member,
+    none inside one of smaller dimension; the other pairs take
+    ``_insides``, stacked by pair of dimensions."""
+    dims, slot, stacks = stacked
+    leq = np.zeros((len(dims), len(dims)), dtype=bool)
+    for e, a in asked:
+        leq[e, a] = True
+    leq &= dims[:, None] <= dims
+    e, a = np.nonzero(leq & (dims[:, None] > 0))
+    shape = np.stack([dims[e], dims[a]], axis=1)
+    for de, da in np.unique(shape, axis=0):
+        p = np.flatnonzero((shape == (de, da)).all(1))
+        x, y = stacks[de][slot[e[p]]], stacks[da][slot[a[p]]]
+        leq[e[p], a[p]] = _insides(x - _project(y, x))
+    return leq
 
 
 def meet_join_verdicts(members, rows, cols, lo, hi) -> np.ndarray:
     """For each pair ``p``, whether ``meet(members[rows[p]], members[cols[p]])``
     equals ``members[lo[p]]`` and their ``join`` equals ``members[hi[p]]``.
 
-    No Subspace is built per pair.  Each member basis is stacked once with
-    the others of its dimension; each chunk of ``PAIR_BUDGET`` pairs is
-    gathered from those stacks by shape ``(a.dim, b.dim)`` and takes the
-    SVDs of ``meet`` and ``join`` in stacks.  A meet or join whose rank is
-    not its member's dimension is False, as in ``equals``; the rest are
-    compared with their members in one stack per rank, both ways, by the
-    Frobenius bracket of ``contains``.  The verdicts are those of
-    ``equals(meet(a, b), E) and equals(join(a, b), F)``.  Members of
-    different ambient dimensions are a ValueError.
+    With ``A``, ``B`` the pair and ``kept = dim(A ∧ B)`` from ``_meet_svd``
+    (one stacked SVD per shape of nonzero pair; 0 with a zero member),
+    ``E = A ∧ B`` iff ``dim E = kept``, ``E <= A`` and ``E <= B``, and
+    ``F = A ∨ B`` iff ``dim F = dim A + dim B - kept``, ``A <= F`` and
+    ``B <= F``, the order from one ``_order`` matrix.  Meet, join and order
+    decide at the one scale ``TOL_EQUALS``, so the dimension formula holds
+    for ``join``.  No Subspace is built per pair.  Members of different
+    ambient dimensions are a ValueError.
     """
-    ambients = sorted({m.ambient_dim for m in members})
-    if len(ambients) > 1:
-        raise ValueError(f"ambient dimension mismatch: {ambients}")
-    dims = np.array([m.dim for m in members], dtype=int)
-    stacks = {d: np.stack([m.basis for m in members if m.dim == d]) for d in set(dims.tolist())}
-    slot = np.zeros(len(members), dtype=int)  # position in the stack of its dimension
-    for d, stack in stacks.items():
-        slot[dims == d] = np.arange(len(stack))
-    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
-    wants = np.array([lo, hi], dtype=int).reshape(2, -1)  # the members each meet and join must equal
-    out = np.zeros(len(rows), dtype=bool)
+    dims, slot, stacks = stacked = _stack(members)
+    rows, cols, lo, hi = (np.asarray(x, dtype=int).reshape(-1) for x in (rows, cols, lo, hi))
+    kept = np.zeros(len(rows), dtype=int)
     for start in range(0, len(rows), PAIR_BUDGET):
-        part = slice(start, start + PAIR_BUDGET)
-        a_idx, b_idx, want = rows[part], cols[part], wants[:, part]
-        # rank of each meet (row 0) and join (row 1); a meet with a zero member is zero
-        ranks = np.zeros(want.shape, dtype=int)
-        spans = {}  # rank r -> (positions in want.flat, bases) to compare
-
-        def found(side, p, span):
-            """File for comparison the bases ``span(q, r)`` of the spaces on
-            ``side`` of pairs ``p`` whose rank ``r > 0`` is their member's
-            dimension."""
-            got = ranks[side, p]
-            fits = got == dims[want[side, p]]
-            for r in np.unique(got[fits]):
-                if r:
-                    q = np.flatnonzero(fits & (got == r))
-                    spans.setdefault(r, []).append((side * want.shape[1] + p[q], span(q, r)))
-
-        shape = np.stack([dims[a_idx], dims[b_idx]], axis=1)
-        for ka, kb in np.unique(shape, axis=0):
-            p = np.flatnonzero((shape == (ka, kb)).all(1))
-            a, b = stacks[ka][slot[a_idx[p]]], stacks[kb][slot[b_idx[p]]]
-            if ka and kb:
-                vh, ranks[0, p] = _meet_svd(a, b)
-                found(0, p, lambda q, r: _meet_span(b[q], vh[q], r))
-            u, ranks[1, p] = _join_svd(a, b)
-            found(1, p, lambda q, r: u[q, :, :r])
-        same = ranks == dims[want]
-        for r, filed in spans.items():
-            at = np.concatenate([at for at, _ in filed])
-            x = np.concatenate([x for _, x in filed])
-            same.flat[at] = _equal_stacks(x, stacks[r][slot[want.flat[at]]])
-        out[part] = same.all(0)
+        part = np.arange(start, min(start + PAIR_BUDGET, len(rows)))
+        shape = np.stack([dims[rows[part]], dims[cols[part]]], axis=1)
+        for ka, kb in np.unique(shape[(shape > 0).all(1)], axis=0):
+            p = part[(shape == (ka, kb)).all(1)]
+            kept[p] = _meet_svd(stacks[ka][slot[rows[p]]], stacks[kb][slot[cols[p]]])[1]
+    sides = ((lo, rows), (lo, cols), (rows, hi), (cols, hi))  # E <= A, E <= B, A <= F, B <= F
+    leq = _order(stacked, sides)
+    out = (dims[lo] == kept) & (dims[hi] == dims[rows] + dims[cols] - kept)
+    for e, a in sides:
+        out &= leq[e, a]
     return out
 
 

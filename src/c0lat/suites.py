@@ -289,11 +289,28 @@ def meetjoin_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> Verif
 
 # --------------------------------------------------------------------------
 # the divisor lattice is closed under lcm/gcd, so distributive
-# a trial checks every pair of divisors: one trial on k simple zeros
-# 0.7 e^(2 pi i j / k) took 0.07 s and 63 MiB at 64 divisors, 0.27 s and
-# 67 MiB at 128, 1.2 s and 73 MiB at 256, and 4 to 7 s and 108 MiB at 512
+# a trial checks every pair of divisors: a repeated trial on k simple zeros
+# 0.7 e^(2 pi i j / k) took 0.02 s and 60 MiB at 64 divisors, 0.06 s and
+# 61 MiB at 128, 0.23 s and 64 MiB at 256, and 1.1 s and 72 MiB at 512
 # (2 CPUs); the time grows with the D(D+1)/2 pairs
 DISTRIBUTIVE_CAP = 256
+
+
+def _divisor_pairs(exps) -> tuple:
+    """``(rows, cols, lo, hi)`` for a divisor lattice whose member ``k`` has
+    the exponent vector ``exps[k]``, each vector up to the maximum once:
+    every pair ``rows[p] <= cols[p]`` and the members of the componentwise
+    max (lcm) and min (gcd) of its vectors, found as mixed-radix codes."""
+    exps = np.asarray(exps, dtype=int)
+    place = np.cumprod(np.r_[1, exps.max(0)[:-1] + 1])
+    entry = np.empty(len(exps), dtype=int)
+    entry[exps @ place] = np.arange(len(exps))
+    rows, cols = np.triu_indices(len(exps))
+    lo = hi = 0
+    for e, p in zip(exps.T, place):  # a digit at a time: no pairs x zeros array
+        lo = lo + p * np.maximum(e[rows], e[cols])
+        hi = hi + p * np.minimum(e[rows], e[cols])
+    return rows, cols, entry[lo], entry[hi]
 
 
 def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> VerificationReport:
@@ -302,10 +319,9 @@ def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> Ve
     subspace equality tolerance, the member that lcm/gcd of the divisor
     labels predicts; Lat(S(theta)) is then a product of chains, so
     distributive.  A trial decides all its pairs in one
-    ``meet_join_verdicts`` call, which stacks the divisor subspaces once and
-    runs the meets, joins and comparisons in stacked LAPACK calls, giving
-    the verdicts of the scalar ``meet``, ``join`` and ``equals``; the first
-    failing pair in row-major order is the reported one."""
+    ``meet_join_verdicts`` call, from each meet's dimension and the order
+    of the members; the first failing pair in row-major order is the
+    reported one."""
     _tolerances("distributive", tols)
     thetas = _inputs("distributive", inputs, BlaschkeProduct, separated=True)
     for k, theta in enumerate(thetas, 1):
@@ -315,20 +331,10 @@ def distributive_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) -> Ve
     def trial(i, rng, tally):
         theta = thetas[i % len(thetas)] if thetas else random_blaschke_with_divisor_cap(rng)
         entries = enumerate_lattice(theta)
-        # Lat(S(theta)) is the divisor lattice upside down: meet is lcm, join
-        # gcd, the componentwise max and min of the divisors' exponent vectors,
-        # built a zero at a time as mixed-radix codes (digit k below m_k + 1)
-        exps = np.array([[dict(phi.zeros).get(z, 0) for z, _ in theta.zeros] for phi, _ in entries])
-        place = np.cumprod([1] + [m + 1 for _, m in theta.zeros[:-1]])
-        entry = np.empty(len(entries), dtype=int)
-        entry[exps @ place] = np.arange(len(entries))
-        spaces = [s for _, s in entries]
-        rows, cols = np.triu_indices(len(entries))
-        lo = hi = 0
-        for e, p in zip(exps.T, place):
-            lo = lo + p * np.maximum(e[rows], e[cols])
-            hi = hi + p * np.minimum(e[rows], e[cols])
-        failed = np.flatnonzero(~meet_join_verdicts(spaces, rows, cols, entry[lo], entry[hi]))
+        # Lat(S(theta)) is the divisor lattice upside down: meet is lcm, join gcd
+        exps = [[dict(phi.zeros).get(z, 0) for z, _ in theta.zeros] for phi, _ in entries]
+        rows, cols, lo, hi = _divisor_pairs(exps)
+        failed = np.flatnonzero(~meet_join_verdicts([s for _, s in entries], rows, cols, lo, hi))
         if failed.size:
             first = failed[0]
             tally.flag(i, "closure", 1.0, {"pair": [int(rows[first]), int(cols[first])]})

@@ -215,14 +215,14 @@ def spectral_contains(a, b):
 def test_contains_and_equals_agree_with_the_spectral_residual():
     # residuals below TOL_EQUALS, inside the Frobenius gap (TOL, sqrt(k) TOL]
     # and above it; the verdicts must be the SVD's in all three, for the
-    # scalar contains and equals and for the stacked rule of
-    # meet_join_verdicts on each shape's residuals at once
+    # scalar contains and equals, for the stacked rule on each shape's
+    # residuals at once, and for the order of meet_join_verdicts over all
+    # pairs in one call
     rng = np.random.default_rng(11)
     regions = set()
     zero, line_9 = Subspace.zero(9), line(9, 4)
     pairs = [(zero, zero), (zero, line_9), (line_9, zero)]
     expected = [True, False, False]
-    squares = []  # equal-dimension pairs with their equals verdicts
     for _ in range(300):
         k = int(rng.integers(1, 5))
         p = int(rng.integers(k, 6))
@@ -239,7 +239,6 @@ def test_contains_and_equals_agree_with_the_spectral_residual():
         assert equals(square, b) == same == equals(b, square)
         pairs += [(square, b), (b, square)]
         expected += [same, same]
-        squares += [(square, b, same), (b, square, same)]
     # the gap holds residuals on both sides of the tolerance
     assert regions == {(0, True), (1, True), (1, False), (2, False)}
     assert [equals(a, b) for a, b in pairs] == expected
@@ -247,9 +246,12 @@ def test_contains_and_equals_agree_with_the_spectral_residual():
         inside = [(a, b) for a, b in pairs[3:] if b.dim == k]
         resid = np.stack([b.basis - a.project(b.basis) for a, b in inside])
         assert subspace._insides(resid).tolist() == [spectral_contains(a, b) for a, b in inside]
-        group = [g for g in squares if g[0].dim == k]
-        stacks = [np.stack([g[side].basis for g in group]) for side in (0, 1)]
-        assert subspace._equal_stacks(*stacks).tolist() == [same for *_, same in group]
+    # b <= a for each pair, then a <= b
+    members = [s for pair in pairs for s in pair]
+    outer, inner = np.arange(0, len(members), 2), np.arange(1, len(members), 2)
+    leq = subspace._order(subspace._stack(members), [(inner, outer), (outer, inner)])
+    assert leq[inner, outer].tolist() == [spectral_contains(a, b) for a, b in pairs]
+    assert (leq[inner, outer] & leq[outer, inner]).tolist() == expected
 
 
 def test_contains_decides_clear_cases_without_an_svd(monkeypatch):
@@ -281,7 +283,8 @@ def test_meet_join_verdicts_are_the_scalar_equals(mults):
     # every ordered pair of an enumerated lattice, the zero (theta) and full
     # (constant) members among them, so every shape of stack and every
     # count of kept principal directions; against the lcm/gcd members and
-    # planted wrong ones: the next member, and a member of another dimension
+    # planted wrong ones: the next member, a member of another dimension,
+    # and another member of the same dimension, which only the order rejects
     rng = np.random.default_rng(len(mults))
     points = random_unit_disk_points(rng, len(mults), radius=0.85, min_separation=0.2)
     entries = enumerate_lattice(BlaschkeProduct(tuple(zip(points, mults))))
@@ -296,8 +299,16 @@ def test_meet_join_verdicts_are_the_scalar_equals(mults):
     dims = np.array([s.dim for s in spaces])
     other_dim = np.argmax(dims[None, :] != dims[:, None], axis=1)  # a member of another dimension
     nxt = (np.arange(len(spaces)) + 1) % len(spaces)
+    # the next member of the same dimension, cyclically; itself when alone
+    same_dim = np.array([
+        next(j for j in np.roll(np.arange(len(spaces)), -k - 1) if dims[j] == dims[k])
+        for k in range(len(spaces))
+    ])
     assert meet_join_verdicts(spaces, rows, cols, lo, hi).all()
-    for want_lo, want_hi in [(nxt[lo], hi), (lo, nxt[hi]), (other_dim[lo], hi), (lo, other_dim[hi])]:
+    for want_lo, want_hi in [
+        (nxt[lo], hi), (lo, nxt[hi]), (other_dim[lo], hi), (lo, other_dim[hi]),
+        (same_dim[lo], hi), (lo, same_dim[hi]),
+    ]:
         scalar = [
             equals(m, spaces[e]) and equals(j, spaces[f])
             for m, j, e, f in zip(meets, joins, want_lo, want_hi)

@@ -23,9 +23,27 @@ THETA_12 = BlaschkeProduct(((0.3 + 0j, 2), (-0.2 + 0.4j, 1), (0.1 - 0.5j, 1)))
 
 def test_distributive_meet_must_land_on_its_lcm_member(monkeypatch):
     # join for meet still lands on members of the lattice (the gcd ones), and
-    # the resulting tables are distributive, so only the lcm check catches it
-    monkeypatch.setattr(subspace, "_meet_svd", subspace._join_svd)
-    monkeypatch.setattr(subspace, "_meet_span", lambda b, u, r: u[..., :r])
+    # the resulting tables are distributive, so only the lcm check catches
+    # it: the kernel reads the join's dimension as the meet's
+    meet_svd = subspace._meet_svd
+
+    def join_dimension(a, b):
+        vh, kept = meet_svd(a, b)
+        return vh, a.shape[-1] + b.shape[-1] - kept
+
+    monkeypatch.setattr(subspace, "_meet_svd", join_dimension)
+    report = suites.distributive_suite(trials=1, inputs=(THETA_12,))
+    assert [v.kind for v in report.violations] == ["closure"]
+
+
+def test_distributive_catches_a_meet_onto_its_smaller_argument(monkeypatch):
+    # the fault the modular gates miss (test_acceptance): a meet that returns
+    # its argument of smaller dimension, planted where the kernel reads
+    # dim(A ∧ B); THETA_12 has incomparable members of nonzero dimension
+    def smaller(a, b):
+        return None, np.full(len(b), min(a.shape[-1], b.shape[-1]))
+
+    monkeypatch.setattr(subspace, "_meet_svd", smaller)
     report = suites.distributive_suite(trials=1, inputs=(THETA_12,))
     assert [v.kind for v in report.violations] == ["closure"]
 
@@ -93,35 +111,57 @@ def test_distributive_reads_lcm_and_gcd_from_exponent_vectors(monkeypatch):
 
 
 def test_distributive_checks_each_meet_and_join_once(monkeypatch):
-    calls, compared = [], []
-    equal_stacks = subspace._equal_stacks
+    calls, met, orders, insides = [], [], [], []
+    meet_svd, order, stacked_insides = subspace._meet_svd, subspace._order, subspace._insides
 
     def recording(members, rows, cols, lo, hi):
         calls.append((members, rows, cols, lo, hi))
         return subspace.meet_join_verdicts(members, rows, cols, lo, hi)
 
-    def counting(x, e):
-        compared.append(len(x))
-        return equal_stacks(x, e)
+    def meeting(a, b):
+        met.extend(zip(a, b))
+        return meet_svd(a, b)
+
+    def ordering(stacked, asked):
+        orders.append([(e, a) for below, above in asked for e, a in zip(below.tolist(), above.tolist())])
+        return order(stacked, asked)
+
+    def counting(resid):
+        insides.append(len(resid))
+        return stacked_insides(resid)
 
     monkeypatch.setattr(suites, "meet_join_verdicts", recording)
-    monkeypatch.setattr(subspace, "_equal_stacks", counting)
+    monkeypatch.setattr(subspace, "_meet_svd", meeting)
+    monkeypatch.setattr(subspace, "_order", ordering)
+    monkeypatch.setattr(subspace, "_insides", counting)
     report = suites.distributive_suite(trials=1, inputs=(THETA_12,))
     count = blaschke.divisor_count(THETA_12)
     assert report.passed and count == 12
     # one call over the count * (count + 1) / 2 pairs a <= b, each once
     [(members, rows, cols, lo, hi)] = calls
-    assert sorted(zip(rows.tolist(), cols.tolist())) == [(a, b) for a in range(count) for b in range(a, count)]
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    assert sorted(pairs) == [(a, b) for a in range(count) for b in range(a, count)]
     # the labels are the members that Blaschke lcm and gcd name
     entries = enumerate_lattice(THETA_12)
     index = {phi.zeros: k for k, (phi, _) in enumerate(entries)}
-    for a, b, m, j in zip(rows.tolist(), cols.tolist(), lo, hi):
+    for (a, b), m, j in zip(pairs, lo, hi):
         (phi, _), (psi, _) = entries[a], entries[b]
         assert (m, j) == (index[blaschke.lcm(phi, psi).zeros], index[blaschke.gcd(phi, psi).zeros])
-    # one meet and one join for each pair; a zero-dimensional one is decided
-    # by its rank alone
-    dims = np.array([m.dim for m in members])
-    assert sum(compared) == np.count_nonzero(dims[lo]) + np.count_nonzero(dims[hi])
+    # one meet SVD row for each pair of nonzero members, and none for a pair
+    # with the zero member
+    dims = [m.dim for m in members]
+    owner = {m.basis.tobytes(): k for k, m in enumerate(members)}
+    assert sorted((owner[a.tobytes()], owner[b.tobytes()]) for a, b in met) == sorted(
+        (a, b) for a, b in pairs if dims[a] and dims[b]
+    )
+    # one order call asks E <= A, E <= B, A <= F and B <= F for every pair,
+    # and each distinct containment of a nonzero member in a member of no
+    # smaller dimension takes one residual
+    [asked] = orders
+    wanted = [(e, a) for (a, b), e in zip(pairs, lo.tolist()) for a in (a, b)]
+    wanted += [(a, f) for (a, b), f in zip(pairs, hi.tolist()) for a in (a, b)]
+    assert sorted(asked) == sorted(wanted)
+    assert sum(insides) == len({(e, a) for e, a in asked if 0 < dims[e] <= dims[a]})
 
 
 def test_distributive_builds_no_subspace_per_pair(monkeypatch):
