@@ -156,13 +156,14 @@ class BlaschkeProduct:
         object.__setattr__(self, "constant", c)
 
     @classmethod
-    def _trusted(cls, zeros: tuple) -> "BlaschkeProduct":
-        """The product with constant 1 on ``(zero, multiplicity)`` pairs that
-        are validated, merged and in canonical order already, without
-        re-running the coercion and the degree cap."""
+    def _trusted(cls, zeros: tuple, constant: complex = 1.0 + 0.0j) -> "BlaschkeProduct":
+        """The product on ``(zero, multiplicity)`` pairs that are validated,
+        merged and in canonical order already, such as a sub-multiset of a
+        product's own, and a unimodular ``constant``, without re-running the
+        coercion, the constant check and the degree cap."""
         b = object.__new__(cls)
         object.__setattr__(b, "zeros", zeros)
-        object.__setattr__(b, "constant", 1.0 + 0.0j)
+        object.__setattr__(b, "constant", constant)
         return b
 
     @property
@@ -311,8 +312,9 @@ def divide(numerator: BlaschkeProduct, divisor: BlaschkeProduct) -> BlaschkeProd
     counts = numerator.zero_multiset()
     for z, m in divisor.zeros:
         counts[z] -= m
+    # a sub-multiset of the numerator's canonical zeros, in their order
     zeros = tuple((z, m) for z, m in counts.items() if m > 0)
-    return BlaschkeProduct(zeros, numerator.constant / divisor.constant)
+    return BlaschkeProduct._trusted(zeros, numerator.constant / divisor.constant)
 
 
 def almost_equiv(b1: BlaschkeProduct, b2: BlaschkeProduct, tol: float = 1e-7) -> bool:
@@ -367,7 +369,7 @@ def divisors(b: BlaschkeProduct):
     ranges = [range(m + 1) for _, m in b.zeros]
     out = []
     for mults in itertools.product(*ranges):
-        zeros = tuple((z, m) for z, m in zip(points, mults) if m > 0)
-        out.append(BlaschkeProduct(zeros))
+        # a sub-multiset of b's canonical zeros, in their order
+        out.append(BlaschkeProduct._trusted(tuple((z, m) for z, m in zip(points, mults) if m > 0)))
     out.sort(key=lambda d: (d.degree, tuple((z.real, z.imag, m) for z, m in d.zeros)))
     return out

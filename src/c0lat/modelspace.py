@@ -91,9 +91,16 @@ class ModelSpace:
             raise ValueError("model space requires a nonconstant inner function")
         self.theta = theta
         self.zero_order = theta.zero_sequence()
-        # S(theta) reversed to upper triangular, built once for every divisor
+        # S(theta) reversed to upper triangular, the reversal itself, and each
+        # zero's first position and multiplicity there (the occurrences of a
+        # zero are adjacent in canonical order), built once for every divisor
         self._flipped = _shift_matrix(self.zero_order)[::-1, ::-1]
         self._flipped.flags.writeable = False
+        self._flip = np.eye(self.dim, dtype=complex)[::-1]
+        self._flip.flags.writeable = False
+        self._runs, first = {}, 0
+        for z, m in reversed(theta.zeros):
+            self._runs[z], first = (first, m), first + m
         self.quadrature_points = default_quadrature_points(theta)
 
     @property
@@ -118,12 +125,14 @@ class ModelSpace:
         """Coordinates of ``phi H^2 ⊖ theta H^2`` inside H(theta): the invariant
         subspace of the reversed, upper triangular S(theta) over the leading
         occurrences of theta/phi's zeros there, so the first k canonical zeros
-        give exactly span(e_{k+1}, ..., e_d) with no swap."""
-        left, zeros = blaschke.divide(self.theta, phi).zero_multiset(), self.zero_order[::-1]
-        # the occurrences of a zero are adjacent in canonical order
-        picked = [k for k, z in enumerate(zeros) if k < zeros.index(z) + left.get(z, 0)]
-        flip = np.eye(self.dim, dtype=complex)[::-1]
-        split = _spectral_basis(self._flipped, flip, picked)
+        give exactly span(e_{k+1}, ..., e_d) with no swap.  theta/phi's
+        multiplicities are theta's less phi's; a phi that does not divide
+        theta is a :class:`~c0lat.blaschke.NotADivisorError`."""
+        if not blaschke.divides(phi, self.theta):
+            raise blaschke.NotADivisorError(f"{phi} does not divide {self.theta}")
+        taken, runs = dict(phi.zeros), self._runs.items()
+        picked = [k for z, (first, m) in runs for k in range(first, first + m - taken.get(z, 0))]
+        split = _spectral_basis(self._flipped, self._flip, picked)
         if split is None:
             raise VerificationError(f"could not reorder S(theta) onto the zeros of theta / {phi}")
         return Subspace._trusted(self.dim, split[0])

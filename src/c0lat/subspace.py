@@ -35,9 +35,12 @@ dimensions without projecting.  Every reported residual (``distance``,
 
 ``meet_join_verdicts`` is the batched entry point, for ``distributive``:
 for many index pairs of one member list it says whether each meet and
-join equals a named member, from the meet's dimension (``meet``'s own
-``_meet_svd``, stacked) and one order matrix over the members
-(``_order``, with ``_insides``, ``_inside`` on a stack of residuals).
+join equals a named member, from the meet's dimension and one order
+matrix over the members (``_order``, with ``_insides``, ``_inside`` on a
+stack of residuals).  The dimension comes from ``_meet_counts``: the
+singular values alone of the stacked residuals, and ``meet``'s own
+``_meet_svd`` again for the pairs with a sine near ``TOL_EQUALS``, so it
+is ``meet``'s dimension on every pair.
 
 :mod:`c0lat.jordan` and :mod:`c0lat.suites` share three more helpers:
 ``_modular`` (both sides of the modular law, for ``check_modular_triple``
@@ -228,9 +231,10 @@ def _check_same_ambient(a: Subspace, b: Subspace):
 # The scalar operations and the batched kernel meet_join_verdicts share
 # the helpers below.  _project and _meet_svd take one basis (n x k) or a
 # (P, n, k) stack of them and work slice by slice: a slice of a stacked
-# matmul or SVD is bitwise the 2-D call on that slice, so the batched
-# kernel reads the scalar meet's dimension.  _inside judges one
-# containment residual, _insides a stack of them.
+# matmul or SVD is bitwise the 2-D call on that slice, so _meet_counts,
+# which hands _meet_svd the pairs its values-only SVD cannot settle, reads
+# the scalar meet's dimension.  _inside judges one containment residual,
+# _insides a stack of them.
 
 def _rank(s):
     """How many of the singular values ``s`` (last axis, largest first)
@@ -250,6 +254,26 @@ def _meet_svd(a, b):
     over the last ``kept`` right singular vectors."""
     _, sines, vh = np.linalg.svd(b - _project(a, b), full_matrices=False)
     return vh, (sines <= TOL_EQUALS).sum(-1)
+
+
+# Half-width of the band around TOL_EQUALS in which _meet_counts hands a
+# pair back to _meet_svd.  Both SVDs are backward stable, so by Weyl their
+# sines of one R (||R||_2 <= 1) differ by O(eps); spreads measured on stacks
+# of divisor-subspace pairs stayed below 6e-15, and the band is about 4500 eps.
+_MEET_BAND = 1e-12
+
+
+def _meet_counts(a, b):
+    """``kept`` of ``_meet_svd`` for each pair of a ``(P, n, ka)`` and a
+    ``(P, n, kb)`` stack, from one values-only SVD of the residuals: a pair
+    with a sine within ``_MEET_BAND`` of ``TOL_EQUALS`` is counted again by
+    ``_meet_svd``, so every count is the scalar ``meet``'s."""
+    sines = np.linalg.svd(b - _project(a, b), compute_uv=False)
+    kept = (sines <= TOL_EQUALS).sum(-1)
+    near = (np.abs(sines - TOL_EQUALS) <= _MEET_BAND).any(-1)
+    if near.any():
+        kept[near] = _meet_svd(a[near], b[near])[1]
+    return kept
 
 
 def _inside(resid) -> bool:
@@ -318,11 +342,12 @@ def equals(a: Subspace, b: Subspace) -> bool:
     return contains(a, b) and contains(b, a)
 
 
-# Pairs per chunk of the meet SVDs of meet_join_verdicts.  One distributive
-# trial on the 256 divisors of 8 simple zeros (32896 pairs, 2 CPUs) peaked
-# at 62.9, 63.0, 63.4, 65.1 and 71.0 MiB with budgets of 512, 1024, 2048 and
-# 4096 pairs and none, each in 0.43 to 0.52 s; a 48-divisor trial (1176
-# pairs) runs in one chunk.
+# Pairs per chunk of the meet counts of meet_join_verdicts.  One distributive
+# trial on the 256 divisors of 8 simple zeros (32896 pairs, 2 CPUs, values-only
+# SVDs) peaked at 63.0, 63.0, 63.4, 65.0 and 72.0 MiB with budgets of 512,
+# 1024, 2048 and 4096 pairs and none, and a second trial in the same process
+# took 0.16 to 0.21 s at each; a 48-divisor trial (1176 pairs) runs in one
+# chunk.
 PAIR_BUDGET = 2048
 
 
@@ -342,6 +367,18 @@ def _stack(members) -> tuple:
     return dims, slot, stacks
 
 
+def _groups(x, y):
+    """``(x[i], y[i])`` and the ascending indices ``i`` that share it, for
+    each distinct pair of the nonnegative int arrays ``x`` and ``y``, in
+    lexicographic order: one stable sort of a combined key."""
+    if not len(x):
+        return
+    key = x * (y.max() + 1) + y
+    order = np.argsort(key, kind="stable")
+    for p in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        yield (x[p[0]], y[p[0]]), p
+
+
 def _order(stacked, asked) -> np.ndarray:
     """The ``(D, D)`` order matrix of the members ``_stack`` holds:
     ``leq[e, a]`` is ``contains(members[a], members[e])`` at each pair of
@@ -355,9 +392,7 @@ def _order(stacked, asked) -> np.ndarray:
         leq[e, a] = True
     leq &= dims[:, None] <= dims
     e, a = np.nonzero(leq & (dims[:, None] > 0))
-    shape = np.stack([dims[e], dims[a]], axis=1)
-    for de, da in np.unique(shape, axis=0):
-        p = np.flatnonzero((shape == (de, da)).all(1))
+    for (de, da), p in _groups(dims[e], dims[a]):
         x, y = stacks[de][slot[e[p]]], stacks[da][slot[a[p]]]
         leq[e[p], a[p]] = _insides(x - _project(y, x))
     return leq
@@ -367,8 +402,10 @@ def meet_join_verdicts(members, rows, cols, lo, hi) -> np.ndarray:
     """For each pair ``p``, whether ``meet(members[rows[p]], members[cols[p]])``
     equals ``members[lo[p]]`` and their ``join`` equals ``members[hi[p]]``.
 
-    With ``A``, ``B`` the pair and ``kept = dim(A ∧ B)`` from ``_meet_svd``
-    (one stacked SVD per shape of nonzero pair; 0 with a zero member),
+    With ``A``, ``B`` the pair and ``kept = dim(A ∧ B)`` from ``_meet_counts``
+    (one stacked values-only SVD per shape of nonzero pair, and
+    ``_meet_svd``, the scalar ``meet``'s, for the pairs with a sine within
+    ``_MEET_BAND`` of ``TOL_EQUALS``; 0 with a zero member),
     ``E = A ∧ B`` iff ``dim E = kept``, ``E <= A`` and ``E <= B``, and
     ``F = A ∨ B`` iff ``dim F = dim A + dim B - kept``, ``A <= F`` and
     ``B <= F``, the order from one ``_order`` matrix.  Meet, join and order
@@ -381,10 +418,10 @@ def meet_join_verdicts(members, rows, cols, lo, hi) -> np.ndarray:
     kept = np.zeros(len(rows), dtype=int)
     for start in range(0, len(rows), PAIR_BUDGET):
         part = np.arange(start, min(start + PAIR_BUDGET, len(rows)))
-        shape = np.stack([dims[rows[part]], dims[cols[part]]], axis=1)
-        for ka, kb in np.unique(shape[(shape > 0).all(1)], axis=0):
-            p = part[(shape == (ka, kb)).all(1)]
-            kept[p] = _meet_svd(stacks[ka][slot[rows[p]]], stacks[kb][slot[cols[p]]])[1]
+        part = part[(dims[rows[part]] > 0) & (dims[cols[part]] > 0)]
+        for (ka, kb), q in _groups(dims[rows[part]], dims[cols[part]]):
+            p = part[q]
+            kept[p] = _meet_counts(stacks[ka][slot[rows[p]]], stacks[kb][slot[cols[p]]])
     sides = ((lo, rows), (lo, cols), (rows, hi), (cols, hi))  # E <= A, E <= B, A <= F, B <= F
     leq = _order(stacked, sides)
     out = (dims[lo] == kept) & (dims[hi] == dims[rows] + dims[cols] - kept)

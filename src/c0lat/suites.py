@@ -290,8 +290,8 @@ def meetjoin_suite(trials: int = 200, seed: int = 0, inputs=(), **tols) -> Verif
 # --------------------------------------------------------------------------
 # the divisor lattice is closed under lcm/gcd, so distributive
 # a trial checks every pair of divisors: a repeated trial on k simple zeros
-# 0.7 e^(2 pi i j / k) took 0.02 s and 60 MiB at 64 divisors, 0.06 s and
-# 61 MiB at 128, 0.23 s and 64 MiB at 256, and 1.1 s and 72 MiB at 512
+# 0.7 e^(2 pi i j / k) took 0.013 s and 60 MiB at 64 divisors, 0.037 s and
+# 61 MiB at 128, 0.16 s and 64 MiB at 256, and 0.91 s and 72 MiB at 512
 # (2 CPUs); the time grows with the D(D+1)/2 pairs
 DISTRIBUTIVE_CAP = 256
 

@@ -6,6 +6,9 @@ divisor subspaces is adaptive quadrature
 shares no code with any of them.
 """
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,7 +16,7 @@ from scipy.integrate import quad
 
 from c0lat import blaschke, suites
 from c0lat.blaschke import BlaschkeProduct, NotADivisorError, elementary, monomial, multiply
-from c0lat.calculus import VerificationError, apply_blaschke
+from c0lat.calculus import VerificationError, _spectral_basis, apply_blaschke
 from c0lat.modelspace import (
     LatticeCapError,
     ModelOperator,
@@ -203,6 +206,50 @@ def test_divisor_subspaces_against_quad_oracle():
 def test_divisor_subspace_requires_divisor():
     with pytest.raises(NotADivisorError):
         divisor_subspace(monomial(2), elementary(0.5))
+
+
+def divide_picked_subspace(space, phi) -> np.ndarray:
+    """The divisor subspace's basis from the positions that
+    ``blaschke.divide``'s validated quotient picks on the reversed shift."""
+    left, zeros = blaschke.divide(space.theta, phi).zero_multiset(), space.zero_order[::-1]
+    picked = [k for k, z in enumerate(zeros) if k < zeros.index(z) + left.get(z, 0)]
+    flip = np.eye(space.dim, dtype=complex)[::-1]
+    return _spectral_basis(space._flipped, flip, picked)[0]
+
+
+# 3 * 2 * 2 = 12 divisors, as in tests/test_suites.py
+THETA_12 = BlaschkeProduct(((0.3 + 0j, 2), (-0.2 + 0.4j, 1), (0.1 - 0.5j, 1)))
+
+
+@pytest.mark.parametrize("theta", [THETA_MIXED, THETA_12])
+def test_trusted_divisor_paths_give_the_validated_objects(theta):
+    # divisors and divide build on sub-multisets of a validated product
+    # without validating again, and divisor_subspace picks from exponent
+    # counts without a quotient: each gives what the validated path gives
+    found = blaschke.divisors(theta)
+    validated = [
+        BlaschkeProduct(tuple((z, m) for (z, _), m in zip(theta.zeros, mults) if m))
+        for mults in itertools.product(*(range(m + 1) for _, m in theta.zeros))
+    ]
+    validated.sort(key=lambda d: (d.degree, tuple((z.real, z.imag, m) for z, m in d.zeros)))
+    assert found == validated
+    assert found == [BlaschkeProduct(d.zeros) for d in found]
+    space = ModelSpace(theta)
+    scaled = BlaschkeProduct(theta.zeros, 1j)
+    for phi in found:
+        basis = space.divisor_subspace(phi).basis
+        assert basis.tobytes() == divide_picked_subspace(space, phi).tobytes()
+        phi = BlaschkeProduct(phi.zeros, np.exp(0.3j))
+        left = tuple((z, m - dict(phi.zeros).get(z, 0)) for z, m in theta.zeros)
+        quotient = BlaschkeProduct(tuple((z, m) for z, m in left if m), scaled.constant / phi.constant)
+        assert blaschke.divide(scaled, phi) == quotient
+    (z, m), *_ = theta.zeros
+    for phi in (multiply(theta, elementary(0.6)), BlaschkeProduct(((z, m + 1),))):
+        message = re.escape(f"{phi} does not divide {theta}")
+        with pytest.raises(NotADivisorError, match=message):
+            space.divisor_subspace(phi)
+        with pytest.raises(NotADivisorError, match=message):
+            blaschke.divide(theta, phi)
 
 
 @pytest.mark.parametrize("theta", [THETA_MIXED, THETA_TWO_FOURFOLD])

@@ -379,6 +379,39 @@ def test_order_meet_and_join_decide_at_one_scale():
     assert meet_join_verdicts(members, rows, cols, cols, rows).tolist() == verdicts
 
 
+def test_meet_counts_are_the_scalar_meets_and_redecide_only_the_band(monkeypatch):
+    # the kernel counts each pair's kept sines from a values-only SVD and
+    # hands back to _meet_svd, the scalar meet's vector SVD, exactly the
+    # pairs with a sine within _MEET_BAND of TOL_EQUALS: sines planted well
+    # off the scale, 1 % off it, and 1e-13 off it, inside the band
+    rng = np.random.default_rng(31)
+    factors = [np.exp(-0.7), np.exp(0.7), 1 - 1e-2, 1 + 1e-2, 1 - 1e-5, 1 + 1e-5]
+    members, band = [], []
+    for p in range(60):
+        factor = factors[p % len(factors)]
+        a, b = planted(rng, 9, 2, [TOL_EQUALS * factor, rng.choice([0.0, 0.5])])
+        members += [a, b, meet(a, b), join(a, b)]
+        if abs(factor - 1) < 1e-3:
+            band.append(p)
+    a, b = members[0::4], members[1::4]
+    counts = [meet(x, y).dim for x, y in zip(a, b)]
+    assert set(counts) == {0, 1, 2}
+    stack_a, stack_b = np.stack([x.basis for x in a]), np.stack([y.basis for y in b])
+    assert subspace._meet_counts(stack_a, stack_b).tolist() == counts
+    redecided, meet_svd = [], subspace._meet_svd
+
+    def recording(x, y):
+        redecided.extend(basis.tobytes() for basis in y)
+        return meet_svd(x, y)
+
+    monkeypatch.setattr(subspace, "_meet_svd", recording)
+    # dim(A ∧ B) = count is the first thing each verdict asks of its meet
+    rows = np.arange(0, len(members), 4)
+    assert meet_join_verdicts(members, rows, rows + 1, rows + 2, rows + 3).all()
+    owner = {y.basis.tobytes(): p for p, y in enumerate(b)}
+    assert sorted(owner[y] for y in redecided) == band
+
+
 def test_divisor_lines_of_close_zeros_decide_at_one_scale():
     # the divisor lines u, v of b_a b_(a + d) sit at principal sine
     # rho(a, a + d); through the band around TOL_EQUALS the order, meet and

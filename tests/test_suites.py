@@ -25,13 +25,12 @@ def test_distributive_meet_must_land_on_its_lcm_member(monkeypatch):
     # join for meet still lands on members of the lattice (the gcd ones), and
     # the resulting tables are distributive, so only the lcm check catches
     # it: the kernel reads the join's dimension as the meet's
-    meet_svd = subspace._meet_svd
+    meet_counts = subspace._meet_counts
 
     def join_dimension(a, b):
-        vh, kept = meet_svd(a, b)
-        return vh, a.shape[-1] + b.shape[-1] - kept
+        return a.shape[-1] + b.shape[-1] - meet_counts(a, b)
 
-    monkeypatch.setattr(subspace, "_meet_svd", join_dimension)
+    monkeypatch.setattr(subspace, "_meet_counts", join_dimension)
     report = suites.distributive_suite(trials=1, inputs=(THETA_12,))
     assert [v.kind for v in report.violations] == ["closure"]
 
@@ -41,9 +40,9 @@ def test_distributive_catches_a_meet_onto_its_smaller_argument(monkeypatch):
     # its argument of smaller dimension, planted where the kernel reads
     # dim(A ∧ B); THETA_12 has incomparable members of nonzero dimension
     def smaller(a, b):
-        return None, np.full(len(b), min(a.shape[-1], b.shape[-1]))
+        return np.full(len(b), min(a.shape[-1], b.shape[-1]))
 
-    monkeypatch.setattr(subspace, "_meet_svd", smaller)
+    monkeypatch.setattr(subspace, "_meet_counts", smaller)
     report = suites.distributive_suite(trials=1, inputs=(THETA_12,))
     assert [v.kind for v in report.violations] == ["closure"]
 
@@ -110,9 +109,25 @@ def test_distributive_reads_lcm_and_gcd_from_exponent_vectors(monkeypatch):
     assert suites.distributive_suite(trials=1, inputs=(THETA_12,)) == report
 
 
+def test_divisor_lattice_builds_on_validated_products_without_validating_again(monkeypatch):
+    # divisors, divide and divisor_subspace build sub-multisets of theta's
+    # validated zeros, so neither the enumeration nor the suite coerces a zero
+    def unused(zeros):
+        raise AssertionError("validated a sub-multiset of theta's zeros again")
+
+    entries = enumerate_lattice(THETA_12)
+    report = suites.distributive_suite(trials=1, inputs=(THETA_12,))
+    monkeypatch.setattr(blaschke, "_coerce_zeros", unused)
+    again = enumerate_lattice(THETA_12)
+    assert [phi for phi, _ in again] == [phi for phi, _ in entries]
+    assert all(np.array_equal(a.basis, b.basis) for (_, a), (_, b) in zip(again, entries))
+    assert suites.distributive_suite(trials=1, inputs=(THETA_12,)) == report
+    assert report.passed
+
+
 def test_distributive_checks_each_meet_and_join_once(monkeypatch):
     calls, met, orders, insides = [], [], [], []
-    meet_svd, order, stacked_insides = subspace._meet_svd, subspace._order, subspace._insides
+    meet_counts, order, stacked_insides = subspace._meet_counts, subspace._order, subspace._insides
 
     def recording(members, rows, cols, lo, hi):
         calls.append((members, rows, cols, lo, hi))
@@ -120,7 +135,7 @@ def test_distributive_checks_each_meet_and_join_once(monkeypatch):
 
     def meeting(a, b):
         met.extend(zip(a, b))
-        return meet_svd(a, b)
+        return meet_counts(a, b)
 
     def ordering(stacked, asked):
         orders.append([(e, a) for below, above in asked for e, a in zip(below.tolist(), above.tolist())])
@@ -131,7 +146,7 @@ def test_distributive_checks_each_meet_and_join_once(monkeypatch):
         return stacked_insides(resid)
 
     monkeypatch.setattr(suites, "meet_join_verdicts", recording)
-    monkeypatch.setattr(subspace, "_meet_svd", meeting)
+    monkeypatch.setattr(subspace, "_meet_counts", meeting)
     monkeypatch.setattr(subspace, "_order", ordering)
     monkeypatch.setattr(subspace, "_insides", counting)
     report = suites.distributive_suite(trials=1, inputs=(THETA_12,))
@@ -147,7 +162,7 @@ def test_distributive_checks_each_meet_and_join_once(monkeypatch):
     for (a, b), m, j in zip(pairs, lo, hi):
         (phi, _), (psi, _) = entries[a], entries[b]
         assert (m, j) == (index[blaschke.lcm(phi, psi).zeros], index[blaschke.gcd(phi, psi).zeros])
-    # one meet SVD row for each pair of nonzero members, and none for a pair
+    # one meet count for each pair of nonzero members, and none for a pair
     # with the zero member
     dims = [m.dim for m in members]
     owner = {m.basis.tobytes(): k for k, m in enumerate(members)}
