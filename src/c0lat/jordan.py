@@ -297,11 +297,20 @@ def are_quasisimilar(t1, t2, seed: int = 0) -> bool:
 
 
 def lattice_map(x, m: Subspace) -> Subspace:
-    """X_*(M): the (automatically closed) image of M under X."""
+    """X_*(M): the (automatically closed) image of M under X, the span of
+    X M with singular values above ``TOL_RANK * max(1, ||X||)``.  The cut
+    is on the scale of X, not of X M, so M inside ker X maps to 0."""
     x = _matrix(x, "X")
     if x.shape[1] != m.ambient_dim:
         raise ValueError("column count of X does not match the ambient of M")
-    return Subspace.from_span(x @ m.basis, x.shape[0])
+    return _image(x, m, max(1.0, op_norm(x)))
+
+
+def _image(x: np.ndarray, m: Subspace, scale: float) -> Subspace:
+    """:func:`lattice_map` of a checked complex X, given ``scale = max(1, ||X||)``."""
+    u, sv, _ = np.linalg.svd(x @ m.basis, full_matrices=False)
+    # left singular vectors: orthonormal by construction
+    return Subspace._trusted(x.shape[0], u[:, :(sv > TOL_RANK * scale).sum()])
 
 
 def lattice_preimage(x, n: Subspace) -> Subspace:
@@ -341,7 +350,7 @@ def _surjectivity_evidence(x, t_target, samples, rng):
     scale = max(1.0, op_norm(x))
     hits, worst = 0, 0.0
     for n_sub in pool[:samples]:
-        image = lattice_map(x, _preimage(x, n_sub, scale))
+        image = _image(x, _preimage(x, n_sub, scale), scale)
         if equals(image, n_sub):
             hits += 1
             worst = max(worst, distance(image, n_sub))
@@ -356,9 +365,10 @@ def _injectivity_evidence(x, t_source, samples, rng):
     kernel is nontrivial; random pool pairs fill the remaining samples.
     """
     pool = sample_invariant_subspaces(t_source, samples, rng)
-    kernel = lattice_preimage(x, Subspace.zero(x.shape[0]))
+    scale = max(1.0, op_norm(x))
+    kernel = _preimage(x, Subspace.zero(x.shape[0]), scale)
     pool.append(kernel)
-    images = cache(lambda i: lattice_map(x, pool[i]))  # X_*(M) by pool index
+    images = cache(lambda i: _image(x, pool[i], scale))  # X_*(M) by pool index
     # equals is symmetric, so each verdict is kept by sorted index pair
     same = cache(lambda i, j: equals(pool[i], pool[j]))
     same_image = cache(lambda i, j: equals(images(i), images(j)))
@@ -677,13 +687,13 @@ def theorem_x3_verifier(
     scale = max(1.0, op_norm(y))
     sources = [_preimage(y, n_i, scale) for n_i in targets]
     invariance = [is_invariant(t1, m_i).residual for m_i in sources]
-    onto = [distance(lattice_map(y, m_i), n_i) for m_i, n_i in zip(sources, targets)]
+    onto = [distance(_image(y, m_i, scale), n_i) for m_i, n_i in zip(sources, targets)]
     spaces = (sources, targets)
     # M2 ∨ M3 and M1 ∧ M2 by side (0 for T1, 1 for T2) and label pair, and the
     # product identity Y_*(M1 ∩ M2) = N1 ∩ N2 by label pair
     joins = cache(lambda s, j, k: join(spaces[s][j], spaces[s][k]))
     meets = cache(lambda s, i, j: meet(spaces[s][i], spaces[s][j]))
-    products = cache(lambda i, j: distance(lattice_map(y, meets(0, i, j)), meets(1, i, j)))
+    products = cache(lambda i, j: distance(_image(y, meets(0, i, j), scale), meets(1, i, j)))
 
     @cache
     def checks(i, j, k):
@@ -713,12 +723,10 @@ def _distinct_eig(t):
     """``np.linalg.eig(t)``, refusing eigenvalues closer than 1e-6: the
     eigenvectors brute_force_lat spans, and the rule it takes them by."""
     values, vectors = np.linalg.eig(t)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if abs(values[i] - values[j]) < 1e-6:
-                raise ValueError(
-                    f"eigenvalues {values[i]:.8g} and {values[j]:.8g} closer than 1e-06"
-                )
+    close = np.argwhere(np.triu(abs(values[:, None] - values) < 1e-6, 1))  # row-major pairs
+    if close.size:
+        i, j = close[0]
+        raise ValueError(f"eigenvalues {values[i]:.8g} and {values[j]:.8g} closer than 1e-06")
     return values, vectors
 
 
@@ -735,9 +743,5 @@ def brute_force_lat(t) -> list[Subspace]:
     if n > 10:
         raise ValueError("brute_force_lat is capped at size 10")
     _, vectors = _distinct_eig(t)
-    out = []
-    for mask in range(1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        out.append(Subspace.from_span(vectors[:, idx], n))
-    out.sort(key=lambda s: s.dim)
-    return out
+    subsets = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)  # row k: bits of k
+    return sorted((Subspace.from_span(vectors[:, s], n) for s in subsets), key=lambda s: s.dim)

@@ -548,8 +548,18 @@ def check_distributive_triple(l: Subspace, m: Subspace, n: Subspace) -> TripleVe
 class FiniteLattice:
     """A finite lattice given by opaque element labels and a ≤ relation.
 
-    The relation is validated to be a partial order with unique pairwise
-    meets and joins at construction; meet/join tables are precomputed.
+    The relation is validated to be a partial order at construction, and
+    the meet and join tables are built row by row.  Column ``j`` of
+    ``leq & leq[:, [i]]`` marks the common lower bounds of ``(i, j)``; the
+    candidate meet is the one of greatest height (the column sum of
+    ``leq``, which rises strictly along the order), and the pair has a
+    meet iff every common lower bound lies below it, that is, iff their
+    count is the candidate's height.  The join is the same rule on
+    ``leq.T``.  A pair without a meet or join is a ValueError naming the
+    first such pair ``i <= j`` in row-major order.  Builds on products of
+    chains took 0.4 ms for 18 elements, 1 ms for 32, 10–25 ms for 128,
+    35–85 ms for 256 and 1.7 s for 1024 (2 CPUs, outside load), so
+    ``MAX_ELEMENTS`` = 4096 bounds the size but builds slowly.
     """
 
     MAX_ELEMENTS = 4096
@@ -566,36 +576,34 @@ class FiniteLattice:
             raise ValueError("leq is not reflexive")
         if np.any(leq & leq.T & ~np.eye(n, dtype=bool)):
             raise ValueError("leq is not antisymmetric")
-        closure = (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
-        if np.any(closure & ~leq):
+        # path counts of at most n <= MAX_ELEMENTS < 2**24 are exact in float32,
+        # whose BLAS product runs far faster than an integer one
+        steps = leq.astype(np.float32)
+        if np.any((steps @ steps > 0) & ~leq):
             raise ValueError("leq is not transitive")
         self.labels = labels
         self.leq = leq.copy()
         self.leq.flags.writeable = False
         self._meet = np.empty((n, n), dtype=np.int64)
         self._join = np.empty((n, n), dtype=np.int64)
+        sides = []
+        for table, order in ((self._meet, leq), (self._join, leq.T)):
+            height = order.sum(0)
+            rank = np.argsort(-height, kind="stable")  # greatest height first
+            sides.append((table, order[rank], rank, height))
         for i in range(n):
-            for j in range(i, n):
-                self._meet[i, j] = self._meet[j, i] = self._extreme(i, j, lower=True)
-                self._join[i, j] = self._join[j, i] = self._extreme(i, j, lower=False)
-
-    def _extreme(self, i, j, lower: bool) -> int:
-        if lower:
-            mask = self.leq[:, i] & self.leq[:, j]
-        else:
-            mask = self.leq[i, :] & self.leq[j, :]
-        members = np.flatnonzero(mask)
-        if members.size == 0:
-            raise ValueError(f"elements {i}, {j} have no common {'lower' if lower else 'upper'} bound")
-        sub = self.leq[np.ix_(members, members)]
-        if lower:
-            best = np.flatnonzero(sub.all(axis=0))  # above every lower bound
-        else:
-            best = np.flatnonzero(sub.all(axis=1))  # below every upper bound
-        if best.size != 1:
-            kind = "meet" if lower else "join"
-            raise ValueError(f"elements {i}, {j} do not have a unique {kind}")
-        return int(members[best[0]])
+            holds = []
+            for table, ranked, rank, height in sides:
+                common = ranked[:, i:] & ranked[:, [i]]  # bounds of i and i + c, by rank
+                table[i, i:] = table[i:, i] = best = rank[common.argmax(0)]
+                count = common.sum(0)
+                holds += [count > 0, count == height[best]]
+            fails = ~np.array(holds)
+            if fails.any():
+                c = np.flatnonzero(fails.any(0))[0]
+                fault = ("have no common lower bound", "do not have a unique meet",
+                         "have no common upper bound", "do not have a unique join")
+                raise ValueError(f"elements {i}, {i + c} {fault[fails[:, c].argmax()]}")
 
     @property
     def n(self) -> int:
@@ -610,23 +618,16 @@ class FiniteLattice:
     @classmethod
     def pentagon(cls) -> "FiniteLattice":
         """N5: 0 < a < c < 1 and 0 < b < 1 with b incomparable to a, c."""
-        labels = ("0", "a", "b", "c", "1")
         leq = np.eye(5, dtype=bool)
-        order = {(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4), (3, 4)}
-        for i, j in order:
-            leq[i, j] = True
-        return cls(labels, leq)
+        leq[0, :] = leq[:, 4] = leq[1, 3] = True
+        return cls(("0", "a", "b", "c", "1"), leq)
 
     @classmethod
     def diamond(cls) -> "FiniteLattice":
         """M3: three pairwise-incomparable atoms between 0 and 1."""
-        labels = ("0", "a", "b", "c", "1")
         leq = np.eye(5, dtype=bool)
-        for i in (1, 2, 3):
-            leq[0, i] = True
-            leq[i, 4] = True
-        leq[0, 4] = True
-        return cls(labels, leq)
+        leq[0, :] = leq[:, 4] = True
+        return cls(("0", "a", "b", "c", "1"), leq)
 
     @classmethod
     def from_subspaces(cls, subspaces):
@@ -634,7 +635,8 @@ class FiniteLattice:
 
         Returns ``(lattice, elements)`` where ``elements[i]`` is the
         :class:`Subspace` behind label ``i``.  Identification of computed
-        meets/joins with existing elements uses :func:`equals`.
+        meets/joins with existing elements uses :func:`equals`; the order
+        is one ``_order`` matrix over all pairs, the :func:`contains` verdicts.
         """
         elements: list[Subspace] = []
         for s in subspaces:
@@ -652,10 +654,7 @@ class FiniteLattice:
                             raise ValueError(f"lattice closure exceeds cap {cls.MAX_ELEMENTS}")
             start = end
         n = len(elements)
-        leq = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                leq[i, j] = contains(elements[j], elements[i])
+        leq = _order(_stack(elements), [np.indices((n, n))])
         return cls(tuple(range(n)), leq), elements
 
 

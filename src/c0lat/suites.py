@@ -384,11 +384,7 @@ def oracle_latmatch_suite(trials: int = 20, seed: int = 0, inputs=(), **tols) ->
             return
         used = [False] * len(oracle)
         for _, s in enumerated:
-            best = None
-            for k, candidate in enumerate(oracle):
-                if not used[k] and equals(s, candidate):
-                    best = k
-                    break
+            best = next((k for k, c in enumerate(oracle) if not used[k] and equals(s, c)), None)
             if best is None:
                 tally.flag(i, "unmatched-subspace", 1.0, {"dim": s.dim})
             else:

@@ -1,5 +1,6 @@
 """The matrix contract: every public entry point that takes a matrix refuses
-a non-finite or misshapen one with a ValueError that names the argument."""
+a non-finite or misshapen one with a ValueError that names the argument;
+and the exact text of the size caps and payload refusals."""
 
 import re
 import warnings
@@ -7,9 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from c0lat import calculus, jordan, sampling
-from c0lat.blaschke import BlaschkeProduct
-from c0lat.subspace import Subspace, is_invariant, op_norm
+from c0lat import calculus, jordan, sampling, suites
+from c0lat.blaschke import BlaschkeProduct, monomial
+from c0lat.calculus import VerificationError
+from c0lat.serialize import decode_matrix
+from c0lat.subspace import FiniteLattice, Subspace, is_invariant, op_norm
 
 T = np.diag([0.3, -0.2]).astype(complex)
 B = BlaschkeProduct(((0.5, 1),))
@@ -149,3 +152,63 @@ def test_project_takes_a_vector_or_columns():
     v = np.array([0.5, 2.0])
     assert np.array_equal(E1.project(v), [0.5, 0.0])
     assert np.array_equal(E1.project(np.column_stack([v, v])), [[0.5, 0.5], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Subspace(3, np.zeros((2, 1))), "basis has 2 rows for ambient dimension 3"),
+        (lambda: Subspace(2, np.eye(2, 3)), "basis has 3 columns in ambient dimension 2"),
+        (lambda: Subspace.from_span(np.ones((3, 1)), 4),
+         "column length does not match ambient dimension"),
+        (lambda: is_invariant(np.eye(3), E1), "operator size does not match ambient dimension"),
+        (lambda: FiniteLattice(range(4097), np.eye(1, dtype=bool)), "lattice size 4097 exceeds cap 4096"),
+        (lambda: FiniteLattice(range(3), np.eye(2, dtype=bool)),
+         "leq must be a square boolean matrix matching labels"),
+        (lambda: FiniteLattice(range(2), [[True, True], [False, False]]), "leq is not reflexive"),
+        (lambda: FiniteLattice.from_subspaces([]), "cannot build a lattice from no subspaces"),
+        (lambda: jordan.jordan_model(np.zeros((13, 13))), "jordan_model is capped at size 12"),
+        (lambda: jordan.theorem97_verifier(np.zeros((11, 11))), "theorem97_verifier is capped at size 10"),
+        (lambda: jordan.brute_force_lat(np.zeros((11, 11))), "brute_force_lat is capped at size 10"),
+        (lambda: suites.thm97_suite(seed=-1), "seed must be non-negative; got -1"),
+        (lambda: suites.SuiteConfig("nosuch"),
+         "unknown suite 'nosuch'; choose from ['calculus', 'distributive', 'duality', "
+         "'lattice-laws', 'modular-thm97', 'oracle-latmatch', 'prop14', 'propq-meetjoin', 'x3-transfer']"),
+        (lambda: suites.SuiteConfig("prop14", output="xml"), "output must be 'text' or 'json'"),
+        (lambda: BlaschkeProduct.from_json_dict({"zeros": [{"re": 0.5, "im": 0.0}]}),
+         "Blaschke payload has no field zeros[0].mult"),
+        (lambda: BlaschkeProduct.from_json_dict({"zeros": [{"re": 10**400, "im": 0.0, "mult": 1}]}),
+         "Blaschke payload: zeros[0].re is too large for a float"),
+        (lambda: monomial(-1), "monomial degree must be nonnegative"),
+        (lambda: decode_matrix({"rows": 2, "cols": 1, "entries": [[[0.0, 0.0]]]}),
+         "matrix payload does not match shape 2x1"),
+    ],
+    ids=[
+        "subspace-rows", "subspace-columns", "from_span-ambient", "is_invariant-size",
+        "lattice-cap", "lattice-shape", "lattice-reflexive", "lattice-empty",
+        "jordan_model-cap", "theorem97-cap", "brute_force_lat-cap", "thm97_suite-seed",
+        "config-suite", "config-output", "blaschke-mult", "blaschke-re", "monomial", "decode-shape",
+    ],
+)
+def test_each_refusal_is_a_value_error_with_its_text(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+def test_jordan_model_suite_raises_once_its_redraws_are_used_up(monkeypatch):
+    # every draw is one the clustering ladder cannot certify: the suite
+    # draws _MODEL_DRAWS of them for its first trial and lets the last
+    # refusal through
+    refused = []
+
+    def uncertifiable(t, verify=True):
+        refused.append(t)
+        raise VerificationError(f"refusal {len(refused)}")
+
+    monkeypatch.setattr(suites, "jordan_model", uncertifiable)
+    with pytest.raises(VerificationError) as info:
+        suites.jordan_model_suite(trials=1)
+    assert str(info.value) == f"refusal {suites._MODEL_DRAWS}"
+    assert len(refused) == suites._MODEL_DRAWS == 10

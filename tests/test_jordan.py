@@ -323,6 +323,36 @@ def test_lattice_map_full_rank_preserves_dimension():
     assert lattice_map(x, m).dim == 3
 
 
+def test_lattice_map_sends_the_kernel_to_zero():
+    # X M is roundoff for M = ker X, so a cut relative to its own largest
+    # singular value would keep every direction; the cut on the scale of X
+    # keeps none
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        n = int(rng.integers(3, 7))
+        r = int(rng.integers(1, n))
+        x = complex_gaussian(rng, n, r) @ complex_gaussian(rng, r, n)
+        kernel = lattice_preimage(x, Subspace.zero(n))
+        assert kernel.dim == n - r
+        assert lattice_map(x, kernel).dim == 0
+
+
+def test_non_injective_intertwiners_read_below_full_injectivity():
+    # X = Q2 (I_3 (+) 0_2) Q1^{-1} intertwines T1 = Q1 (A (+) B) Q1^{-1} with
+    # T2 = Q2 (A (+) C) Q2^{-1} and kills a 2-dimensional invariant subspace
+    # of T1, so X_* is not one-to-one and its evidence falls short of 1
+    rng = np.random.default_rng(3)
+    cut = np.diag([1.0, 1.0, 1.0, 0.0, 0.0])
+    for _ in range(12):
+        a, b, c = (random_contraction(rng, k) for k in (3, 2, 2))
+        q1, q2 = (random_well_conditioned(rng, 5, cond_cap=3.0) for _ in range(2))
+        t1 = q1 @ scipy.linalg.block_diag(a, b) @ np.linalg.inv(q1)
+        t2 = q2 @ scipy.linalg.block_diag(a, c) @ np.linalg.inv(q2)
+        x = q2 @ cut @ np.linalg.inv(q1)
+        report = check_lattice_isomorphism(x, t1, t2, samples=12)
+        assert report.injective_evidence < 1.0
+
+
 def test_lattice_preimage_examples():
     rng = np.random.default_rng(5)
     x = random_well_conditioned(rng, 4, 3.0)
@@ -378,11 +408,12 @@ def test_injectivity_maps_each_pool_member_once(monkeypatch):
     t1, t2, q = similarity_pair(8)
     mapped = []
 
-    def recording(x, m):
+    def recording(x, m, scale):
         mapped.append(id(m))
-        return lattice_map(x, m)
+        return image(x, m, scale)
 
-    monkeypatch.setattr(jordan, "lattice_map", recording)
+    image = jordan._image
+    monkeypatch.setattr(jordan, "_image", recording)
     evidence, pairs = jordan._injectivity_evidence(q / op_norm(q), t1, 12, np.random.default_rng(1))
     assert evidence == 1.0
     assert len(mapped) == len(set(mapped)) < 2 * pairs
@@ -700,12 +731,12 @@ def test_x3_maps_each_label_pair_once(monkeypatch):
     # Y_*(M1 ∧ M2) against N1 ∧ N2 depends on the label pair (i, j) alone
     mapped = []
 
-    def recording(x, m):
+    def recording(x, m, scale):
         mapped.append(m)
-        return image(x, m)
+        return image(x, m, scale)
 
-    image = jordan.lattice_map
-    monkeypatch.setattr(jordan, "lattice_map", recording)
+    image = jordan._image
+    monkeypatch.setattr(jordan, "_image", recording)
     t1, t2, q = similarity_pair(11, n=5)
     targets, draws = jordan._triples(t2, 50, 1)
     pairs = {(i, j) for _, i, j, _ in draws}

@@ -1,5 +1,6 @@
 """Subspace lattice numerics and the abstract finite-lattice checkers."""
 
+import math
 import warnings
 
 import numpy as np
@@ -596,6 +597,102 @@ def test_poset_without_meets_rejected():
     leq[0, 2] = leq[0, 3] = leq[1, 2] = leq[1, 3] = True
     with pytest.raises(ValueError):
         FiniteLattice(("a", "b", "c", "d"), leq)
+
+
+def pair_search(leq):
+    """Reference meet and join tables: for each pair i <= j, the common
+    bounds, and the one bound that lies above (below) all of them; a pair
+    without one is FiniteLattice's ValueError."""
+    n = len(leq)
+    tables = np.empty((2, n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i, n):
+            for table, order, bound, kind in zip(tables, (leq, leq.T), ("lower", "upper"), ("meet", "join")):
+                members = np.flatnonzero(order[:, i] & order[:, j])
+                if members.size == 0:
+                    raise ValueError(f"elements {i}, {j} have no common {bound} bound")
+                best = np.flatnonzero(order[np.ix_(members, members)].all(axis=0))
+                if best.size != 1:
+                    raise ValueError(f"elements {i}, {j} do not have a unique {kind}")
+                table[i, j] = table[j, i] = members[best[0]]
+    return tables
+
+
+def assert_tables_match_pair_search(leq):
+    """FiniteLattice builds pair_search's tables, or raises its first error;
+    returns that error's text, or None."""
+    try:
+        want = pair_search(leq)
+    except ValueError as error:
+        with pytest.raises(ValueError) as got:
+            FiniteLattice(range(len(leq)), leq)
+        assert str(got.value) == str(error)
+        return str(error)
+    lat = FiniteLattice(range(len(leq)), leq)
+    assert lat._meet.dtype == lat._join.dtype == np.int64
+    np.testing.assert_array_equal(lat._meet, want[0])
+    np.testing.assert_array_equal(lat._join, want[1])
+    return None
+
+
+def chain_product(rng, *lengths):
+    """The componentwise order of a product of chains, its points shuffled."""
+    points = np.array(list(np.ndindex(*lengths)))[rng.permutation(math.prod(lengths))]
+    return (points[:, None, :] <= points[None, :, :]).all(-1)
+
+
+@pytest.mark.parametrize("lengths", [(3, 6), (2, 4, 4), (4, 4, 2, 4), (2,) * 8, (4, 4, 4, 4)])
+def test_tables_match_the_pair_search_on_chain_products(lengths):
+    leq = chain_product(np.random.default_rng(len(lengths)), *lengths)
+    assert assert_tables_match_pair_search(leq) is None
+
+
+def test_tables_match_the_pair_search_on_n5_m3_and_closures():
+    # the families the from_subspaces tests below close: a chain with an
+    # extra line, three lines of C^2 and three lines of a plane in C^3
+    chain = [
+        Subspace.zero(3), span_of([1, 0, 0]), span_of([1, 0, 0], [0, 1, 0]), span_of([0, 0, 1]),
+        Subspace.full(3),
+    ]
+    lines = [span_of([1, 0]), span_of([0, 1]), span_of([1, 1])]
+    plane = [span_of([1, 0, 0]), span_of([0, 1, 0]), span_of([1, 1, 0])]
+    lattices = [FiniteLattice.pentagon(), FiniteLattice.diamond()]
+    lattices += [FiniteLattice.from_subspaces(family)[0] for family in (chain, lines, plane)]
+    for lat in lattices:
+        assert assert_tables_match_pair_search(np.array(lat.leq)) is None
+
+
+def test_tables_match_the_pair_search_on_random_posets():
+    # random orders on 3 to 12 points: the transitive closure of a random
+    # relation upward in a shuffled index order, half of them given a least
+    # and a greatest element so that the refusals reach the uniqueness checks
+    rng = np.random.default_rng(11)
+    errors = set()
+    for trial in range(300):
+        n = int(rng.integers(3, 13))
+        leq = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.6)) | np.eye(n, dtype=bool)
+        if trial % 2:
+            leq[0, :] = leq[:, -1] = True
+        for _ in range(n):
+            leq = (leq.astype(int) @ leq.astype(int)) > 0
+        order = rng.permutation(n)
+        error = assert_tables_match_pair_search(leq[np.ix_(order, order)])
+        if error is not None:
+            errors.add(error.split(" ", 3)[3])
+    assert errors == {
+        "have no common lower bound", "have no common upper bound",
+        "do not have a unique meet", "do not have a unique join",
+    }
+
+
+def test_from_subspaces_order_is_the_scalar_contains_matrix():
+    for zeros in ([(0.5, 2), (-0.3 + 0.2j, 1), (0.1j, 1)], [(0.6, 1), (-0.5, 1), (0.4j, 1), (-0.2 - 0.3j, 1), (0.7j, 1)]):
+        members = [s for _, s in enumerate_lattice(BlaschkeProduct(zeros))]
+        lat, closed = FiniteLattice.from_subspaces(members)
+        assert len(closed) == len(members) in (12, 32)
+        scalar = [[contains(b, a) for b in closed] for a in closed]
+        np.testing.assert_array_equal(lat.leq, scalar)
+        assert assert_tables_match_pair_search(np.array(lat.leq)) is None
 
 
 def test_from_subspaces_closure_and_agreement():
