@@ -40,8 +40,10 @@ function that records into a tally of its own (``_Tally``, the recorder
 every suite trial in :mod:`c0lat.suites` uses too), and replays that
 tally under every trial that drew the triple; the two sides of the
 modular law come from :func:`c0lat.subspace._modular`, the kernel of
-``check_modular_triple``.  thm97 also caches M2 ∨ M3, M1 ∧ M2 and the sum map
-by label pair; x3 takes the product identity's meets from the law's L ∧ M.
+``check_modular_triple``, given M ∨ N and L ∧ M from the label-pair memos
+(``_memos``) that ``_triples`` returns.  thm97 also caches the sum map by
+label pair; x3 builds the memos over its pulled-back T1 members too, and
+takes the product identity's meets from the law's L ∧ M.
 
 In finite dimensions Lat(T) is a sublattice of the lattice of all
 subspaces of C^n, which is modular, so neither verifier can find a
@@ -397,6 +399,8 @@ def check_lattice_isomorphism(x, t1, t2, samples: int = 20, seed: int = 0) -> La
     """Sampled surjectivity/injectivity evidence for X_*, plus the adjoint
     duality: X_* onto pairs with (X*)_* one-to-one and vice versa, so the
     report carries both directions for comparison."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1; got {samples}")
     x = _matrix(x, "X")
     t1, t2 = _matrix(t1, "T1", square=True), _matrix(t2, "T2", square=True)
     resid = _require_intertwiner(x, t1, t2, "X")
@@ -535,21 +539,28 @@ def _restriction(t, s: Subspace) -> np.ndarray:
     return s.basis.conj().T @ t @ s.basis
 
 
+def _memos(members):
+    """``meet`` and ``join`` of two of ``members``, each memoised by label pair."""
+    return tuple(cache(lambda i, j, op=op: op(members[i], members[j])) for op in (meet, join))
+
+
 def _triples(t, count, seed):
-    """The distinct members of a pool of invariant subspaces of T, and
+    """The distinct members of a pool of invariant subspaces of T,
     ``(trial, i, j, k)`` for ``count`` triples (L, M, N) of members with
-    N = L ∧ R ⊆ L.  The pool of ``max(12, n + 4)`` comes from
-    ``default_rng(seed)``; the pool indices of L, M and R are the rows of
-    one ``(count, 3)`` draw from ``default_rng([seed, 1])``, so trial i's
-    draw is row i for every ``count``.  The first pool member of each
-    ``equals`` class represents it; a meet L ∧ R is labelled by the member
-    it equals, or becomes a new one."""
+    N = L ∧ R ⊆ L, and the members' ``_memos``.  The pool of ``max(12, n + 4)``
+    comes from ``default_rng(seed)``; the pool indices of L, M and R are the
+    rows of one ``(count, 3)`` draw from ``default_rng([seed, 1])``, so trial
+    i's draw is row i for every ``count``.  The first pool member of each
+    ``equals`` class represents it; a memoised meet L ∧ R is labelled by the
+    member it equals, or becomes a new one."""
     pool = sample_invariant_subspaces(t, max(12, t.shape[0] + 4), np.random.default_rng(seed))
     members = []
     labels = np.array([_label(members, s) for s in pool])
-    meets = cache(lambda i, r: _label(members, meet(members[i], members[r])))
+    meets, joins = _memos(members)
+    labelled = cache(lambda i, r: _label(members, meets(i, r)))
     drawn = labels[np.random.default_rng([seed, 1]).integers(len(pool), size=(count, 3))]
-    return members, [(trial, i, j, meets(i, r)) for trial, (i, j, r) in enumerate(drawn.tolist())]
+    draws = [(trial, i, j, labelled(i, r)) for trial, (i, j, r) in enumerate(drawn.tolist())]
+    return members, draws, meets, joins
 
 
 class _Tally:
@@ -606,15 +617,15 @@ def theorem97_verifier(
     (T|M2) (+) (T|M3) with T|M2∨M3 and is onto; and that the X-preimage
     of M1 ∩ (M2 ∨ M3) is (M1 ∩ M2) (+) M3.
     """
+    if triples < 0:
+        raise ValueError(f"triples must be non-negative; got {triples}")
     t = _matrix(t, "operator", square=True)
     n = t.shape[0]
     if n > 10:
         raise ValueError("theorem97_verifier is capped at size 10")
     if not is_c0(t):
         raise NotC0Error("theorem97_verifier requires a C0 matrix")
-    members, draws = _triples(t, triples, seed)
-    joins = cache(lambda j, k: join(members[j], members[k]))
-    meets = cache(lambda i, j: meet(members[i], members[j]))
+    members, draws, meets, joins = _triples(t, triples, seed)
 
     @cache
     def sum_map(j, k):
@@ -628,9 +639,9 @@ def theorem97_verifier(
 
     @cache
     def checks(i, j, k):
-        m1, m2, m3 = members[i], members[j], members[k]
+        m1, m2, m3, joined = members[i], members[j], members[k], joins(j, k)
         tally = _Tally()
-        inter, rhs, joined, m1m2 = _modular(m1, m2, m3, joins(j, k), meets(i, j))
+        inter, rhs = _modular(m1, m3, joined, meets(i, j))
         dims = {"dims": [m1.dim, m2.dim, m3.dim]}
         tally.check(None, "modular-identity", distance(inter, rhs), tol_modular, dims)
         if m2.dim + m3.dim == 0:
@@ -644,7 +655,7 @@ def theorem97_verifier(
 
         embedded = Subspace.from_span(joined.basis.conj().T @ inter.basis, joined.dim)
         preimage = _preimage(x_mat, embedded, scale)
-        expected_cols = _direct_sum(m2.basis.conj().T @ m1m2.basis, np.eye(m3.dim))
+        expected_cols = _direct_sum(m2.basis.conj().T @ meets(i, j).basis, np.eye(m3.dim))
         expected = Subspace.from_span(expected_cols, m2.dim + m3.dim)
         resid_pre = distance(preimage, expected)
         dims = {"dims": [preimage.dim, expected.dim]}
@@ -675,6 +686,8 @@ def theorem_x3_verifier(
     the T2 side.  T1 must be C0; T2, similar to T1, need not be a
     contraction.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative; got {samples}")
     t1, t2 = _matrix(t1, "T1", square=True), _matrix(t2, "T2", square=True)
     y = _matrix(y, "Y", square=True)
     if not is_c0(t1):
@@ -683,17 +696,14 @@ def theorem_x3_verifier(
     if _rank(np.linalg.svd(y, compute_uv=False)) != y.shape[0]:
         raise RankDeficientError("theorem_x3_verifier requires a full-rank square Y")
     tol_invariant = TOL_INVARIANT * max(1.0, op_norm(t1))
-    targets, draws = _triples(t2, samples, seed)
+    targets, draws, meets, joins = _triples(t2, samples, seed)
     scale = max(1.0, op_norm(y))
     sources = [_preimage(y, n_i, scale) for n_i in targets]
     invariance = [is_invariant(t1, m_i).residual for m_i in sources]
     onto = [distance(_image(y, m_i, scale), n_i) for m_i, n_i in zip(sources, targets)]
-    spaces = (sources, targets)
-    # M2 ∨ M3 and M1 ∧ M2 by side (0 for T1, 1 for T2) and label pair, and the
-    # product identity Y_*(M1 ∩ M2) = N1 ∩ N2 by label pair
-    joins = cache(lambda s, j, k: join(spaces[s][j], spaces[s][k]))
-    meets = cache(lambda s, i, j: meet(spaces[s][i], spaces[s][j]))
-    products = cache(lambda i, j: distance(_image(y, meets(0, i, j), scale), meets(1, i, j)))
+    pulled_meets, pulled_joins = _memos(sources)
+    products = cache(lambda i, j: distance(_image(y, pulled_meets(i, j), scale), meets(i, j)))
+    sides = ((sources, pulled_meets, pulled_joins), (targets, meets, joins))  # T1's, then T2's
 
     @cache
     def checks(i, j, k):
@@ -701,12 +711,10 @@ def theorem_x3_verifier(
         for index, a in enumerate((i, j, k), 1):
             tally.check(None, "preimage-invariance", invariance[a], tol_invariant, {"index": index})
             tally.check(None, "onto-instance", onto[a], tol, {"index": index})
-        sides = [
-            _modular(c[i], c[j], c[k], joins(s, j, k), meets(s, i, j))
-            for s, c in enumerate(spaces)
-        ]
         tally.check(None, "product-identity", products(i, j), tol)
-        source, target = (distance(*side[:2]) for side in sides)
+        source, target = (
+            distance(*_modular(c[i], c[k], joined(j, k), met(i, j))) for c, met, joined in sides
+        )
         tally.fold(source)
         tally.fold(target)
         if source <= tol < target:

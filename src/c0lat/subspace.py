@@ -29,8 +29,8 @@ checks its vectors.  Kernels on checked arrays, such as ``_krylov`` and
 ``contains`` decides ``||B - P_A B||_2 <= TOL_EQUALS`` from the Frobenius
 norm of the residual, which brackets the spectral norm within a factor
 ``sqrt(dim B)``; it takes an SVD only when the Frobenius norm falls in that
-gap, so its verdicts are the SVD's.  ``equals`` answers False for unequal
-dimensions without projecting.  Every reported residual (``distance``,
+gap, so its verdicts are the SVD's.  ``equals`` takes one containment, and
+none for unequal dimensions.  Every reported residual (``distance``,
 ``is_invariant``) keeps the SVD.
 
 ``meet_join_verdicts`` is the batched entry point, for ``distributive``:
@@ -43,9 +43,9 @@ singular values alone of the stacked residuals, and ``meet``'s own
 is ``meet``'s dimension on every pair.
 
 :mod:`c0lat.jordan` and :mod:`c0lat.suites` share three more helpers:
-``_modular`` (both sides of the modular law, for ``check_modular_triple``
-and the theorem verifiers), ``_label`` (the first ``equals`` member of a
-list, appending when there is none) and ``_direct_sum`` (block sums).
+``_modular`` (both sides of the modular law from given M ∨ N and L ∧ M),
+``_label`` (the first ``equals`` member of a list, appending when there is
+none) and ``_direct_sum`` (block sums).
 
 A meet takes one SVD, of the projection residual ``R = B - P_A B``
 (Bjorck and Golub, Math. Comp. 1973; Knyazev and Argentati, SIAM J. Sci.
@@ -333,13 +333,13 @@ def contains(a: Subspace, b: Subspace) -> bool:
 
 
 def equals(a: Subspace, b: Subspace) -> bool:
-    """Mutual containment.  Subspaces of different dimensions are never
-    equal: the larger has a unit vector orthogonal to the smaller, so its
-    containment residual is 1."""
+    """Equal dimension and ``b`` inside ``a``: a larger subspace has a unit
+    vector orthogonal to a smaller one, and for equal dimensions
+    ``||(I - P_A) P_B|| = ||(I - P_B) P_A|| = sin θ_max``, with equal Frobenius
+    norms too (Stewart and Sun, *Matrix Perturbation Theory*, 1990, §I.5;
+    Knyazev and Argentati, SIAM J. Sci. Comput. 2002), so one containment decides."""
     _check_same_ambient(a, b)
-    if a.dim != b.dim:
-        return False
-    return contains(a, b) and contains(b, a)
+    return a.dim == b.dim and contains(a, b)
 
 
 # Pairs per chunk of the meet counts of meet_join_verdicts.  One distributive
@@ -520,19 +520,16 @@ def _krylov(t: np.ndarray, x, scale: float) -> Subspace:
     return Subspace._trusted(n, basis[:, :k])
 
 
-def _modular(l: Subspace, m: Subspace, n: Subspace, joined=None, lm=None) -> tuple:
-    """The two sides of ``L ∧ (M ∨ N) = (L ∧ M) ∨ N`` (requires ``N ⊆ L``),
-    then ``M ∨ N`` and ``L ∧ M``, each computed unless passed in (``joined``, ``lm``)."""
+def _modular(l: Subspace, n: Subspace, joined: Subspace, lm: Subspace) -> tuple:
+    """``L ∧ (M ∨ N)`` and ``(L ∧ M) ∨ N`` for N ⊆ L, from ``joined = M ∨ N``, ``lm = L ∧ M``."""
     if not contains(l, n):
         raise ValueError("modular-triple precondition violated: N is not contained in L")
-    joined = join(m, n) if joined is None else joined
-    lm = meet(l, m) if lm is None else lm
-    return meet(l, joined), join(lm, n), joined, lm
+    return meet(l, joined), join(lm, n)
 
 
 def check_modular_triple(l: Subspace, m: Subspace, n: Subspace) -> TripleVerdict:
     """Both sides of ``L ∩ (M ∨ N) = (L ∩ M) ∨ N``; requires ``N ⊆ L``."""
-    lhs, rhs, _, _ = _modular(l, m, n)
+    lhs, rhs = _modular(l, n, join(m, n), meet(l, m))
     return TripleVerdict(equals(lhs, rhs), distance(lhs, rhs))
 
 

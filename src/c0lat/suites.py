@@ -60,6 +60,7 @@ from . import blaschke
 from .blaschke import BlaschkeProduct
 from .calculus import (
     VerificationError,
+    _blaschke_product,
     apply_blaschke,
     minimal_function,
     radial_validate,
@@ -245,18 +246,20 @@ def lattice_laws_suite(trials: int = 100, seed: int = 0, inputs=(), **tols) -> V
 
 def prop14_suite(trials: int = 100, seed: int = 0, inputs=(), **tols) -> VerificationReport:
     """||theta(S(theta))|| below tolerance and ||phi(S(theta))|| above the
-    floor for every maximal proper divisor phi."""
+    floor for every maximal proper divisor phi, all from one table of the
+    factors b_a(S(theta)) (``calculus._blaschke_product``): the eigenvalues
+    of S(theta) are theta's validated zeros, so no spectral radius is taken."""
     tol_annihilate, floor = _tolerances("prop14", tols, annihilate=1e-7, floor=1e-3)
     thetas = _inputs("prop14", inputs, BlaschkeProduct)
 
     def trial(i, rng, tally):
         theta = thetas[i % len(thetas)] if thetas else random_blaschke(rng, 6, radius=0.85)
-        s = compressed_shift(theta).matrix
-        resid = float(op_norm(apply_blaschke(s, theta)))
+        s, factors = compressed_shift(theta).matrix, {}
+        resid = float(op_norm(_blaschke_product(s, theta, factors)))
         tally.check(i, "annihilation", resid, tol_annihilate, {"degree": theta.degree})
         for z, _ in theta.zeros:
             phi = blaschke.divide(theta, BlaschkeProduct(((z, 1),)))
-            low = float(op_norm(apply_blaschke(s, phi)))
+            low = float(op_norm(_blaschke_product(s, phi, factors)))
             if low <= floor:
                 tally.flag(i, "maximality", low, {"dropped": [z.real, z.imag]})
 

@@ -171,6 +171,14 @@ def test_project_takes_a_vector_or_columns():
         (lambda: jordan.theorem97_verifier(np.zeros((11, 11))), "theorem97_verifier is capped at size 10"),
         (lambda: jordan.brute_force_lat(np.zeros((11, 11))), "brute_force_lat is capped at size 10"),
         (lambda: suites.thm97_suite(seed=-1), "seed must be non-negative; got -1"),
+        (lambda: jordan.check_lattice_isomorphism(np.eye(2), T, T, samples=0),
+         "samples must be at least 1; got 0"),
+        (lambda: jordan.check_lattice_isomorphism(np.eye(2), T, T, samples=-1),
+         "samples must be at least 1; got -1"),
+        (lambda: suites.duality_suite(trials=1, samples=0), "samples must be at least 1; got 0"),
+        (lambda: jordan.theorem97_verifier(T, triples=-2), "triples must be non-negative; got -2"),
+        (lambda: jordan.theorem_x3_verifier(T, T, np.eye(2), samples=-2),
+         "samples must be non-negative; got -2"),
         (lambda: suites.SuiteConfig("nosuch"),
          "unknown suite 'nosuch'; choose from ['calculus', 'distributive', 'duality', "
          "'lattice-laws', 'modular-thm97', 'oracle-latmatch', 'prop14', 'propq-meetjoin', 'x3-transfer']"),
@@ -187,6 +195,8 @@ def test_project_takes_a_vector_or_columns():
         "subspace-rows", "subspace-columns", "from_span-ambient", "is_invariant-size",
         "lattice-cap", "lattice-shape", "lattice-reflexive", "lattice-empty",
         "jordan_model-cap", "theorem97-cap", "brute_force_lat-cap", "thm97_suite-seed",
+        "lattice-map-samples-0", "lattice-map-samples-negative", "duality-samples-0",
+        "theorem97-triples-negative", "x3-samples-negative",
         "config-suite", "config-output", "blaschke-mult", "blaschke-re", "monomial", "decode-shape",
     ],
 )
@@ -195,6 +205,12 @@ def test_each_refusal_is_a_value_error_with_its_text(call, message):
         call()
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+def test_verifiers_take_zero_trials_as_an_empty_report():
+    for report in (jordan.theorem97_verifier(T, triples=0),
+                   jordan.theorem_x3_verifier(T, T, np.eye(2), samples=0)):
+        assert report.passed and report.trials == 0 and report.max_residual == 0.0
 
 
 def test_jordan_model_suite_raises_once_its_redraws_are_used_up(monkeypatch):

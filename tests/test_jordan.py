@@ -606,8 +606,8 @@ def test_verifier_cache_never_changes_report_bytes(monkeypatch, seed):
 def test_triple_draws_are_prefix_stable_across_counts():
     # row i of the one (count, 3) draw is trial i's, whatever the count
     t = similarity_pair(11, n=5)[0]
-    short_members, short = jordan._triples(t, 10, seed=4)
-    members, draws = jordan._triples(t, 60, seed=4)
+    short_members, short, _, _ = jordan._triples(t, 10, seed=4)
+    members, draws, _, _ = jordan._triples(t, 60, seed=4)
     assert draws[:10] == short
     for a, b in zip(short_members, members):
         assert a.basis.tobytes() == b.basis.tobytes()
@@ -620,7 +620,7 @@ def test_equal_pool_members_share_one_label(monkeypatch):
     assert equals(line, turned) and line.basis.tobytes() != turned.basis.tobytes()
     pool = [Subspace.zero(3), line, turned, Subspace.full(3)]
     monkeypatch.setattr(jordan, "sample_invariant_subspaces", lambda *args: pool)
-    members, draws = jordan._triples(np.zeros((3, 3)), 20, seed=3)
+    members, draws, _, _ = jordan._triples(np.zeros((3, 3)), 20, seed=3)
     # the first of each class represents it
     assert [id(m) for m in members] == [id(pool[0]), id(line), id(pool[3])]
     labels, drawn = [0, 1, 1, 2], set()
@@ -663,10 +663,10 @@ def test_verifiers_check_each_distinct_triple_once(monkeypatch):
     t1, t2, q = similarity_pair(11, n=5)
     seen = []
 
-    # thm97 also passes its memoised M ∨ N and L ∧ M
-    def recording(l, m, n, *known):
-        seen.append((id(l), id(m), id(n)))
-        return modular(l, m, n, *known)
+    # the verifiers pass their memoised M ∨ N and L ∧ M, which stand for M
+    def recording(l, n, joined, lm):
+        seen.append((id(l), id(joined), id(lm), id(n)))
+        return modular(l, n, joined, lm)
 
     modular = jordan._modular
     monkeypatch.setattr(jordan, "_modular", recording)
@@ -680,6 +680,54 @@ def test_verifiers_check_each_distinct_triple_once(monkeypatch):
     assert len(seen) == len(set(seen)) == 2 * len(distinct)
 
 
+def _asked_pairs(t, count, seed):
+    """The label pairs whose meet ``_triples`` labels (L and R) and whose
+    meet the checks read (L and M), and the pairs (M, N) whose join they read."""
+    pool = sampling.sample_invariant_subspaces(
+        t, max(12, t.shape[0] + 4), np.random.default_rng(seed)
+    )
+    members = []
+    labels = [subspace._label(members, s) for s in pool]
+    rows = np.random.default_rng([seed, 1]).integers(len(pool), size=(count, 3))
+    _, draws, _, _ = jordan._triples(t, count, seed)
+    labelled = {(labels[p], labels[r]) for p, _, r in rows}
+    return labelled, {(i, j) for _, i, j, _ in draws}, {(j, k) for _, _, j, k in draws}
+
+
+def test_verifiers_take_each_meet_and_join_once_per_label_pair(monkeypatch):
+    # thm97 reads L ∧ M and M ∨ N from the memos _triples labels its meets
+    # with; x3 reads them on the T2 side and from memos of its own on the T1 side
+    t1, t2, q = similarity_pair(11, n=5)
+    calls = {"meet": [], "join": []}
+
+    def recording(name):
+        real = getattr(jordan, name)
+
+        def call(a, b):
+            calls[name].append((id(a), id(b)))
+            return real(a, b)
+        return call
+
+    labelled, checked, joined = _asked_pairs(t1, 100, 5)
+    assert labelled & checked  # the memo serves both
+    for name in calls:
+        monkeypatch.setattr(jordan, name, recording(name))
+    theorem97_verifier(t1, triples=100, seed=5)
+    assert len(calls["meet"]) == len(set(calls["meet"])) == len(labelled | checked)
+    assert len(calls["join"]) == len(set(calls["join"])) == len(joined)
+    monkeypatch.undo()
+
+    labelled, checked, joined = _asked_pairs(t2, 50, 1)
+    assert labelled & checked
+    for name in calls:
+        calls[name].clear()
+        monkeypatch.setattr(jordan, name, recording(name))
+    theorem_x3_verifier(t1, t2, q / op_norm(q), samples=50, seed=1)
+    # the T2 side, then the T1 side, which labels nothing
+    assert len(calls["meet"]) == len(set(calls["meet"])) == len(labelled | checked) + len(checked)
+    assert len(calls["join"]) == len(set(calls["join"])) == 2 * len(joined)
+
+
 def test_thm97_builds_each_sum_map_once(monkeypatch):
     # the sum map depends on (M2, M3) alone; its rank stands for the rest
     t = similarity_pair(11, n=5)[0]
@@ -691,7 +739,7 @@ def test_thm97_builds_each_sum_map_once(monkeypatch):
 
     rank = jordan._rank
     monkeypatch.setattr(jordan, "_rank", recording)
-    members, draws = jordan._triples(t, 100, 5)
+    members, draws, _, _ = jordan._triples(t, 100, 5)
     pairs = {(j, k) for _, _, j, k in draws if members[j].dim + members[k].dim}
     theorem97_verifier(t, triples=100, seed=5)
     # each nonzero pair needs one, so as many calls as pairs is one each
@@ -738,7 +786,7 @@ def test_x3_maps_each_label_pair_once(monkeypatch):
     image = jordan._image
     monkeypatch.setattr(jordan, "_image", recording)
     t1, t2, q = similarity_pair(11, n=5)
-    targets, draws = jordan._triples(t2, 50, 1)
+    targets, draws, _, _ = jordan._triples(t2, 50, 1)
     pairs = {(i, j) for _, i, j, _ in draws}
     theorem_x3_verifier(t1, t2, q / op_norm(q), samples=50, seed=1)
     assert len(mapped) == len(targets) + len(pairs)

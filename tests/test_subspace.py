@@ -255,6 +255,41 @@ def test_contains_and_equals_agree_with_the_spectral_residual():
     assert (leq[inner, outer] & leq[outer, inner]).tolist() == expected
 
 
+def test_equal_dimension_containments_agree_at_a_planted_sine():
+    # one principal sine at TOL_EQUALS e^(±0.05), inside the Frobenius gap
+    # or just below it, and at e^(±0.7): both containments give the sine's
+    # verdict, so equals needs only one of them
+    rng = np.random.default_rng(17)
+    for _ in range(5000):
+        n = int(rng.integers(3, 9))
+        k = int(rng.integers(1, n))
+        sine = TOL_EQUALS * math.exp(rng.choice([-0.7, -0.05, 0.05, 0.7]))
+        a, lean = planted(rng, n, k, [sine])
+        turn, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        # the leaning line and the rest of A, the lean spread over every column
+        b = Subspace(n, np.hstack([lean.basis, a.basis[:, 1:]]) @ turn)
+        assert contains(a, b) == contains(b, a) == (sine <= TOL_EQUALS) == equals(a, b)
+
+
+def test_equals_takes_one_containment(monkeypatch):
+    calls = []
+
+    def recording(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    real = subspace.contains
+    monkeypatch.setattr(subspace, "contains", recording)
+    rng = np.random.default_rng(8)
+    a = random_subspace(rng, 5, 2)
+    turned = Subspace.from_span(a.basis @ rng.standard_normal((2, 2)))
+    other = random_subspace(rng, 5, 2)
+    assert equals(a, turned) and calls == [(a, turned)]
+    assert not equals(a, other) and calls[1:] == [(a, other)]
+    # unequal dimensions project nothing
+    assert not equals(a, random_subspace(rng, 5, 3)) and len(calls) == 2
+
+
 def test_contains_decides_clear_cases_without_an_svd(monkeypatch):
     def no_svd(m):
         raise AssertionError("op_norm called")

@@ -307,11 +307,11 @@ def _alternate(real, fault, parity):
     return lambda *args, **kwargs: (fault if next(calls) % 2 == parity else real)(*args, **kwargs)
 
 
-def _unequal_sides(l, m, n, joined=None, lm=None):
+def _unequal_sides(l, n, joined, lm):
     """``_modular`` with its right side moved off its left side."""
-    inter, _, joined, lm = subspace._modular(l, m, n, joined, lm)
+    inter, _ = subspace._modular(l, n, joined, lm)
     k = inter.ambient_dim
-    return inter, Subspace.zero(k) if inter.dim else Subspace.full(k), joined, lm
+    return inter, Subspace.zero(k) if inter.dim else Subspace.full(k)
 
 
 def _duality(seed):
