@@ -75,8 +75,7 @@ class C0Certificate:
 
     def to_json_dict(self) -> dict:
         return {
-            "is_c0": self.is_c0,
-            "spectral_radius": self.spectral_radius,
+            **vars(self),
             "minimal_function": (
                 None if self.minimal_function is None else self.minimal_function.to_json_dict()
             ),

@@ -41,7 +41,10 @@ every suite trial in :mod:`c0lat.suites` uses too), and replays that
 tally under every trial that drew the triple; the two sides of the
 modular law come from :func:`c0lat.subspace._modular`, the kernel of
 ``check_modular_triple``, given M ∨ N and L ∧ M from the label-pair memos
-(``_memos``) that ``_triples`` returns.  thm97 also caches the sum map by
+(``_memos``) that ``_triples`` returns.  The kernel does not check N ⊆ L:
+thm97 and x3's T2 side hold it by construction, and x3's pulled-back T1
+triples, which can miss it numerically along an ill-conditioned Y, report
+violations instead of raising.  thm97 also caches the sum map by
 label pair; x3 builds the memos over its pulled-back T1 members too, and
 takes the product identity's meets from the law's L ∧ M.
 
@@ -502,12 +505,7 @@ class Violation:
     witness: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "kind": self.kind,
-            "residual": _finite(self.residual),
-            "witness": self.witness,
-        }
+        return {**vars(self), "residual": _finite(self.residual)}
 
 
 @dataclass(frozen=True)
@@ -526,9 +524,7 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "trials": self.trials,
+            **vars(self),
             "violations": [v.to_json_dict() for v in self.violations],
             "max_residual": _finite(self.max_residual),
             "passed": self.passed,

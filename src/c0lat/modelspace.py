@@ -30,6 +30,7 @@ import numpy as np
 from . import blaschke
 from .blaschke import BlaschkeProduct
 from .calculus import VerificationError, _spectral_basis
+from .serialize import encode_matrix
 from .subspace import FiniteLattice, Subspace
 
 __all__ = [
@@ -154,12 +155,7 @@ class ModelOperator:
         object.__setattr__(self, "matrix", m)
 
     def to_json_dict(self) -> dict:
-        return {
-            "theta": self.theta.to_json_dict(),
-            "matrix": [
-                [[float(x.real), float(x.imag)] for x in row] for row in self.matrix
-            ],
-        }
+        return {"theta": self.theta.to_json_dict(), "matrix": encode_matrix(self.matrix)["entries"]}
 
 
 def compressed_shift(theta: BlaschkeProduct) -> ModelOperator:

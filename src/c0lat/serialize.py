@@ -70,16 +70,12 @@ def _matrix_entry(entry, i: int, j: int) -> complex:
 
 
 def encode_matrix(matrix) -> dict:
+    """The payload of a 2-d matrix: the one writer of ``[re, im]`` pairs."""
     import numpy as np
 
     matrix = np.asarray(matrix, dtype=complex)
-    return {
-        "rows": matrix.shape[0],
-        "cols": matrix.shape[1],
-        "entries": [
-            [[float(x.real), float(x.imag)] for x in row] for row in matrix
-        ],
-    }
+    entries = [[[float(x.real), float(x.imag)] for x in row] for row in matrix]
+    return {"rows": matrix.shape[0], "cols": matrix.shape[1], "entries": entries}
 
 
 def _format_float(x: float) -> str:

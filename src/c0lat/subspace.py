@@ -43,7 +43,8 @@ singular values alone of the stacked residuals, and ``meet``'s own
 is ``meet``'s dimension on every pair.
 
 :mod:`c0lat.jordan` and :mod:`c0lat.suites` share three more helpers:
-``_modular`` (both sides of the modular law from given M ∨ N and L ∧ M),
+``_modular`` (both sides of the modular law from given M ∨ N and L ∧ M,
+with no check of N ⊆ L, which only ``check_modular_triple`` makes),
 ``_label`` (the first ``equals`` member of a list, appending when there is
 none) and ``_direct_sum`` (block sums).
 
@@ -61,6 +62,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+
+from .serialize import encode_matrix
 
 __all__ = [
     "TOL_EQUALS",
@@ -209,13 +212,7 @@ class Subspace:
         return _project(self.basis, v)
 
     def to_json_dict(self) -> dict:
-        return {
-            "ambient": self.ambient_dim,
-            "basis": [
-                [[float(x.real), float(x.imag)] for x in self.basis[:, j]]
-                for j in range(self.dim)
-            ],
-        }
+        return {"ambient": self.ambient_dim, "basis": encode_matrix(self.basis.T)["entries"]}
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -521,14 +518,15 @@ def _krylov(t: np.ndarray, x, scale: float) -> Subspace:
 
 
 def _modular(l: Subspace, n: Subspace, joined: Subspace, lm: Subspace) -> tuple:
-    """``L ∧ (M ∨ N)`` and ``(L ∧ M) ∨ N`` for N ⊆ L, from ``joined = M ∨ N``, ``lm = L ∧ M``."""
-    if not contains(l, n):
-        raise ValueError("modular-triple precondition violated: N is not contained in L")
+    """``L ∧ (M ∨ N)`` and ``(L ∧ M) ∨ N``, from ``joined = M ∨ N``, ``lm = L ∧ M``;
+    it does not check N ⊆ L (``check_modular_triple`` does)."""
     return meet(l, joined), join(lm, n)
 
 
 def check_modular_triple(l: Subspace, m: Subspace, n: Subspace) -> TripleVerdict:
-    """Both sides of ``L ∩ (M ∨ N) = (L ∩ M) ∨ N``; requires ``N ⊆ L``."""
+    """Both sides of ``L ∩ (M ∨ N) = (L ∩ M) ∨ N``; a ValueError unless ``contains(L, N)``."""
+    if not contains(l, n):
+        raise ValueError("modular-triple precondition violated: N is not contained in L")
     lhs, rhs = _modular(l, n, join(m, n), meet(l, m))
     return TripleVerdict(equals(lhs, rhs), distance(lhs, rhs))
 

@@ -659,14 +659,7 @@ class SuiteConfig:
             raise ValueError("output must be 'text' or 'json'")
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "trials": self.trials,
-            "tolerances": dict(sorted(self.tolerances.items())),
-            "output": self.output,
-            "input_paths": list(self.input_paths),
-        }
+        return {**vars(self), "input_paths": list(self.input_paths)}
 
 
 def run_suite(config: SuiteConfig, inputs=()) -> VerificationReport:

@@ -1,5 +1,6 @@
 """Intertwiners, quasiaffinities, lattice maps, Jordan models, verifiers."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from c0lat import blaschke, calculus, jordan, sampling, subspace
+from c0lat import blaschke, calculus, jordan, sampling, subspace, suites
 from c0lat.blaschke import BlaschkeProduct, almost_equiv, elementary, equiv, monomial, multiply
 from c0lat.calculus import NotC0Error, minimal_function
 from c0lat.cli import report_render
@@ -810,6 +811,20 @@ def test_x3_rejects_rank_deficient():
         theorem_x3_verifier(np.diag([0.1, 0.2]), np.diag([0.3, 0.4]), np.eye(2), samples=2)
 
 
+@pytest.mark.parametrize("kappa, draw", [(1e7, 0), (1e7, 13), (1e8, 1), (1e8, 3), (1e8, 17)])
+def test_x3_along_an_ill_conditioned_y_reports_instead_of_raising(kappa, draw):
+    # Y = U diag(geomspace(1, 1/kappa, n)) V: the pulled-back T1 triples miss
+    # N ⊆ L numerically; the verifier reports that, and only the public
+    # check_modular_triple refuses such a triple with a ValueError
+    rng = np.random.default_rng([11, draw])
+    t1 = suites._random_c0_instance(rng, draw)
+    n = t1.shape[0]
+    u, v = sampling.random_unitary(rng, n), sampling.random_unitary(rng, n)
+    y = u @ np.diag(np.geomspace(1, 1 / kappa, n)) @ v
+    report = theorem_x3_verifier(t1, y @ t1 @ np.linalg.inv(y), y, samples=50, seed=draw)
+    assert "preimage-invariance" in {v.kind for v in report.violations}
+
+
 def test_non_derogatory_draw_beyond_four_blocks_is_refused():
     # n = 13 > 4 * max_block used to loop forever; in a subprocess a hang
     # fails the test at the timeout instead of stalling the run
@@ -925,3 +940,21 @@ def test_report_json_shape():
     data = report.to_json_dict()
     assert data["passed"] is False
     assert data["violations"][0]["witness"] == {"a": 1}
+
+
+@pytest.mark.parametrize(
+    "record, extra",
+    [
+        (Violation(1, "kind", float("nan"), {"a": 1}), set()),
+        (VerificationReport("x", 7, 3, (Violation(1, "kind", 0.5),), float("inf")), {"passed"}),
+        (suites.SuiteConfig("prop14", tolerances={"floor": 2.0}, input_paths=("a.json",)), set()),
+        (calculus.classify_c0(np.diag([0.5, -0.25])), set()),
+        (calculus.classify_c0(np.diag([2.0, 0.1])), set()),
+    ],
+    ids=["violation", "report", "config", "certificate", "not-c0"],
+)
+def test_record_json_keys_are_its_fields(record, extra):
+    # each record serializes from its own fields, so a new field reaches the JSON
+    data = record.to_json_dict()
+    assert set(data) == {f.name for f in dataclasses.fields(record)} | extra
+    stable_json_bytes(data)  # and every value is one JSON can hold

@@ -1,9 +1,10 @@
 """Model spaces, the rational basis, and the compressed shift.
 
-The independent oracle for the basis, the closed-form shift matrix and the
-divisor subspaces is adaptive quadrature
-(scipy.integrate.quad) of f(e^it) conj(g(e^it)) / 2pi on [0, 2pi]; it
-shares no code with any of them.
+The independent oracle for the basis and the closed-form shift matrix is
+adaptive quadrature (scipy.integrate.quad) of f(e^it) conj(g(e^it)) / 2pi
+on [0, 2pi]; it shares no code with either.  The divisor subspaces' oracle
+is the closed-form span of the reproducing kernels at the divisor's zeros,
+from Taylor coefficients of the basis computed here.
 """
 
 import itertools
@@ -178,29 +179,48 @@ def test_divisor_subspace_dimension():
     assert s.dim == theta.degree - phi.degree
 
 
-def test_divisor_subspaces_against_quad_oracle():
-    # phi times each basis function of H(theta/phi) lies in H(theta) with
-    # norm 1, so its e-coordinates have norm 1 and lie in divisor_subspace(phi)
-    space = ModelSpace(THETA_MIXED)
-    for phi in blaschke.divisors(THETA_MIXED):
-        s = space.divisor_subspace(phi)
-        quotient = blaschke.divide(THETA_MIXED, phi)
-        assert s.dim == quotient.degree
-        if quotient.degree == 0:
-            continue
-        inner = ModelSpace(quotient)
-        for m in range(1, inner.dim + 1):
-            coords = np.array(
-                [
-                    quad_inner(
-                        lambda z, m=m: blaschke.evaluate(phi, z) * inner.basis_eval(m, z),
-                        lambda z, j=j: space.basis_eval(j, z),
-                    )
-                    for j in range(1, space.dim + 1)
-                ]
-            )
-            assert np.linalg.norm(coords) == pytest.approx(1.0, abs=1e-7)
-            assert np.linalg.norm(coords - s.project(coords)) <= 1e-7
+def mobius_taylor(num, b, a, order):
+    """Taylor coefficients at ``a``, in powers of w = z - a, of
+    ``num(w) / (1 - conj(b) z)``: power-series division by the linear
+    denominator (1 - conj(b) a) - conj(b) w."""
+    c0, c1 = 1 - np.conj(b) * a, -np.conj(b)
+    out = []
+    for k in range(order):
+        out.append(((num[k] if k < len(num) else 0) - (c1 * out[-1] if out else 0)) / c0)
+    return np.array(out)
+
+
+def basis_taylor(zeros, a, order):
+    """``t[j, k]``: the k-th Taylor coefficient at ``a`` of the j-th
+    Takenaka-Malmquist function on ``zeros``, from its Möbius factors."""
+    t = np.empty((len(zeros), order), dtype=complex)
+    carried = np.eye(1, order, dtype=complex)[0]
+    for j, b in enumerate(zeros):
+        lead = mobius_taylor([np.sqrt(1 - abs(b) ** 2)], b, a, order)
+        t[j] = np.convolve(carried, lead)[:order]
+        carried = np.convolve(carried, mobius_taylor([a - b, 1], b, a, order))[:order]
+    return t
+
+
+def test_divisor_subspaces_against_the_kernel_oracle():
+    # H(theta) ⊖ phi H(theta/phi) = H(phi) is spanned by the kernels of
+    # f -> f^(k)(a) / k! for the zeros a of phi and k below a's multiplicity
+    # in phi; in the e-basis their coordinates are conj(e_j^(k)(a) / k!).  So
+    # divisor_subspace(phi) is exactly the orthocomplement of their span K,
+    # which has rank deg phi, for every divisor, the double zero's included
+    zeros = THETA_MIXED.zero_sequence()
+    d = len(zeros)
+    divisors = blaschke.divisors(THETA_MIXED)
+    assert len(divisors) == 12
+    for phi in divisors:
+        k = np.zeros((d, 0), dtype=complex)
+        for a, m in phi.zeros:
+            k = np.hstack([k, basis_taylor(zeros, a, m).conj()])
+        s = divisor_subspace(THETA_MIXED, phi)
+        assert np.linalg.matrix_rank(k) == phi.degree
+        assert s.dim == d - phi.degree
+        if phi.degree and s.dim:
+            assert np.linalg.norm(s.basis.conj().T @ k, 2) <= 1e-12 * np.linalg.norm(k, 2)
 
 
 def test_divisor_subspace_requires_divisor():

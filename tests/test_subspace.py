@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c0lat import subspace
 from c0lat.blaschke import BlaschkeProduct, elementary, gcd, lcm
@@ -16,6 +18,7 @@ from c0lat.sampling import (
     certifiable_c0,
     pseudo_hyperbolic,
     random_unit_disk_points,
+    random_unitary,
     sample_invariant_subspaces,
 )
 from c0lat.subspace import (
@@ -475,6 +478,100 @@ def test_op_norm_is_the_numpy_spectral_norm_bit_for_bit(shape):
     for _ in range(20):
         m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         assert op_norm(m) == float(np.linalg.norm(m, 2))
+
+
+# --- properties on pairs with a principal sine planted near the scale ----------
+#
+# A and B in C^n share r directions, the last of them tilted in B (or, with
+# the pair swapped, in A) by a principal sine TOL_EQUALS * e^u towards a
+# direction outside both.  A sine within a few eps of the scale is decided by
+# rounding: the meet's SVD of R = B - P_A B, the join's SVD of [A B] and
+# contains's norm of R can put it on opposite sides (at u = 0 the dimension
+# formula failed on 88 of 600 such pairs, at |u| = 1e-8 on 59 and at
+# |u| = 1e-7 on none).  So |u| is drawn from [1e-6, 0.7].
+
+
+@st.composite
+def tilted_pairs(draw):
+    n = draw(st.integers(3, 8))
+    r = draw(st.integers(1, n - 1))
+    own_a = draw(st.integers(0, n - 1 - r))
+    own_b = draw(st.integers(0, n - 1 - r - own_a))
+    sine = TOL_EQUALS * math.exp(draw(st.sampled_from((-1, 1))) * draw(st.floats(1e-6, 0.7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = random_unitary(rng, n)
+    tilted = math.sqrt(1 - sine**2) * q[:, r - 1] + sine * q[:, n - 1]
+    a = q[:, : r + own_a]
+    b = np.column_stack([q[:, : r - 1], tilted, q[:, r + own_a : r + own_a + own_b]])
+
+    def mixed(cols):  # a basis that is not orthonormal
+        k = cols.shape[1]
+        return Subspace.from_span(cols @ (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))), n)
+
+    pair = (mixed(a), mixed(b), Subspace.from_span(q[:, :r], n))
+    return (pair[1], pair[0], pair[2]) if draw(st.booleans()) else pair
+
+
+def perp(s):
+    return Subspace.from_span(np.linalg.svd(s.basis)[0][:, s.dim :], s.ambient_dim)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(tilted_pairs())
+def test_dimension_formula_and_order_from_meet_and_join(pair):
+    a, b, _ = pair
+    m, j = meet(a, b), join(a, b)
+    assert m.dim + j.dim == a.dim + b.dim
+    assert contains(b, a) == (m.dim == a.dim) == (j.dim == b.dim)
+    assert contains(a, b) == (m.dim == b.dim) == (j.dim == a.dim)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(tilted_pairs())
+def test_order_duality(pair):
+    a, b, _ = pair
+    assert contains(b, a) == contains(perp(a), perp(b))
+    assert contains(a, b) == contains(perp(b), perp(a))
+
+
+def outside(s, new):
+    """A unit vector of ``new`` orthogonal to ``s``, or None."""
+    u, sines, _ = np.linalg.svd(new.basis - s.project(new.basis))
+    return u[:, :1] if sines.size and sines[0] > 0.5 else None
+
+
+def wrong_meet(m, a):
+    """``m`` with a direction swapped for one of ``a`` orthogonal to it:
+    inside ``a``, of ``m``'s dimension, and outside the other side."""
+    w = outside(m, a)
+    return m if w is None else Subspace.from_span(np.hstack([m.basis[:, 1:], w]), m.ambient_dim)
+
+
+def wrong_join(j, a, b):
+    """``a`` and all but one direction of ``b`` outside it, with one of the
+    complement of ``j`` instead: ``j``'s dimension, over ``a`` and not ``b``."""
+    u = np.linalg.svd(b.basis - a.project(b.basis))[0]
+    c, extra = outside(j, Subspace.full(j.ambient_dim)), j.dim - a.dim
+    if c is None or extra == 0:
+        return j
+    return Subspace.from_span(np.hstack([a.basis, u[:, : extra - 1], c]), j.ambient_dim)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(tilted_pairs())
+def test_meet_join_verdicts_are_the_scalar_ones_near_the_scale(pair):
+    # against the scalar meet and join of (A, B) themselves and planted
+    # candidates: A, B, the untilted shared directions, zero, full, and a
+    # wrong meet and join of the right dimension on each side, which only
+    # the order rejects
+    a, b, shared = pair
+    n, m, j = a.ambient_dim, meet(a, b), join(a, b)
+    members = [a, b, m, j, shared, Subspace.zero(n), Subspace.full(n)]
+    members += [wrong_meet(m, a), wrong_meet(m, b), wrong_join(j, a, b), wrong_join(j, b, a)]
+    lo, hi = (np.ravel(x) for x in np.meshgrid([2, 0, 1, 4, 5, 7, 8], [3, 0, 1, 6, 9, 10]))
+    verdicts = meet_join_verdicts(members, np.zeros_like(lo), np.ones_like(lo), lo, hi)
+    scalar = [equals(members[2], members[e]) and equals(members[3], members[f]) for e, f in zip(lo, hi)]
+    assert verdicts[0] and verdicts.tolist() == scalar
 
 
 # --- invariance / cyclic -------------------------------------------------------
